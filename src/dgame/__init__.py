@@ -38,7 +38,6 @@ from .game import (
     DescriptorGame,
     ReducedGame,
     UnstabilizableError,
-    cost_blocks,
     gbar_matrix,
     m_matrix,
     reduce_game,
@@ -60,10 +59,11 @@ from .feedback import (
 from .forward import (
     CareResiduals,
     EquilibriumSolution,
-    NoSolutionError,
+    IndefiniteInputWeightError,
     SolveOptions,
     care_residual,
     equilibrium_cost,
+    solution_at,
     solve_fbne,
     verify_nash_local,
 )
@@ -76,6 +76,7 @@ from .inverse import (
     constraint_matrices,
     dimension_report,
     identify,
+    match_behaviors,
     pd_margin,
     rationalized_behaviors,
     residual,

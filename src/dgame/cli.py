@@ -13,7 +13,8 @@ cost set (``costs``), named alternates (``cost_sets``, selected with
 Reports are JSON with floats at 17 significant digits, written atomically
 and schema-validated, so identical inputs and seeds give byte-identical
 output.  Exit codes: 0 success, 1 usage/malformed input, 2 model
-assumption violated, 3 no equilibrium found, 4 solution set empty,
+assumption violated (including an effective input weight that is not
+positive definite), 3 no equilibrium found, 4 solution set empty,
 5 unstable closed loop.
 """
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .game import (
     CostParameters,
     DescriptorGame,
     UnstabilizableError,
-    m_matrix,
     reduce_game,
 )
 from .inverse import (
@@ -52,18 +52,18 @@ from .inverse import (
     constraint_matrices,
     dimension_report,
     identify,
+    match_behaviors,
     pd_margin,
     rationalized_behaviors,
     residual as theta_residual,
 )
 from .forward import (
-    EquilibriumSolution,
+    IndefiniteInputWeightError,
     SolveOptions,
-    care_residual,
+    solution_at,
     solve_fbne,
     verify_nash_local,
 )
-from .linalg import solve_lyapunov
 from .pencil import (
     ImpulsiveModesError,
     IrregularPencilError,
@@ -497,7 +497,7 @@ def cmd_misspecify(args) -> int:
     try:
         costs_mis = cert_ode.costs()
         sols = solve_fbne(rg, costs_mis, _solve_opts(args))
-        matches, dists = _behavior_match(rg, f_red_true, sols)
+        matches = match_behaviors(rg, f_red_true, sols)
         report["behaviors"] = {
             "count": len(sols),
             "matching": int(sum(matches)),
@@ -515,19 +515,6 @@ def cmd_misspecify(args) -> int:
           + ("" if behaviors_ok else " (forward solve on misspecified costs failed)"),
           file=sys.stderr)
     return EXIT_OK if cert_ode.feasible else EXIT_INFEASIBLE
-
-
-def _behavior_match(rg, f_red_obs, sols, horizon=6.0, dt=0.01, tol=1e-5):
-    observed = [simulate(rg, f_red_obs, e, horizon, dt) for e in np.eye(rg.r)]
-    matches, dists = [], []
-    for s in sols:
-        dist = 0.0
-        for k, e in enumerate(np.eye(rg.r)):
-            traj = simulate(rg, s.f_star, e, horizon, dt)
-            dist = max(dist, float(np.abs(traj.u - observed[k].u).max(initial=0.0)))
-        matches.append(dist <= tol)
-        dists.append(dist)
-    return matches, dists
 
 
 def _write_error_trajectories(rg, f_red_obs, sols, path, horizon=6.0, dt=0.01):
@@ -590,16 +577,9 @@ def cmd_verify(args) -> int:
         # spot-check the equilibrium property of the observed loop under
         # the candidate costs
         costs = layout.costs_from_thetas(thetas)
-        p_list = _value_matrices(rg, costs, f_red)
-        res = care_residual(rg, costs, f_red, p_list)
-        sol = EquilibriumSolution(
-            f_star=f_red, p=tuple(p_list),
-            a_cl=rg.j + rg.b1_stacked @ f_red.matrix,
-            spectrum=np.linalg.eigvals(rg.j + rg.b1_stacked @ f_red.matrix),
-            residuals=res, iterations=0, start="verify",
-        )
-        ok, counter = verify_nash_local(rg, costs, sol, n_trials=int(args.nash_trials),
-                                        radius=0.5, seed=int(args.seed))
+        sol = solution_at(rg, costs, f_red)
+        ok, _ = verify_nash_local(rg, costs, sol, n_trials=int(args.nash_trials),
+                                  radius=0.5, seed=int(args.seed))
         verify_section["nash_spot_check"] = bool(ok)
     report = {
         "meta": _meta(args),
@@ -609,13 +589,6 @@ def cmd_verify(args) -> int:
     verdict = "member" if verify_section["all_members"] else "non-member"
     print(f"verify: {verdict}", file=sys.stderr)
     return EXIT_OK
-
-
-def _value_matrices(rg, costs, f_red):
-    a_cl = rg.j + rg.b1_stacked @ f_red.matrix
-    stacked = np.vstack([np.eye(rg.r), f_red.matrix])
-    return [solve_lyapunov(a_cl, stacked.T @ m_matrix(rg, costs, i) @ stacked)
-            for i in range(rg.n_players)]
 
 
 def cmd_simulate(args) -> int:
@@ -629,6 +602,8 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"cannot parse --x1-0: {exc}") from exc
     if x1_0.size != rg.r:
         raise UsageError(f"--x1-0 must have r={rg.r} entries")
+    if not (0.0 < args.dt < np.inf and 0.0 <= args.horizon < np.inf):
+        raise UsageError("need a finite --dt > 0 and a finite --horizon >= 0")
     traj = simulate(rg, problem.f_observed, x1_0, float(args.horizon), float(args.dt))
     write_trajectory_csv(traj, args.out if args.out else sys.stdout)
     print(f"simulate: {len(traj.times)} samples over {args.horizon}s", file=sys.stderr)
@@ -700,7 +675,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IrregularPencilError, ImpulsiveModesError, UnstabilizableError) as exc:
+    except (IrregularPencilError, ImpulsiveModesError, UnstabilizableError,
+            IndefiniteInputWeightError) as exc:
         print(f"assumption violated: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
     except UnstableLoopError as exc:

@@ -17,7 +17,10 @@ Each converged start is then polished, and each start that stalls or
 fails gets a Newton fallback, on the stacked residual system; coupled
 Riccati systems can have several stabilizing solutions, so enumeration
 is heuristic multistart and completeness is only ever validated at test
-scale.
+scale.  G and V are read out of the players' reduced cost matrices M_i
+(:func:`dgame.game.m_matrix`); the damping floor and the deduplication
+distance are fixed module constants, and only the start count, seed,
+tolerance and iteration cap are options.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ import scipy.linalg as sla
 from scipy.optimize import root
 
 from .feedback import ReducedFeedback
-from .game import CostParameters, ReducedGame, gbar_matrix, m_matrix, vbar_stack
+from .game import CostParameters, ReducedGame, gbar_matrix, m_matrix
 from .linalg import (
     is_stable,
     solve_lyapunov,
@@ -41,29 +44,34 @@ __all__ = [
     "SolveOptions",
     "CareResiduals",
     "EquilibriumSolution",
-    "NoSolutionError",
+    "IndefiniteInputWeightError",
     "care_residual",
+    "solution_at",
     "solve_fbne",
     "equilibrium_cost",
     "verify_nash_local",
 ]
 
 
-class NoSolutionError(RuntimeError):
-    """No start of the multistart solver converged to a stabilizing solution."""
+#: smallest damping factor of the policy iteration's step
+DAMPING_FLOOR = 1.0 / 16.0
+
+#: relative max-entry distance under which two feedbacks are one solution
+DEDUP_TOL = 1e-5
+
+
+class IndefiniteInputWeightError(ValueError):
+    """Some player's effective own-input weight is not positive definite."""
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Multistart solver knobs; tolerances are relative to the data scale."""
+    """Multistart solver options; ``tol`` is relative to the data scale."""
 
     n_starts: int = 64
     seed: int = 0
     tol: float = 1e-9
     max_iter: int = 300
-    dedup_tol: float = 1e-5
-    damping_floor: float = 1.0 / 16.0
-    newton_fallback: bool = True
 
 
 @dataclass(frozen=True)
@@ -94,22 +102,26 @@ class EquilibriumSolution:
     start: str = ""
 
 
-def _data_scale(rg: ReducedGame, c: CostParameters) -> float:
-    """1 + max-entry scale of the reduced data; makes tolerances meaningful
-    under the positive-scaling freedom of the cost parameters."""
+def _data_scale(rg: ReducedGame, ms) -> float:
+    """1 + max-entry scale of the reduced data (J, B1 and every M_i); makes
+    tolerances meaningful under the positive-scaling freedom of the cost
+    parameters."""
     scale = 1.0
     scale = max(scale, np.abs(rg.j).max(initial=0.0))
     scale = max(scale, np.abs(rg.b1_stacked).max(initial=0.0))
-    for i in range(rg.n_players):
-        scale = max(scale, np.abs(m_matrix(rg, c, i)).max(initial=0.0))
+    for m_i in ms:
+        scale = max(scale, np.abs(m_i).max(initial=0.0))
     return 1.0 + scale
 
 
 def _care_terms(rg: ReducedGame, c: CostParameters):
+    """``(ms, gbar, vbar_t)``: every M_i, the stationarity operator G and
+    the m x r stack V' of the players' own couplings v_bar[i][i]', read
+    out of rows r + s_i, columns :r of M_i."""
     ms = [m_matrix(rg, c, i) for i in range(rg.n_players)]
-    gbar = gbar_matrix(rg, c)
-    vbar_t = vbar_stack(rg, c)
-    return ms, gbar, vbar_t
+    own = [rg.input_slice(i) for i in range(rg.n_players)]
+    vbar_t = np.vstack([m_i[rg.r + s.start:rg.r + s.stop, :rg.r] for m_i, s in zip(ms, own)])
+    return ms, gbar_matrix(rg, c), vbar_t
 
 
 def _residuals_raw(rg, ms, gbar, vbar_t, f, p_list, scale):
@@ -139,7 +151,7 @@ def care_residual(rg: ReducedGame, c: CostParameters,
     (f_red, p); purely evaluative, no solving."""
     f = f_red.matrix if isinstance(f_red, ReducedFeedback) else np.asarray(f_red, dtype=float)
     ms, gbar, vbar_t = _care_terms(rg, c)
-    return _residuals_raw(rg, ms, gbar, vbar_t, f, [symmetrize(pi) for pi in p], _data_scale(rg, c))
+    return _residuals_raw(rg, ms, gbar, vbar_t, f, [symmetrize(pi) for pi in p], _data_scale(rg, ms))
 
 
 def _lyapunov_values(rg, ms, f):
@@ -149,6 +161,31 @@ def _lyapunov_values(rg, ms, f):
     return [solve_lyapunov(a_cl, stacked.T @ ms[i] @ stacked) for i in range(rg.n_players)]
 
 
+def solution_at(rg: ReducedGame, c: CostParameters,
+                f_red: ReducedFeedback) -> EquilibriumSolution:
+    """The candidate solution of ``c`` at a stabilizing reduced feedback.
+
+    The value matrices come from per-player Lyapunov solves, so the
+    Riccati residuals are at rounding level and the stationarity residual
+    measures how far ``f_red`` is from an equilibrium (which
+    :func:`verify_nash_local` spot-checks directly).  Raises what
+    :func:`dgame.linalg.solve_lyapunov` raises when the loop admits no
+    unique value matrices.
+    """
+    ms, gbar, vbar_t = _care_terms(rg, c)
+    f = f_red.matrix
+    p_list = _lyapunov_values(rg, ms, f)
+    a_cl = rg.j + rg.b1_stacked @ f
+    return EquilibriumSolution(
+        f_star=f_red,
+        p=tuple(p_list),
+        a_cl=a_cl,
+        spectrum=sorted_spectrum(np.linalg.eigvals(a_cl)),
+        residuals=_residuals_raw(rg, ms, gbar, vbar_t, f, p_list, _data_scale(rg, ms)),
+        iterations=0,
+    )
+
+
 def _policy_iteration(rg, ms, gbar, vbar_t, f0s, scale, opts):
     """Damped fixed-point iteration from every start in lockstep.
 
@@ -156,7 +193,7 @@ def _policy_iteration(rg, ms, gbar, vbar_t, f0s, scale, opts):
     loop is unstable, a Lyapunov solve fails or ``gbar`` is singular;
     stop with ``(f, p_list, iters)`` once the residual is within
     tolerance; otherwise step towards the policy update, halving the
-    start's damping (down to ``damping_floor``) whenever its residual
+    start's damping (down to ``DAMPING_FLOOR``) whenever its residual
     grew.  All active starts share one stacked numpy call per operation
     and retire from the active set as soon as they stop.
     """
@@ -201,14 +238,14 @@ def _policy_iteration(rg, ms, gbar, vbar_t, f0s, scale, opts):
         except np.linalg.LinAlgError:
             return outcomes
         worse = res > last_res[active]
-        alpha[active] = np.where(worse, np.maximum(alpha[active] / 2.0, opts.damping_floor),
+        alpha[active] = np.where(worse, np.maximum(alpha[active] / 2.0, DAMPING_FLOOR),
                                  alpha[active])
         last_res[active] = res
         f[active] = fa + alpha[active][:, None, None] * (f_next - fa)
     return outcomes
 
 
-def _newton_refine(rg, ms, gbar, vbar_t, f0, p0, scale, opts):
+def _newton_refine(rg, ms, gbar, vbar_t, f0, p0, scale):
     """Newton on the stacked residual system from (f0, p0)."""
     n_players, r, m = rg.n_players, rg.r, rg.m
     iu = np.triu_indices(r)
@@ -282,9 +319,9 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
     """Enumerate stabilizing solutions of the coupled Riccati system.
 
     Requires every effective own-input weight r_bar[i][i] to be positive
-    definite.  Returns the deduplicated solutions in a canonical order
-    (lexicographic by rounded feedback entries); an empty list means no
-    start converged.
+    definite (raises :class:`IndefiniteInputWeightError`).  Returns the
+    deduplicated solutions in a canonical order (lexicographic by rounded
+    feedback entries); an empty list means no start converged.
     """
     opts = opts or SolveOptions()
     ms, gbar, vbar_t = _care_terms(rg, c)
@@ -292,10 +329,10 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
         si = rg.input_slice(i)
         block = ms[i][rg.r + si.start:rg.r + si.stop, rg.r + si.start:rg.r + si.stop]
         if block.size and np.linalg.eigvalsh(symmetrize(block))[0] <= 0:
-            raise ValueError(
+            raise IndefiniteInputWeightError(
                 f"effective input weight of player {i} is not positive definite"
             )
-    scale = _data_scale(rg, c)
+    scale = _data_scale(rg, ms)
     solutions: list[EquilibriumSolution] = []
 
     def try_add(f, p_list, iters, label):
@@ -307,7 +344,7 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
             return
         for sol in solutions:
             gap = np.abs(sol.f_star.matrix - f).max(initial=0.0)
-            if gap <= opts.dedup_tol * (1.0 + np.abs(f).max(initial=0.0)):
+            if gap <= DEDUP_TOL * (1.0 + np.abs(f).max(initial=0.0)):
                 return
         solutions.append(EquilibriumSolution(
             f_star=ReducedFeedback(f, rg.input_dims),
@@ -324,15 +361,13 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
     for (label, f0), out in zip(starts, outcomes):
         if out is not None:
             f, p_list, iters = out
-            polished = _newton_refine(rg, ms, gbar, vbar_t, f, p_list, scale, opts)
+            polished = _newton_refine(rg, ms, gbar, vbar_t, f, p_list, scale)
             if polished is not None:
                 f_pol, p_pol = polished
                 if (_residuals_raw(rg, ms, gbar, vbar_t, f_pol, p_pol, scale).max_norm
                         < _residuals_raw(rg, ms, gbar, vbar_t, f, p_list, scale).max_norm):
                     f, p_list = f_pol, p_pol
             try_add(f, p_list, iters, label)
-            continue
-        if not opts.newton_fallback:
             continue
         if is_stable(rg.j + rg.b1_stacked @ f0):
             try:
@@ -341,7 +376,7 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
                 p0 = [np.zeros((rg.r, rg.r)) for _ in range(rg.n_players)]
         else:
             p0 = [np.zeros((rg.r, rg.r)) for _ in range(rg.n_players)]
-        refined = _newton_refine(rg, ms, gbar, vbar_t, f0, p0, scale, opts)
+        refined = _newton_refine(rg, ms, gbar, vbar_t, f0, p0, scale)
         if refined is not None:
             f, p_list = refined
             try_add(f, p_list, opts.max_iter, f"{label}+newton")

@@ -17,15 +17,15 @@ whose per-player cost matrix is the congruence
 with blocks named q_bar (state weight), v_bar (state/input coupling),
 r_bar (effective input weights) and s_bar (cross-input couplings).  This
 module owns the data types, the construction-time validation of the two
-standing assumptions (impulse-free pencil, per-player stabilizability)
-and the cost-block calculus consumed by the forward and inverse solvers.
+standing assumptions (impulse-free pencil, per-player stabilizability),
+M_i itself (:func:`m_matrix`; consumers slice their blocks out of it)
+and the stationarity operator G of the forward solver.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .linalg import is_symmetric, symmetrize
 from .pencil import ImpulsiveModesError, Pencil, WeierstrassData, weierstrass
@@ -34,13 +34,10 @@ __all__ = [
     "UnstabilizableError",
     "DescriptorGame",
     "CostParameters",
-    "CostBlocks",
     "ReducedGame",
     "reduce_game",
-    "cost_blocks",
     "m_matrix",
     "gbar_matrix",
-    "vbar_stack",
 ]
 
 #: rank tolerance for the Hautus stabilizability test
@@ -150,19 +147,6 @@ class CostParameters:
 
 
 @dataclass(frozen=True)
-class CostBlocks:
-    """Blocks of one player's reduced cost matrix.
-
-    ``s_bar[j][k]`` is populated for j < k only (the matrix is symmetric).
-    """
-
-    q_bar: np.ndarray
-    v_bar: tuple[np.ndarray, ...]
-    r_bar: tuple[np.ndarray, ...]
-    s_bar: dict = field(repr=False)
-
-
-@dataclass(frozen=True)
 class ReducedGame:
     """The r-dimensional game produced by :func:`reduce_game`.
 
@@ -225,65 +209,44 @@ def reduce_game(g: DescriptorGame, decomposition: WeierstrassData | None = None)
     return ReducedGame(j=w.j, b1=tuple(b1), b2=tuple(b2), w=w, input_dims=g.input_dims)
 
 
-def cost_blocks(rg: ReducedGame, c: CostParameters, i: int) -> CostBlocks:
-    """Reduced cost blocks of player ``i``.
-
-    q_bar    = X1' Q_i X1
-    v_bar[j] = -X1' Q_i X2 B2_j
-    r_bar[j] = R_ij + B2_j' X2' Q_i X2 B2_j
-    s_bar[j][k] = B2_j' X2' Q_i X2 B2_k          (j < k)
-    """
-    x1, x2 = rg.w.x1, rg.w.x2
-    qi = c.q[i]
-    q_bar = symmetrize(x1.T @ qi @ x1)
-    v_bar = tuple(-x1.T @ qi @ x2 @ rg.b2[j] for j in range(rg.n_players))
-    r_bar = tuple(
-        symmetrize(c.r[i][j] + rg.b2[j].T @ x2.T @ qi @ x2 @ rg.b2[j])
-        for j in range(rg.n_players)
-    )
-    s_bar: dict = {}
-    for j in range(rg.n_players):
-        for k in range(j + 1, rg.n_players):
-            s_bar.setdefault(j, {})[k] = rg.b2[j].T @ x2.T @ qi @ x2 @ rg.b2[k]
-    return CostBlocks(q_bar=q_bar, v_bar=v_bar, r_bar=r_bar, s_bar=s_bar)
-
-
 def m_matrix(rg: ReducedGame, c: CostParameters, i: int) -> np.ndarray:
-    """Full (r+m) x (r+m) reduced cost matrix of player ``i``, assembled
-    from :func:`cost_blocks`."""
-    blocks = cost_blocks(rg, c, i)
-    r, mtot, np_ = rg.r, rg.m, rg.n_players
-    out = np.zeros((r + mtot, r + mtot))
-    out[:r, :r] = blocks.q_bar
-    for j in range(np_):
-        sj = rg.input_slice(j)
-        out[:r, r + sj.start:r + sj.stop] = blocks.v_bar[j]
-        out[r + sj.start:r + sj.stop, :r] = blocks.v_bar[j].T
-        out[r + sj.start:r + sj.stop, r + sj.start:r + sj.stop] = blocks.r_bar[j]
-        for k in range(j + 1, np_):
-            sk = rg.input_slice(k)
-            sjk = blocks.s_bar[j][k]
-            out[r + sj.start:r + sj.stop, r + sk.start:r + sk.stop] = sjk
-            out[r + sk.start:r + sk.stop, r + sj.start:r + sj.stop] = sjk.T
+    """Full (r+m) x (r+m) reduced cost matrix of player ``i``,
+    ``T' blkdiag(Q_i, R_i) T`` assembled block by block:
+
+    q_bar       = X1' Q_i X1                          (state weight)
+    v_bar[j]    = -X1' Q_i X2 B2_j                    (state/input coupling)
+    r_bar[j]    = R_ij + B2_j' X2' Q_i X2 B2_j        (effective input weight)
+    s_bar[j][k] = B2_j' X2' Q_i X2 B2_k,  j < k       (cross-input coupling)
+    """
+    x1, x2, qi, r = rg.w.x1, rg.w.x2, c.q[i], rg.r
+
+    def rows(j):
+        s = rg.input_slice(j)
+        return slice(r + s.start, r + s.stop)
+
+    out = np.zeros((r + rg.m, r + rg.m))
+    out[:r, :r] = symmetrize(x1.T @ qi @ x1)
+    for j in range(rg.n_players):
+        sj = rows(j)
+        v_bar = -x1.T @ qi @ x2 @ rg.b2[j]
+        out[:r, sj] = v_bar
+        out[sj, :r] = v_bar.T
+        out[sj, sj] = symmetrize(c.r[i][j] + rg.b2[j].T @ x2.T @ qi @ x2 @ rg.b2[j])
+        for k in range(j + 1, rg.n_players):
+            sk = rows(k)
+            s_bar = rg.b2[j].T @ x2.T @ qi @ x2 @ rg.b2[k]
+            out[sj, sk] = s_bar
+            out[sk, sj] = s_bar.T
     return symmetrize(out)
-
-
-def m_matrix_congruence(rg: ReducedGame, c: CostParameters, i: int) -> np.ndarray:
-    """Reference route for M_i: the explicit congruence
-    ``T' blkdiag(Q_i, R_i) T`` with ``T = [[X1, -X2 B2], [0, I_m]]``."""
-    x1, x2 = rg.w.x1, rg.w.x2
-    t = np.block([
-        [x1, -x2 @ rg.b2_stacked],
-        [np.zeros((rg.m, rg.r)), np.eye(rg.m)],
-    ])
-    ri = sla.block_diag(*c.r[i])
-    core = sla.block_diag(c.q[i], ri)
-    return t.T @ core @ t
 
 
 def gbar_matrix(rg: ReducedGame, c: CostParameters) -> np.ndarray:
     """The m x m stationarity operator: diagonal blocks r_bar[i][i], off-
-    diagonal blocks are player i's cross couplings s(i; i, j)."""
+    diagonal blocks are player i's cross couplings s(i; i, j).
+
+    These are blocks of the M_i, but built from their unsymmetrized
+    products, so they can differ from the slices of :func:`m_matrix` in
+    the last bit."""
     x2 = rg.w.x2
     out = np.zeros((rg.m, rg.m))
     for i in range(rg.n_players):
@@ -296,11 +259,3 @@ def gbar_matrix(rg: ReducedGame, c: CostParameters) -> np.ndarray:
             out[si, sj] = core
     return out
 
-
-def vbar_stack(rg: ReducedGame, c: CostParameters) -> np.ndarray:
-    """m x r stack of the players' own coupling blocks v_bar[i][i]
-    transposed, as consumed by the stationarity equation."""
-    rows = []
-    for i in range(rg.n_players):
-        rows.append(cost_blocks(rg, c, i).v_bar[i].T)
-    return np.vstack(rows)

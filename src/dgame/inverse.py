@@ -27,6 +27,7 @@ import numpy as np
 from .feedback import ReducedFeedback, simulate
 from .game import CostParameters, ReducedGame
 from .linalg import (
+    KERNEL_TOL,
     duplication_matrix,
     is_stable,
     kernel_basis,
@@ -53,8 +54,23 @@ __all__ = [
     "scale_theta",
     "sample_solution_set",
     "rationalized_behaviors",
+    "match_behaviors",
     "BehaviorReport",
 ]
+
+#: restarts and steps of the margin optimizer's supergradient ascent (the
+#: local polish that follows it takes twice ``ASCENT_ITERS`` steps)
+RESTARTS = 32
+ASCENT_ITERS = 200
+
+#: residual-against-margin weight (relative to sigma_max(M_i)^2) and step
+#: count of each of the eight restarts of the infeasible-case fallback
+PENALTY = 1.0
+FALLBACK_ITERS = 400
+
+#: behaviors are compared on closed-loop inputs over this horizon and step
+#: and match within this sup-norm distance
+MATCH_HORIZON, MATCH_DT, MATCH_TOL = 6.0, 0.01, 1e-5
 
 
 @dataclass(frozen=True)
@@ -243,13 +259,10 @@ class InverseCertificate:
 
 @dataclass(frozen=True)
 class IdentifyOptions:
-    kernel_tol: float = 1e-9
+    """Definiteness-margin threshold and the seed of the margin optimizer."""
+
     eps_pd: float = 1e-8
     seed: int = 0
-    restarts: int = 32
-    ascent_iters: int = 200
-    penalty: float = 1.0
-    fallback_iters: int = 400
 
 
 def _margin_map(rg, layout, i, basis_full):
@@ -260,7 +273,7 @@ def _margin_map(rg, layout, i, basis_full):
     return mats
 
 
-def _maximize_margin(mats, opts, dim):
+def _maximize_margin(mats, seed, dim):
     """max over |z|=1 of lambda_min(sum z_k A_k); the objective is concave
     and 1-homogeneous.  Scalar weights reduce to a linear functional with
     closed-form maximizer; tiny kernels get an angular grid; otherwise a
@@ -301,12 +314,12 @@ def _maximize_margin(mats, opts, dim):
                     best_z, best_v = z, val
         z = best_z
     else:
-        rng = np.random.default_rng(opts.seed)
+        rng = np.random.default_rng(seed)
         best_z, best_v = None, -np.inf
-        for _ in range(opts.restarts):
+        for _ in range(RESTARTS):
             z = rng.standard_normal(dim)
             z /= np.linalg.norm(z)
-            for it in range(opts.ascent_iters):
+            for it in range(ASCENT_ITERS):
                 g = supergrad(z)
                 step = 0.5 / np.sqrt(it + 1.0)
                 z_new = z + step * g
@@ -321,7 +334,7 @@ def _maximize_margin(mats, opts, dim):
         z = best_z
     # local polish with shrinking steps
     val = value(z)
-    for it in range(2 * opts.ascent_iters):
+    for it in range(2 * ASCENT_ITERS):
         g = supergrad(z)
         step = 0.2 / (it + 1.0)
         z_new = z + step * g
@@ -332,14 +345,16 @@ def _maximize_margin(mats, opts, dim):
     return z, val
 
 
-def _penalized_fallback(m_restricted, rg, layout, i, kept, opts):
+def _penalized_fallback(m_restricted, rg, layout, i, kept, seed):
     """No feasible kernel point: trade off residual against margin on the
     unit sphere by subgradient descent; diagnosis mode, feasible=False."""
     dim = m_restricted.shape[1]
-    rng = np.random.default_rng(opts.seed + 1)
+    rng = np.random.default_rng(seed + 1)
     mtm = m_restricted.T @ m_restricted
     smax = np.linalg.norm(m_restricted, 2) if m_restricted.size else 1.0
-    mu = opts.penalty * max(smax, 1e-12) ** 2
+    mu = PENALTY * max(smax, 1e-12) ** 2
+    # own-weight matrix of each kept unit coordinate: the margin's gradient map
+    unit_mats = _margin_map(rg, layout, i, np.eye(layout.size)[:, kept])
 
     def embed(z):
         th = np.zeros(layout.size)
@@ -355,18 +370,14 @@ def _penalized_fallback(m_restricted, rg, layout, i, kept, opts):
         w = _own_weight(rg, layout, i, th)
         eigw, eigv = np.linalg.eigh(w)
         vmin = eigv[:, 0]
-        g_margin = np.zeros(dim)
-        for k in range(dim):
-            basis_th = np.zeros(layout.size)
-            basis_th[kept[k]] = 1.0
-            g_margin[k] = vmin @ _own_weight(rg, layout, i, basis_th) @ vmin
+        g_margin = np.array([vmin @ a_k @ vmin for a_k in unit_mats])
         return 2.0 * (mtm @ z) - mu * g_margin
 
     best_z, best_obj = None, np.inf
     for _ in range(8):
         z = rng.standard_normal(dim)
         z /= np.linalg.norm(z)
-        for it in range(opts.fallback_iters):
+        for it in range(FALLBACK_ITERS):
             g = grad(z)
             step = 0.1 / np.sqrt(it + 1.0) / max(np.linalg.norm(g), 1e-12)
             z = z - step * g
@@ -401,13 +412,13 @@ def identify(rg: ReducedGame, f_red: ReducedFeedback,
     for i in range(rg.n_players):
         m_full = ms[i]
         m_restricted = m_full[:, kept]
-        z_basis = kernel_basis(m_restricted, tol=opts.kernel_tol)
+        z_basis = kernel_basis(m_restricted)
         basis_full = np.zeros((layout.size, z_basis.shape[1]))
         basis_full[kept, :] = z_basis
         theta = None
         if z_basis.shape[1]:
             mats = _margin_map(rg, layout, i, basis_full)
-            z, _val = _maximize_margin(mats, opts, z_basis.shape[1])
+            z, _val = _maximize_margin(mats, opts.seed, z_basis.shape[1])
             if z is not None:
                 cand = basis_full @ z
                 cand /= np.linalg.norm(cand)
@@ -419,13 +430,13 @@ def identify(rg: ReducedGame, f_red: ReducedFeedback,
                         cand = alt
                     theta = cand
         if theta is None:
-            theta = _penalized_fallback(m_restricted, rg, layout, i, kept, opts)
+            theta = _penalized_fallback(m_restricted, rg, layout, i, kept, opts.seed)
             theta = theta / np.linalg.norm(theta)
         res = residual(m_full, theta)
         margin = pd_margin(rg, layout, i, theta)
         feasible = bool(
             margin > opts.eps_pd * (1.0 + np.linalg.norm(theta))
-            and res <= 10.0 * opts.kernel_tol * max(1.0, np.linalg.norm(m_full, 2))
+            and res <= 10.0 * KERNEL_TOL * max(1.0, np.linalg.norm(m_full, 2))
         )
         players.append(PlayerCertificate(
             m=m_full,
@@ -506,39 +517,42 @@ class BehaviorReport:
     observed_spectrum: np.ndarray
 
 
-def rationalized_behaviors(rg: ReducedGame, cert: InverseCertificate,
-                           solve_opts: SolveOptions | None = None,
-                           horizon: float = 6.0, dt: float = 0.01,
-                           match_tol: float = 1e-5) -> BehaviorReport:
-    """Solve the forward game with the certificate's costs and compare
-    each equilibrium behavior with the observed one.
+def match_behaviors(rg: ReducedGame, f_obs: ReducedFeedback, sols) -> tuple[bool, ...]:
+    """Which equilibria of ``sols`` reproduce the observed behavior.
 
     Behaviors are compared through closed-loop input trajectories from a
     shared set of reduced initial states (the canonical basis); matching
-    means sup-norm distance at most ``match_tol`` for all of them.  The
-    observed feedback always reproduces itself when the certificate is
-    feasible, and distinct reduced feedbacks give distinct behaviors.
+    means sup-norm distance at most ``MATCH_TOL`` for all of them.
+    Distinct reduced feedbacks give distinct behaviors.
+    """
+    observed = [simulate(rg, f_obs, e, MATCH_HORIZON, MATCH_DT) for e in np.eye(rg.r)]
+    matches = []
+    for sol in sols:
+        dist = 0.0
+        for k, e in enumerate(np.eye(rg.r)):
+            traj = simulate(rg, sol.f_star, e, MATCH_HORIZON, MATCH_DT)
+            dist = max(dist, float(np.abs(traj.u - observed[k].u).max(initial=0.0)))
+        matches.append(dist <= MATCH_TOL)
+    return tuple(matches)
+
+
+def rationalized_behaviors(rg: ReducedGame, cert: InverseCertificate,
+                           solve_opts: SolveOptions | None = None) -> BehaviorReport:
+    """Solve the forward game with the certificate's costs and compare
+    each equilibrium behavior with the observed one (:func:`match_behaviors`).
+
+    The observed feedback always reproduces itself when the certificate
+    is feasible.
     """
     if not cert.feasible:
         raise ValueError("certificate is infeasible: no rationalizing costs to solve")
-    costs = cert.costs()
-    sols = solve_fbne(rg, costs, solve_opts or SolveOptions())
-    f_obs = cert.f_red
-    observed = [simulate(rg, f_obs, e, horizon, dt) for e in np.eye(rg.r)]
-    matches = []
-    spectra = []
-    for sol in sols:
-        spectra.append(sol.spectrum)
-        dist = 0.0
-        for k, e in enumerate(np.eye(rg.r)):
-            traj = simulate(rg, sol.f_star, e, horizon, dt)
-            dist = max(dist, float(np.abs(traj.u - observed[k].u).max(initial=0.0)))
-        matches.append(dist <= match_tol)
-    a_obs = rg.j + rg.b1_stacked @ f_obs.matrix
+    sols = solve_fbne(rg, cert.costs(), solve_opts or SolveOptions())
+    matches = match_behaviors(rg, cert.f_red, sols)
+    a_obs = rg.j + rg.b1_stacked @ cert.f_red.matrix
     return BehaviorReport(
         solutions=tuple(sols),
-        spectra=tuple(spectra),
-        matches=tuple(matches),
+        spectra=tuple(sol.spectrum for sol in sols),
+        matches=matches,
         n_behaviors=len(sols),
         n_matching=int(sum(matches)),
         observed_spectrum=sorted_spectrum(np.linalg.eigvals(a_obs)),

@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "kron",
     "vec",
-    "unvec",
     "vech",
     "unvech",
     "duplication_matrix",
@@ -58,14 +57,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-wise vectorization: columns stacked top to bottom."""
     return np.asarray(a, dtype=float).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a ``rows x cols`` matrix."""
-    v = np.asarray(v, dtype=float)
-    if v.size != rows * cols:
-        raise ValueError(f"cannot reshape length-{v.size} vector to {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
 
 
 def is_symmetric(a: np.ndarray, tol: float = SYM_TOL) -> bool:
@@ -187,7 +178,7 @@ def solve_lyapunov_stack(a_cl: np.ndarray, q: np.ndarray, resid_tol: float = 1e-
                     err.__cause__ = exc
                     errors[idx[j]] = err
                     x[j] = np.nan
-        u = x.reshape(idx.size, n, n).transpose(0, 2, 1)                  # unvec
+        u = x.reshape(idx.size, n, n).transpose(0, 2, 1)                  # inverse of vec
         p[idx] = 0.5 * (u + u.transpose(0, 2, 1))
     resid = np.abs(a_cl.transpose(0, 2, 1) @ p + p @ a_cl + q).max(axis=(1, 2), initial=0.0)
     bound = resid_tol * q_scale * np.maximum(1.0, np.abs(p).max(axis=(1, 2), initial=0.0))

@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dgame.cli import main
 from conftest import F_GT, LANE_A, LANE_B, LANE_E, Q_GT, R_GT, THETA_MIS
@@ -84,6 +85,21 @@ def test_forward_counts_ground_truth_and_identified(tmp_path):
 def test_forward_requires_costs(tmp_path):
     path = write_problem(tmp_path, with_costs=False)
     assert run(["forward", path]) == 1
+
+
+def one_line_message(capsys, prefix):
+    err = capsys.readouterr().err
+    return err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_forward_indefinite_input_weight_exits_2(tmp_path, capsys):
+    prob = lane_problem_dict()
+    prob["costs"]["R"][0][0] = [[-1.0]]
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps(prob))
+    assert run(["forward", path, "--out", tmp_path / "rep.json"]) == 2
+    assert one_line_message(capsys, "assumption violated: effective input weight of player 0")
+    assert not (tmp_path / "rep.json").exists()
 
 
 def test_forward_single_player_matches_reference(tmp_path):
@@ -243,6 +259,15 @@ def test_simulate_zero_initial_state(tmp_path):
     data = np.array([[float(v) for v in row.split(",")]
                      for row in out.read_text().splitlines()[1:]])
     assert np.abs(data[:, 1:]).max() == 0.0
+
+
+@pytest.mark.parametrize("span", [("--dt", "0"), ("--dt", "-0.01"), ("--dt", "nan"),
+                                  ("--horizon", "-1"), ("--horizon", "inf")])
+def test_simulate_rejects_bad_time_grid(tmp_path, capsys, span):
+    out = tmp_path / "traj.csv"
+    assert run(["simulate", REPO_FIXTURE, "--x1-0", "1,0.4", *span, "--out", out]) == 1
+    assert one_line_message(capsys, "error: need a finite --dt > 0")
+    assert not out.exists()
 
 
 def test_simulate_unstable_loop_exits_5(tmp_path):

@@ -16,15 +16,16 @@ from dgame import (
     verify_nash_local,
 )
 from dgame.forward import (
-    EquilibriumSolution,
+    DAMPING_FLOOR,
     _care_terms,
     _data_scale,
     _lyapunov_values,
     _policy_iteration,
     _residuals_raw,
     _starting_points,
+    solution_at,
 )
-from dgame.game import cost_blocks, m_matrix
+from dgame.game import m_matrix
 from dgame.linalg import is_stable
 from conftest import friendly_costs, lane_costs_gt, random_game
 
@@ -108,30 +109,29 @@ def test_best_response_fixed_point_property(lane):
     for costs in (lane["costs_gt"], lane["costs_id"]):
         for sol in solve_fbne(rg, costs, FAST):
             f = sol.f_star.matrix
+            r = rg.r
+            rows = [slice(r + s.start, r + s.stop)
+                    for s in map(rg.input_slice, range(rg.n_players))]
             for i in range(rg.n_players):
                 si = rg.input_slice(i)
                 mi = m_matrix(rg, costs, i)
-                r = rg.r
                 a_others = rg.j.copy()
                 for j in range(rg.n_players):
                     if j != i:
                         a_others = a_others + rg.b1[j] @ f[rg.input_slice(j)]
-                # quadratic pieces of player i's single-player problem
-                blocks = cost_blocks(rg, costs, i)
-                q_hat = blocks.q_bar.copy()
-                v_hat = blocks.v_bar[i].copy()
+                # quadratic pieces of player i's single-player problem, read
+                # out of M_i: q_bar, v_bar[j], r_bar[j] and s_bar[i][j]
+                q_hat = mi[:r, :r].copy()
+                v_hat = mi[:r, rows[i]].copy()
                 for j in range(rg.n_players):
                     if j == i:
                         continue
                     fj = f[rg.input_slice(j)]
-                    q_hat = q_hat + blocks.v_bar[j] @ fj + fj.T @ blocks.v_bar[j].T
-                    rjj = mi[r + rg.input_slice(j).start: r + rg.input_slice(j).stop,
-                             r + rg.input_slice(j).start: r + rg.input_slice(j).stop]
-                    q_hat = q_hat + fj.T @ rjj @ fj
-                    sij = mi[r + si.start: r + si.stop,
-                             r + rg.input_slice(j).start: r + rg.input_slice(j).stop]
-                    v_hat = v_hat + (sij @ fj).T
-                r_hat = blocks.r_bar[i]
+                    v_bar_j = mi[:r, rows[j]]
+                    q_hat = q_hat + v_bar_j @ fj + fj.T @ v_bar_j.T
+                    q_hat = q_hat + fj.T @ mi[rows[j], rows[j]] @ fj
+                    v_hat = v_hat + (mi[rows[i], rows[j]] @ fj).T
+                r_hat = mi[rows[i], rows[i]]
                 p = sla.solve_continuous_are(a_others, rg.b1[i], 0.5 * (q_hat + q_hat.T),
                                              r_hat, s=v_hat)
                 best = -np.linalg.solve(r_hat, rg.b1[i].T @ p + v_hat.T)
@@ -199,19 +199,22 @@ def test_verify_nash_rejects_perturbed_gain(lane):
     c = lane["costs_gt"]
     sols = solve_fbne(rg, c, FAST)
     f_fake = sols[0].f_star.matrix + np.array([[0.4, 0.0], [0.0, 0.0]])
-    ms, _, _ = _care_terms(rg, c)
-    p_fake = _lyapunov_values(rg, ms, f_fake)
-    fake = EquilibriumSolution(
-        f_star=ReducedFeedback(f_fake, rg.input_dims),
-        p=tuple(p_fake),
-        a_cl=rg.j + rg.b1_stacked @ f_fake,
-        spectrum=np.linalg.eigvals(rg.j + rg.b1_stacked @ f_fake),
-        residuals=care_residual(rg, c, f_fake, p_fake),
-        iterations=0,
-    )
+    fake = solution_at(rg, c, ReducedFeedback(f_fake, rg.input_dims))
+    assert fake.residuals.max_norm > 1e-3
     ok, counter = verify_nash_local(rg, c, fake, n_trials=200, radius=0.5)
     assert not ok
     assert counter["player"] == 0
+
+
+def test_solution_at_reproduces_solver_solution(lane):
+    rg, c = lane["rg"], lane["costs_id"]
+    for sol in solve_fbne(rg, c, FAST):
+        got = solution_at(rg, c, sol.f_star)
+        for p, p_sol in zip(got.p, sol.p):
+            np.testing.assert_allclose(p, p_sol, atol=1e-9 * (1 + np.abs(p_sol).max()))
+        np.testing.assert_array_equal(got.spectrum, sol.spectrum)
+        assert got.residuals.scale == sol.residuals.scale
+        assert got.residuals.max_norm <= 1e-9 * got.residuals.scale
 
 
 def test_single_player_nash_check_matches_lqr_optimality():
@@ -269,7 +272,7 @@ def _policy_iteration_per_start(rg, ms, gbar, vbar_t, f0, scale, opts):
         except np.linalg.LinAlgError:
             return None
         if res.max_norm > last_res:
-            alpha = max(alpha / 2.0, opts.damping_floor)
+            alpha = max(alpha / 2.0, DAMPING_FLOOR)
         last_res = res.max_norm
         f = f + alpha * (f_next - f)
     return None
@@ -277,7 +280,7 @@ def _policy_iteration_per_start(rg, ms, gbar, vbar_t, f0, scale, opts):
 
 def _assert_lockstep_matches_per_start(rg, c, f0s, opts):
     ms, gbar, vbar_t = _care_terms(rg, c)
-    scale = _data_scale(rg, c)
+    scale = _data_scale(rg, ms)
     got = _policy_iteration(rg, ms, gbar, vbar_t, f0s, scale, opts)
     assert len(got) == len(f0s)
     for f0, out in zip(f0s, got):

@@ -1,18 +1,18 @@
-"""Game validation, reduction, and the cost-block calculus."""
+"""Game validation, reduction, and the reduced cost matrices."""
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from dgame import (
     CostParameters,
     DescriptorGame,
     UnstabilizableError,
-    cost_blocks,
     gbar_matrix,
     m_matrix,
     reduce_game,
     simulate,
 )
-from dgame.game import m_matrix_congruence, vbar_stack
+from dgame.forward import _care_terms
 from dgame.pencil import ImpulsiveModesError
 from conftest import (
     KS,
@@ -23,6 +23,24 @@ from conftest import (
     random_game,
     stabilizing_reduced_gain,
 )
+
+
+def m_matrix_congruence(rg, c, i):
+    """Oracle for M_i: the explicit congruence ``T' blkdiag(Q_i, R_i) T``
+    with ``T = [[X1, -X2 B2], [0, I_m]]``."""
+    x1, x2 = rg.w.x1, rg.w.x2
+    t = np.block([
+        [x1, -x2 @ rg.b2_stacked],
+        [np.zeros((rg.m, rg.r)), np.eye(rg.m)],
+    ])
+    core = sla.block_diag(c.q[i], sla.block_diag(*c.r[i]))
+    return t.T @ core @ t
+
+
+def input_rows(rg, j):
+    """Rows (and columns) of player j's inputs in M_i."""
+    s = rg.input_slice(j)
+    return slice(rg.r + s.start, rg.r + s.stop)
 
 
 def test_lane_reduction_shapes():
@@ -70,11 +88,12 @@ def test_ode_degeneration_reduces_to_original_weights():
     assert all(b.shape == (0, mi) for b, mi in zip(rg.b2, (2, 1)))
     c = friendly_costs(rng, 4, (2, 1))
     for i in range(2):
-        blocks = cost_blocks(rg, c, i)
+        m_i = m_matrix(rg, c, i)
         for j in range(2):
-            np.testing.assert_allclose(blocks.r_bar[j], c.r[i][j], atol=1e-12)
-            assert blocks.v_bar[j].shape == (4, (2, 1)[j])
-            np.testing.assert_allclose(blocks.v_bar[j], 0.0, atol=1e-12)
+            sj = input_rows(rg, j)
+            np.testing.assert_allclose(m_i[sj, sj], c.r[i][j], atol=1e-12)
+            assert m_i[:4, sj].shape == (4, (2, 1)[j])
+            np.testing.assert_allclose(m_i[:4, sj], 0.0, atol=1e-12)
 
 
 def test_zero_state_weight_collapses_blocks():
@@ -83,12 +102,14 @@ def test_zero_state_weight_collapses_blocks():
     rg = reduce_game(g)
     c = friendly_costs(rng, 4, (1, 2))
     c0 = CostParameters(q=(np.zeros((4, 4)), c.q[1]), r=c.r)
-    blocks = cost_blocks(rg, c0, 0)
-    np.testing.assert_allclose(blocks.q_bar, 0.0, atol=1e-14)
+    m_0 = m_matrix(rg, c0, 0)
+    r = rg.r
+    np.testing.assert_allclose(m_0[:r, :r], 0.0, atol=1e-14)
     for j in range(2):
-        np.testing.assert_allclose(blocks.v_bar[j], 0.0, atol=1e-14)
-        np.testing.assert_allclose(blocks.r_bar[j], c0.r[0][j], atol=1e-14)
-    assert np.abs(blocks.s_bar[0][1]).max(initial=0.0) <= 1e-14
+        sj = input_rows(rg, j)
+        np.testing.assert_allclose(m_0[:r, sj], 0.0, atol=1e-14)
+        np.testing.assert_allclose(m_0[sj, sj], c0.r[0][j], atol=1e-14)
+    assert np.abs(m_0[input_rows(rg, 0), input_rows(rg, 1)]).max(initial=0.0) <= 1e-14
 
 
 def test_m_matrix_equals_congruence_product():
@@ -130,7 +151,7 @@ def test_gbar_single_player_is_own_weight():
     g = random_game(rng, 3, 2, (2,))
     rg = reduce_game(g)
     c = friendly_costs(rng, 3, (2,))
-    np.testing.assert_allclose(gbar_matrix(rg, c), cost_blocks(rg, c, 0).r_bar[0], atol=1e-12)
+    np.testing.assert_allclose(gbar_matrix(rg, c), m_matrix(rg, c, 0)[rg.r:, rg.r:], atol=1e-12)
 
 
 def test_gbar_identity_for_zero_state_weights():
@@ -151,12 +172,25 @@ def test_gbar_invertible_for_lane_ground_truth():
 
 
 def test_vbar_stack_rows():
-    rg = reduce_game(lane_game())
-    c = lane_costs_gt()
-    stack = vbar_stack(rg, c)
-    assert stack.shape == (2, 2)
-    for i in range(2):
-        np.testing.assert_allclose(stack[i], cost_blocks(rg, c, i).v_bar[i].T.ravel(), atol=1e-14)
+    # the forward solver's V' stacks each player's own coupling v_bar[i][i]',
+    # read out of M_i; it must equal the block formula -X1' Q_i X2 B2_i
+    # (transposed) to the last bit
+    rng = np.random.default_rng(7)
+    cases = [(reduce_game(lane_game()), lane_costs_gt())]
+    for _ in range(15):
+        n = int(rng.integers(3, 9))
+        r = int(rng.integers(1, n))
+        dims = tuple(int(d) for d in rng.integers(1, 3, size=int(rng.integers(1, 4))))
+        cases.append((reduce_game(random_game(rng, n, r, dims)), friendly_costs(rng, n, dims)))
+    for rg, c in cases:
+        _, _, stack = _care_terms(rg, c)
+        assert stack.shape == (rg.m, rg.r)
+        x1, x2 = rg.w.x1, rg.w.x2
+        want = np.vstack([(-x1.T @ c.q[i] @ x2 @ rg.b2[i]).T for i in range(rg.n_players)])
+        assert stack.tobytes() == want.tobytes()
+        for i in range(rg.n_players):
+            np.testing.assert_array_equal(stack[rg.input_slice(i)],
+                                          m_matrix(rg, c, i)[:rg.r, input_rows(rg, i)].T)
 
 
 def trapezoid_dae_states(e, a_cl, x0, horizon, dt):
