@@ -163,6 +163,19 @@ REPORT_SCHEMA = {
 }
 
 
+# one validator per constant schema; jsonschema.validate would re-check
+# the schema itself on every call (tests/test_cli.py checks both schemas)
+_PROBLEM_VALIDATOR = jsonschema.validators.validator_for(PROBLEM_SCHEMA)(PROBLEM_SCHEMA)
+_REPORT_VALIDATOR = jsonschema.validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
+
+
+def _validate(validator, instance) -> None:
+    """Raise the error that ``jsonschema.validate`` would raise, if any."""
+    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise error
+
+
 def _fmt_json(obj, indent=0) -> str:
     """JSON with floats rendered at 17 significant digits (lossless for
     doubles and byte-stable across runs)."""
@@ -206,7 +219,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _emit_report(report: dict, out_path: str | None) -> None:
-    jsonschema.validate(report, REPORT_SCHEMA)
+    _validate(_REPORT_VALIDATOR, report)
     text = _fmt_json(report) + "\n"
     if out_path:
         _write_atomic(out_path, text)
@@ -262,7 +275,7 @@ def load_problem(path: str) -> Problem:
     except json.JSONDecodeError as exc:
         raise UsageError(f"problem file is not valid JSON: {exc}") from exc
     try:
-        jsonschema.validate(raw, PROBLEM_SCHEMA)
+        _validate(_PROBLEM_VALIDATOR, raw)
     except jsonschema.ValidationError as exc:
         raise UsageError(f"problem file schema violation: {exc.message}") from exc
     e = np.asarray(raw["E"], dtype=float)

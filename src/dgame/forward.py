@@ -14,13 +14,16 @@ stacked numpy call per operation over the starts still running, and a
 start leaves that set as soon as it converges, leaves the stabilizing
 region or fails a solve, with the same outcome it would have on its own.
 Each converged start is then polished, and each start that stalls or
-fails gets a Newton fallback, on the stacked residual system; coupled
-Riccati systems can have several stabilizing solutions, so enumeration
-is heuristic multistart and completeness is only ever validated at test
-scale.  G and V are read out of the players' reduced cost matrices M_i
-(:func:`dgame.game.m_matrix`); the damping floor and the deduplication
-distance are fixed module constants, and only the start count, seed,
-tolerance and iteration cap are options.
+fails gets a Newton fallback, on the stacked residual system: MINPACK's
+``hybr`` with a finite-difference Jacobian, over one residual evaluator
+that each solve builds once and that also gives every reported
+residual.  Coupled Riccati systems can have several stabilizing
+solutions, so enumeration is heuristic multistart and completeness is
+only ever validated at test scale.  G and V are read out of the
+players' reduced cost matrices M_i (:func:`dgame.game.m_matrix`); the
+damping floor and the deduplication distance are fixed module
+constants, and only the start count, seed, tolerance and iteration cap
+are options.
 """
 from __future__ import annotations
 
@@ -124,24 +127,85 @@ def _care_terms(rg: ReducedGame, c: CostParameters):
     return ms, gbar_matrix(rg, c), vbar_t
 
 
-def _residuals_raw(rg, ms, gbar, vbar_t, f, p_list, scale):
-    a_cl = rg.j + rg.b1_stacked @ f
-    stacked = np.vstack([np.eye(rg.r), f])
-    care, care_norms = [], []
-    for i in range(rg.n_players):
-        ci = stacked.T @ ms[i] @ stacked
-        res = a_cl.T @ p_list[i] + p_list[i] @ a_cl + ci
-        care.append(res)
-        care_norms.append(float(np.abs(res).max(initial=0.0)))
-    bd_t_p = np.vstack([rg.b1[i].T @ p_list[i] for i in range(rg.n_players)])
-    stat = gbar @ f + vbar_t + bd_t_p
-    return CareResiduals(
-        care=tuple(care),
-        stationarity=stat,
-        care_norms=tuple(care_norms),
-        stationarity_norm=float(np.abs(stat).max(initial=0.0)),
-        scale=scale,
-    )
+class _ResidualSystem:
+    """The coupled residual system of one game and cost set.
+
+    Built once per solve from ``(rg, ms, gbar, vbar_t)``, it holds what
+    no evaluation changes: J, B1 and the B1_i' blocks, the data scale,
+    the upper-triangle index of a value matrix and its mirror, and the
+    [I; F] buffer with its identity rows written.  :meth:`residuals`
+    (the residual matrices) and :meth:`vector` (the packed system that
+    ``root`` solves) share one evaluation, whose products are the
+    per-player 2-D formulas of the module docstring in a fixed operand
+    order, so both read the same bits.
+    """
+
+    def __init__(self, rg: ReducedGame, ms, gbar, vbar_t):
+        r, m, n_players = rg.r, rg.m, rg.n_players
+        self.r, self.m = r, m
+        self.j, self.b1 = rg.j, rg.b1_stacked
+        self.b1_t = [b.T for b in rg.b1]
+        self.rows = [rg.input_slice(i) for i in range(n_players)]
+        self.ms, self.gbar, self.vbar_t = ms, gbar, vbar_t
+        self.scale = _data_scale(rg, ms)
+        iu = np.triu_indices(r)
+        nn = iu[0].size
+        self.iu_flat = np.ravel_multi_index(iu, (r, r))
+        # entry (a, b) of P_k sits at the packed triangle index of
+        # (min(a, b), max(a, b)) in player k's block
+        mirror = np.empty((r, r), dtype=np.intp)
+        mirror[iu] = mirror[iu[::-1]] = np.arange(nn)
+        self.mirror = mirror + nn * np.arange(n_players)[:, None, None]
+        self.x = np.zeros((r + m, r))
+        self.x[:r] = np.eye(r)
+        self.size = m * r + n_players * nn
+        self.tri = [slice(m * r + k * nn, m * r + (k + 1) * nn) for k in range(n_players)]
+
+    def _matrices(self, f, p_list):
+        """Stationarity residual G F + V' + Bd' P and each player's Riccati
+        residual A_cl' P_i + P_i A_cl + [I; F]' M_i [I; F]."""
+        a_cl = self.j + self.b1 @ f
+        x = self.x
+        x[self.r:] = f
+        care = [a_cl.T @ p + p @ a_cl + x.T @ m_i @ x for p, m_i in zip(p_list, self.ms)]
+        stat = self.gbar @ f + self.vbar_t
+        for rows, b_t, p in zip(self.rows, self.b1_t, p_list):
+            stat[rows] += b_t @ p
+        return stat, care
+
+    def residuals(self, f, p_list) -> CareResiduals:
+        """Both residual families at (f, p_list) with their max-norms."""
+        stat, care = self._matrices(f, p_list)
+        return CareResiduals(
+            care=tuple(care),
+            stationarity=stat,
+            care_norms=tuple(float(np.abs(c).max(initial=0.0)) for c in care),
+            stationarity_norm=float(np.abs(stat).max(initial=0.0)),
+            scale=self.scale,
+        )
+
+    def pack(self, f, p_list) -> np.ndarray:
+        """z = [vec(F); upper triangle of each P_i]."""
+        return np.concatenate([f.reshape(-1)] + [p.take(self.iu_flat) for p in p_list])
+
+    def unpack(self, z):
+        """``(f, p_list)`` of a packed point; ``f`` is a view into ``z``."""
+        mr = self.m * self.r
+        # + 0.0 turns a packed -0.0 into +0.0, as symmetrizing by a sum would
+        p = (z[mr:] + 0.0).take(self.mirror)
+        return z[:mr].reshape(self.m, self.r), list(p)
+
+    def vector(self, z) -> np.ndarray:
+        """The packed residual at z: vec of the stationarity residual, then
+        the upper triangle of each Riccati residual.  The output array is
+        new at every call: ``hybr`` keeps the array it is handed."""
+        f, p_list = self.unpack(z)
+        stat, care = self._matrices(f, p_list)
+        out = np.empty(self.size)
+        out[:stat.size] = stat.reshape(-1)
+        for tri, c in zip(self.tri, care):
+            out[tri] = c.take(self.iu_flat)
+        return out
 
 
 def care_residual(rg: ReducedGame, c: CostParameters,
@@ -150,8 +214,8 @@ def care_residual(rg: ReducedGame, c: CostParameters,
     """Residual matrices and max-norms of both equation families at
     (f_red, p); purely evaluative, no solving."""
     f = f_red.matrix if isinstance(f_red, ReducedFeedback) else np.asarray(f_red, dtype=float)
-    ms, gbar, vbar_t = _care_terms(rg, c)
-    return _residuals_raw(rg, ms, gbar, vbar_t, f, [symmetrize(pi) for pi in p], _data_scale(rg, ms))
+    system = _ResidualSystem(rg, *_care_terms(rg, c))
+    return system.residuals(f, [symmetrize(pi) for pi in p])
 
 
 def _lyapunov_values(rg, ms, f):
@@ -172,16 +236,16 @@ def solution_at(rg: ReducedGame, c: CostParameters,
     :func:`dgame.linalg.solve_lyapunov` raises when the loop admits no
     unique value matrices.
     """
-    ms, gbar, vbar_t = _care_terms(rg, c)
+    system = _ResidualSystem(rg, *_care_terms(rg, c))
     f = f_red.matrix
-    p_list = _lyapunov_values(rg, ms, f)
+    p_list = _lyapunov_values(rg, system.ms, f)
     a_cl = rg.j + rg.b1_stacked @ f
     return EquilibriumSolution(
         f_star=f_red,
         p=tuple(p_list),
         a_cl=a_cl,
         spectrum=sorted_spectrum(np.linalg.eigvals(a_cl)),
-        residuals=_residuals_raw(rg, ms, gbar, vbar_t, f, p_list, _data_scale(rg, ms)),
+        residuals=system.residuals(f, p_list),
         iterations=0,
     )
 
@@ -245,36 +309,18 @@ def _policy_iteration(rg, ms, gbar, vbar_t, f0s, scale, opts):
     return outcomes
 
 
-def _newton_refine(rg, ms, gbar, vbar_t, f0, p0, scale):
-    """Newton on the stacked residual system from (f0, p0)."""
-    n_players, r, m = rg.n_players, rg.r, rg.m
-    iu = np.triu_indices(r)
-    nn = iu[0].size
+def _newton_refine(system: _ResidualSystem, f0, p0):
+    """Newton on the stacked residual system from (f0, p0).
 
-    def pack(f, p_list):
-        return np.concatenate([f.reshape(-1)] + [p[iu] for p in p_list])
-
-    def unpack(z):
-        f = z[:m * r].reshape(m, r)
-        p_list = []
-        off = m * r
-        for _ in range(n_players):
-            p = np.zeros((r, r))
-            p[iu] = z[off:off + nn]
-            p = p + p.T - np.diag(np.diag(p))
-            p_list.append(p)
-            off += nn
-        return f, p_list
-
-    def fun(z):
-        f, p_list = unpack(z)
-        res = _residuals_raw(rg, ms, gbar, vbar_t, f, p_list, scale)
-        return np.concatenate([res.stationarity.reshape(-1)] + [c[iu] for c in res.care])
-
-    sol = root(fun, pack(f0, p0), method="hybr", tol=1e-13)
+    MINPACK's ``hybr`` solves ``system.vector(z) = 0`` over the packed
+    point z (vec F, then the upper triangle of each P_i), building its
+    Jacobian from finite differences; returns ``(f, p_list)`` with
+    symmetrized value matrices, or ``None`` when ``hybr`` fails.
+    """
+    sol = root(system.vector, system.pack(f0, p0), method="hybr", tol=1e-13)
     if not sol.success:
         return None
-    f, p_list = unpack(sol.x)
+    f, p_list = system.unpack(sol.x)
     return f, [symmetrize(p) for p in p_list]
 
 
@@ -332,14 +378,14 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
             raise IndefiniteInputWeightError(
                 f"effective input weight of player {i} is not positive definite"
             )
-    scale = _data_scale(rg, ms)
+    system = _ResidualSystem(rg, ms, gbar, vbar_t)
+    scale = system.scale
     solutions: list[EquilibriumSolution] = []
 
-    def try_add(f, p_list, iters, label):
+    def try_add(f, p_list, res, iters, label):
         a_cl = rg.j + rg.b1_stacked @ f
         if not is_stable(a_cl):
             return
-        res = _residuals_raw(rg, ms, gbar, vbar_t, f, p_list, scale)
         if res.max_norm > opts.tol * scale:
             return
         for sol in solutions:
@@ -361,13 +407,13 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
     for (label, f0), out in zip(starts, outcomes):
         if out is not None:
             f, p_list, iters = out
-            polished = _newton_refine(rg, ms, gbar, vbar_t, f, p_list, scale)
+            res = system.residuals(f, p_list)
+            polished = _newton_refine(system, f, p_list)
             if polished is not None:
-                f_pol, p_pol = polished
-                if (_residuals_raw(rg, ms, gbar, vbar_t, f_pol, p_pol, scale).max_norm
-                        < _residuals_raw(rg, ms, gbar, vbar_t, f, p_list, scale).max_norm):
-                    f, p_list = f_pol, p_pol
-            try_add(f, p_list, iters, label)
+                res_pol = system.residuals(*polished)
+                if res_pol.max_norm < res.max_norm:
+                    (f, p_list), res = polished, res_pol
+            try_add(f, p_list, res, iters, label)
             continue
         if is_stable(rg.j + rg.b1_stacked @ f0):
             try:
@@ -376,10 +422,9 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
                 p0 = [np.zeros((rg.r, rg.r)) for _ in range(rg.n_players)]
         else:
             p0 = [np.zeros((rg.r, rg.r)) for _ in range(rg.n_players)]
-        refined = _newton_refine(rg, ms, gbar, vbar_t, f0, p0, scale)
+        refined = _newton_refine(system, f0, p0)
         if refined is not None:
-            f, p_list = refined
-            try_add(f, p_list, opts.max_iter, f"{label}+newton")
+            try_add(*refined, system.residuals(*refined), opts.max_iter, f"{label}+newton")
 
     solutions.sort(key=lambda s: tuple(np.round(s.f_star.matrix, 8).reshape(-1)))
     return solutions

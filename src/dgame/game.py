@@ -23,7 +23,7 @@ and the stationarity operator G of the forward solver.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -152,6 +152,8 @@ class ReducedGame:
 
     ``b1`` / ``b2`` are the per-player dynamic and algebraic input blocks;
     the algebraic part of the original state is ``x2 = -sum_i b2[i] u_i``.
+    ``b1_stacked`` / ``b2_stacked`` are their side-by-side stacks, built
+    once on construction and read-only.
     """
 
     j: np.ndarray
@@ -159,6 +161,14 @@ class ReducedGame:
     b2: tuple[np.ndarray, ...]
     w: WeierstrassData
     input_dims: tuple[int, ...]
+    b1_stacked: np.ndarray = field(init=False, repr=False, compare=False)
+    b2_stacked: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, blocks in (("b1_stacked", self.b1), ("b2_stacked", self.b2)):
+            stacked = np.hstack(blocks)
+            stacked.flags.writeable = False
+            object.__setattr__(self, name, stacked)
 
     @property
     def r(self) -> int:
@@ -175,14 +185,6 @@ class ReducedGame:
     @property
     def m(self) -> int:
         return sum(self.input_dims)
-
-    @property
-    def b1_stacked(self) -> np.ndarray:
-        return np.hstack(self.b1)
-
-    @property
-    def b2_stacked(self) -> np.ndarray:
-        return np.hstack(self.b2)
 
     def input_slice(self, i: int) -> slice:
         o = int(np.sum(self.input_dims[:i]))

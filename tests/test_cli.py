@@ -2,10 +2,11 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
-from dgame.cli import main
+from dgame.cli import PROBLEM_SCHEMA, REPORT_SCHEMA, main
 from conftest import F_GT, LANE_A, LANE_B, LANE_E, Q_GT, R_GT, THETA_MIS
 
 REPO_FIXTURE = Path(__file__).resolve().parent.parent / "problems" / "lane_keeping.json"
@@ -309,14 +310,33 @@ def test_reports_are_byte_deterministic(tmp_path):
     assert rep["meta"]["command"] == "inverse"
 
 
-def test_malformed_problem_files(tmp_path):
+def test_malformed_problem_files(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert run(["reduce", path]) == 1
-    path.write_text(json.dumps({"E": [[1.0]]}))
-    assert run(["reduce", path]) == 1
+
+    def stderr_of(text):
+        path.write_text(text)
+        capsys.readouterr()
+        assert run(["reduce", path]) == 1
+        return capsys.readouterr().err
+
+    assert stderr_of("{not json") == (
+        "error: problem file is not valid JSON: Expecting property name enclosed in "
+        "double quotes: line 1 column 2 (char 1)\n")
+    assert stderr_of(json.dumps({"E": [[1.0]]})) == (
+        "error: problem file schema violation: 'A' is a required property\n")
+    # several violations: the message names the best match
+    assert stderr_of(json.dumps({"E": "x", "B": []})) == (
+        "error: problem file schema violation: 'A' is a required property\n")
+    prob = lane_problem_dict()
+    prob["costs"]["Q"] = [[["a"]]]
+    assert stderr_of(json.dumps(prob)) == (
+        "error: problem file schema violation: 'a' is not of type 'number'\n")
     # dimension mismatch caught by validation
     prob = lane_problem_dict()
     prob["B"] = [[[1.0], [0.0]]]
-    path.write_text(json.dumps(prob))
-    assert run(["reduce", path]) == 1
+    assert stderr_of(json.dumps(prob)) == "error: B[0] must have 3 rows\n"
+
+
+@pytest.mark.parametrize("schema", [PROBLEM_SCHEMA, REPORT_SCHEMA])
+def test_schemas_are_valid(schema):
+    jsonschema.validators.validator_for(schema).check_schema(schema)

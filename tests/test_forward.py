@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.optimize import root
 
 from dgame import (
     CostParameters,
@@ -17,17 +18,25 @@ from dgame import (
 )
 from dgame.forward import (
     DAMPING_FLOOR,
+    _ResidualSystem,
     _care_terms,
     _data_scale,
     _lyapunov_values,
+    _newton_refine,
     _policy_iteration,
-    _residuals_raw,
     _starting_points,
     solution_at,
 )
 from dgame.game import m_matrix
-from dgame.linalg import is_stable
-from conftest import friendly_costs, lane_costs_gt, random_game
+from dgame.linalg import is_stable, symmetrize
+from conftest import (
+    friendly_costs,
+    lane_costs_gt,
+    lane_costs_identified,
+    lane_costs_misspecified,
+    lane_game,
+    random_game,
+)
 
 FAST = SolveOptions(n_starts=16)
 
@@ -252,6 +261,7 @@ def test_rejects_indefinite_own_weight():
 def _policy_iteration_per_start(rg, ms, gbar, vbar_t, f0, scale, opts):
     """Oracle: the damped fixed-point iteration for one start on its own;
     returns (f, p_list, iters) or None."""
+    system = _ResidualSystem(rg, ms, gbar, vbar_t)
     f = f0.copy()
     alpha = 1.0
     last_res = np.inf
@@ -263,7 +273,7 @@ def _policy_iteration_per_start(rg, ms, gbar, vbar_t, f0, scale, opts):
             p_list = _lyapunov_values(rg, ms, f)
         except (np.linalg.LinAlgError, ValueError):
             return None
-        res = _residuals_raw(rg, ms, gbar, vbar_t, f, p_list, scale)
+        res = system.residuals(f, p_list)
         if res.max_norm <= opts.tol * scale:
             return f, p_list, it
         bd_t_p = np.vstack([rg.b1[i].T @ p_list[i] for i in range(rg.n_players)])
@@ -329,3 +339,127 @@ def test_lockstep_policy_iteration_mixed_starts(lane):
     assert any(out is None and ok for out, ok in zip(got, stabilizing))
     assert any(not ok for ok in stabilizing)
     assert len({out[2] for out in got if out is not None}) > 1
+
+
+def _residual_matrices_oracle(rg, ms, gbar, vbar_t, f, p_list):
+    """Oracle: (stationarity, care) of the coupled system, assembled with
+    fresh [I; F], B1 and Bd' P stacks at every call."""
+    a_cl = rg.j + np.hstack(rg.b1) @ f
+    stacked = np.vstack([np.eye(rg.r), f])
+    care = []
+    for i in range(rg.n_players):
+        ci = stacked.T @ ms[i] @ stacked
+        care.append(a_cl.T @ p_list[i] + p_list[i] @ a_cl + ci)
+    bd_t_p = np.vstack([rg.b1[i].T @ p_list[i] for i in range(rg.n_players)])
+    return gbar @ f + vbar_t + bd_t_p, care
+
+
+def _newton_system_oracle(rg, ms, gbar, vbar_t):
+    """Oracle: the Newton system as closures over the packed point
+    z = [vec F; upper triangle of each P_i]; returns (pack, unpack, fun)."""
+    n_players, r, m = rg.n_players, rg.r, rg.m
+    iu = np.triu_indices(r)
+    nn = iu[0].size
+
+    def pack(f, p_list):
+        return np.concatenate([f.reshape(-1)] + [p[iu] for p in p_list])
+
+    def unpack(z):
+        f = z[:m * r].reshape(m, r)
+        p_list = []
+        off = m * r
+        for _ in range(n_players):
+            p = np.zeros((r, r))
+            p[iu] = z[off:off + nn]
+            p = p + p.T - np.diag(np.diag(p))
+            p_list.append(p)
+            off += nn
+        return f, p_list
+
+    def fun(z):
+        stat, care = _residual_matrices_oracle(rg, ms, gbar, vbar_t, *unpack(z))
+        return np.concatenate([stat.reshape(-1)] + [c[iu] for c in care])
+
+    return pack, unpack, fun
+
+
+def _newton_refine_oracle(rg, ms, gbar, vbar_t, f0, p0):
+    pack, unpack, fun = _newton_system_oracle(rg, ms, gbar, vbar_t)
+    sol = root(fun, pack(f0, p0), method="hybr", tol=1e-13)
+    if not sol.success:
+        return None
+    f, p_list = unpack(sol.x)
+    return f, [symmetrize(p) for p in p_list]
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _planted_case(seed, n, r, input_dims):
+    rng = np.random.default_rng(seed)
+    return reduce_game(random_game(rng, n, r, input_dims)), friendly_costs(rng, n, input_dims)
+
+
+RESIDUAL_CASES = {
+    "lane-gt": lambda: (reduce_game(lane_game()), lane_costs_gt()),
+    "lane-id": lambda: (reduce_game(lane_game()), lane_costs_identified()),
+    "lane-mis": lambda: (reduce_game(lane_game()), lane_costs_misspecified()),
+    "planted-r12": lambda: _planted_case(5, 16, 12, (1, 1)),
+    "three-players": lambda: _planted_case(6, 8, 7, (2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+def test_residual_system_matches_oracle_bytes(case):
+    rg, c = RESIDUAL_CASES[case]()
+    ms, gbar, vbar_t = _care_terms(rg, c)
+    system = _ResidualSystem(rg, ms, gbar, vbar_t)
+    pack, unpack, fun = _newton_system_oracle(rg, ms, gbar, vbar_t)
+    rng = np.random.default_rng(0)
+    size = rg.m * rg.r + rg.n_players * rg.r * (rg.r + 1) // 2
+    # 20 seeded points, then one whose packed zeros are all negative
+    points = [rng.standard_normal(size) * 10.0 ** rng.uniform(-2, 2) for _ in range(20)]
+    for z in points + [np.full(size, -0.0)]:
+        assert _same_bytes(system.vector(z), fun(z))
+        f, p_list = system.unpack(z)
+        f_w, p_w = unpack(z)
+        assert _same_bytes(f, f_w)
+        assert all(_same_bytes(p, pw) for p, pw in zip(p_list, p_w))
+        assert _same_bytes(system.pack(f, p_list), pack(f_w, p_w))
+        res = system.residuals(f, p_list)
+        stat, care = _residual_matrices_oracle(rg, ms, gbar, vbar_t, f_w, p_w)
+        assert _same_bytes(res.stationarity, stat)
+        assert len(res.care) == len(care)
+        assert all(_same_bytes(a, b) for a, b in zip(res.care, care))
+        assert res.scale == _data_scale(rg, ms)
+
+
+@pytest.mark.parametrize("costs", ["costs_gt", "costs_id", "costs_mis"])
+def test_newton_refine_matches_oracle_on_lane_starts(lane, costs):
+    # the polishing refine from every converged start and the fallback
+    # refine from every other start, as solve_fbne runs them; hybr keeps
+    # the arrays it is handed, so this also catches a reused output array
+    rg, c = lane["rg"], lane[costs]
+    ms, gbar, vbar_t = _care_terms(rg, c)
+    system = _ResidualSystem(rg, ms, gbar, vbar_t)
+    opts = SolveOptions(n_starts=12)
+    f0s = [f0 for _, f0 in _starting_points(rg, opts)]
+    outcomes = _policy_iteration(rg, ms, gbar, vbar_t, f0s, system.scale, opts)
+    refined = 0
+    for f0, out in zip(f0s, outcomes):
+        if out is not None:
+            f, p_list, _ = out
+        elif is_stable(rg.j + rg.b1_stacked @ f0):
+            f, p_list = f0, _lyapunov_values(rg, ms, f0)
+        else:
+            f, p_list = f0, [np.zeros((rg.r, rg.r)) for _ in range(rg.n_players)]
+        got = _newton_refine(system, f, p_list)
+        want = _newton_refine_oracle(rg, ms, gbar, vbar_t, f, p_list)
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        refined += 1
+        assert _same_bytes(got[0], want[0])
+        assert all(_same_bytes(p, pw) for p, pw in zip(got[1], want[1]))
+    assert refined > 0

@@ -50,6 +50,18 @@ def test_lane_reduction_shapes():
     assert rg.b1_stacked.shape == (2, 2)
 
 
+def test_stacked_input_blocks_built_once_and_read_only():
+    rng = np.random.default_rng(4)
+    rg = reduce_game(random_game(rng, 6, 4, (1, 2, 1)))
+    for stacked, blocks in ((rg.b1_stacked, rg.b1), (rg.b2_stacked, rg.b2)):
+        want = np.hstack(blocks)
+        assert stacked.shape == want.shape and stacked.tobytes() == want.tobytes()
+        assert not stacked.flags.writeable
+    assert rg.b1_stacked is rg.b1_stacked
+    with pytest.raises(ValueError):
+        rg.b1_stacked[0, 0] = 1.0
+
+
 def test_lane_algebraic_constraint_recovered_in_simulation():
     # steering angle is (u_h + u_a) / Ks along any admissible closed loop
     g = lane_game()
