@@ -61,7 +61,6 @@ from .forward import (
     EquilibriumSolution,
     IndefiniteInputWeightError,
     SolveOptions,
-    care_residual,
     equilibrium_cost,
     solution_at,
     solve_fbne,

@@ -12,7 +12,8 @@ cost set (``costs``), named alternates (``cost_sets``, selected with
 ``--costs``), an observed feedback (``F``) and identification constraints.
 Reports are JSON with floats at 17 significant digits, written atomically
 and schema-validated, so identical inputs and seeds give byte-identical
-output.  Exit codes: 0 success, 1 usage/malformed input, 2 model
+output.  Exit codes: 0 success, 1 usage/malformed input (including a
+file that cannot be read or written), 2 model
 assumption violated (including an effective input weight that is not
 positive definite), 3 no equilibrium found, 4 solution set empty,
 5 unstable closed loop.
@@ -20,6 +21,7 @@ positive definite), 3 no equilibrium found, 4 solution set empty,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -64,15 +66,8 @@ from .forward import (
     solve_fbne,
     verify_nash_local,
 )
-from .pencil import (
-    ImpulsiveModesError,
-    IrregularPencilError,
-    Pencil,
-    finite_spectrum,
-    index_of,
-    is_regular,
-    weierstrass,
-)
+from .linalg import eigvals, sorted_spectrum
+from .pencil import ImpulsiveModesError, IrregularPencilError
 
 __all__ = ["main"]
 
@@ -205,17 +200,27 @@ def _fmt_json(obj, indent=0) -> str:
     return json.dumps(obj)
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn a failure to write ``path`` into a one-line usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _writing(path):
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
 
 def _emit_report(report: dict, out_path: str | None) -> None:
@@ -270,7 +275,7 @@ def load_problem(path: str) -> Problem:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read problem file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"problem file is not valid JSON: {exc}") from exc
@@ -346,13 +351,14 @@ def _identify_opts(args) -> IdentifyOptions:
     return IdentifyOptions(eps_pd=float(args.eps_pd), seed=int(args.seed))
 
 
-def _pencil_section(game: DescriptorGame) -> dict:
-    p = Pencil(game.e, game.a)
+def _pencil_section(rg) -> dict:
+    """The pencil analysis behind the reduction ``rg``; the pencil is
+    regular, since constructing the game raises otherwise."""
     return {
-        "regular": is_regular(p),
-        "index": index_of(p),
-        "r": weierstrass(p).r,
-        "finite_spectrum": _spec_pairs(finite_spectrum(p)),
+        "regular": True,
+        "index": rg.w.index,
+        "r": rg.r,
+        "finite_spectrum": _spec_pairs(sorted_spectrum(eigvals(rg.j))),
     }
 
 
@@ -360,8 +366,15 @@ def _observed_profile(problem: Problem, rg, args) -> FeedbackProfile:
     """Observed full-state profile, from F in the file or a trajectory CSV."""
     traj_path = getattr(args, "traj", None)
     if traj_path:
-        traj = read_trajectory_csv(traj_path, input_dims=rg.input_dims)
-        return fit_feedback(traj).profile
+        try:
+            traj = read_trajectory_csv(traj_path, input_dims=rg.input_dims)
+            if traj.x.shape[1] != rg.n:
+                raise ValueError(f"{traj.x.shape[1]} state columns, expected n={rg.n}")
+            return fit_feedback(traj).profile
+        except OSError as exc:
+            raise UsageError(f"cannot read trajectory file: {exc}") from exc
+        except ValueError as exc:
+            raise UsageError(f"malformed trajectory file {traj_path}: {exc}") from exc
     if problem.f_observed is None:
         raise UsageError("command needs an observed feedback: provide 'F' or --traj")
     return problem.f_observed
@@ -373,11 +386,10 @@ def _observed_reduced(problem: Problem, rg, args):
 
 def cmd_reduce(args) -> int:
     problem = load_problem(args.problem)
-    game = problem.game
-    rg = reduce_game(game)
+    rg = reduce_game(problem.game)
     report = {
         "meta": _meta(args),
-        "pencil": _pencil_section(game),
+        "pencil": _pencil_section(rg),
         "reduced": {
             # tied to the toolkit's deterministic decomposition; spectra and
             # membership verdicts are the decomposition-free quantities
@@ -404,7 +416,7 @@ def cmd_forward(args) -> int:
     sols = solve_fbne(rg, costs, _solve_opts(args))
     report = {
         "meta": _meta(args),
-        "pencil": _pencil_section(problem.game),
+        "pencil": _pencil_section(rg),
         "forward": [
             {
                 "f_star": _mat(s.f_star.matrix),
@@ -446,7 +458,7 @@ def cmd_inverse(args) -> int:
     cert = identify(rg, f_red, problem.constraints, _identify_opts(args))
     report = {
         "meta": _meta(args),
-        "pencil": _pencil_section(problem.game),
+        "pencil": _pencil_section(rg),
         "inverse": _inverse_section(rg, cert),
     }
     if cert.feasible:
@@ -503,10 +515,11 @@ def cmd_misspecify(args) -> int:
     }
     report = {
         "meta": _meta(args),
-        "pencil": _pencil_section(game),
+        "pencil": _pencil_section(rg),
         "misspecify": section,
     }
     behaviors_ok = False
+    error_csv = None
     try:
         costs_mis = cert_ode.costs()
         sols = solve_fbne(rg, costs_mis, _solve_opts(args))
@@ -519,9 +532,11 @@ def cmd_misspecify(args) -> int:
         }
         behaviors_ok = True
         if args.traj_out and sols:
-            _write_error_trajectories(rg, f_red_true, sols, args.traj_out)
+            error_csv = _error_trajectories_csv(rg, f_red_true, sols)
     except ValueError:
         report["behaviors"] = {"count": 0, "matching": 0, "matches": []}
+    if error_csv is not None:
+        _write_atomic(args.traj_out, error_csv)
     _emit_report(report, args.out)
     print("misspecify: descriptor residuals "
           + ", ".join(f"{v:.4f}" for v in desc_res)
@@ -530,7 +545,7 @@ def cmd_misspecify(args) -> int:
     return EXIT_OK if cert_ode.feasible else EXIT_INFEASIBLE
 
 
-def _write_error_trajectories(rg, f_red_obs, sols, path, horizon=6.0, dt=0.01):
+def _error_trajectories_csv(rg, f_red_obs, sols, horizon=6.0, dt=0.01) -> str:
     """CSV of state/control error norms of each misspecified equilibrium
     loop against the observed loop, from the shared reduced initial state."""
     x1_0 = np.ones(rg.r)
@@ -545,7 +560,7 @@ def _write_error_trajectories(rg, f_red_obs, sols, path, horizon=6.0, dt=0.01):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(f"{v:.17g}" for v in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_verify(args) -> int:
@@ -556,14 +571,19 @@ def cmd_verify(args) -> int:
     try:
         with open(args.theta) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read theta file: {exc}") from exc
     thetas_raw = raw["theta"] if isinstance(raw, dict) and "theta" in raw else raw
     if not isinstance(thetas_raw, list) or len(thetas_raw) != rg.n_players:
         raise UsageError(f"theta file must hold one vector per player ({rg.n_players})")
     thetas = []
     for i, tvec in enumerate(thetas_raw):
-        tvec = np.asarray(tvec, dtype=float).reshape(-1)
+        try:
+            tvec = np.asarray(tvec, dtype=float).reshape(-1)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"theta[{i}] is not a numeric vector: {exc}") from exc
+        if not np.isfinite(tvec).all():
+            raise UsageError(f"theta[{i}] has a null or non-finite entry")
         if tvec.size != layout.size:
             raise UsageError(
                 f"theta[{i}] has length {tvec.size}, expected L={layout.size}"
@@ -618,7 +638,8 @@ def cmd_simulate(args) -> int:
     if not (0.0 < args.dt < np.inf and 0.0 <= args.horizon < np.inf):
         raise UsageError("need a finite --dt > 0 and a finite --horizon >= 0")
     traj = simulate(rg, problem.f_observed, x1_0, float(args.horizon), float(args.dt))
-    write_trajectory_csv(traj, args.out if args.out else sys.stdout)
+    with _writing(args.out or "standard output"):
+        write_trajectory_csv(traj, args.out or sys.stdout)
     print(f"simulate: {len(traj.times)} samples over {args.horizon}s", file=sys.stderr)
     return EXIT_OK
 

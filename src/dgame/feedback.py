@@ -343,7 +343,7 @@ def read_trajectory_csv(path, input_dims=None) -> Trajectory:
     """Read a trajectory written by :func:`write_trajectory_csv`."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         n = sum(1 for h in header if h.startswith("x"))
         m = sum(1 for h in header if h.startswith("u"))
         rows = [[float(v) for v in row] for row in reader if row]

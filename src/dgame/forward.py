@@ -3,25 +3,27 @@
 A reduced feedback F is a feedback Nash equilibrium iff there are
 symmetric P_i with stable A_cl = J + B1 F solving, for every player,
 
-    A_cl' P_i + P_i A_cl + [I; F]' M_i [I; F] = 0          (Riccati)
+    A_cl' P_i + P_i A_cl + C_i = 0,   C_i = [I; F]' M_i [I; F]   (Riccati)
     G F = -(V' + Bd' P)                                    (stationarity)
 
 where G collects the effective input weights and cross couplings, V the
-state/input couplings and Bd the block-diagonal input map.  The solver
-runs damped policy iteration (each half step is a linear Lyapunov solve)
-from a spread of starts, all of them in lockstep: every iteration is one
-stacked numpy call per operation over the starts still running, and a
-start leaves that set as soon as it converges, leaves the stabilizing
-region or fails a solve, with the same outcome it would have on its own.
-Each converged start is then polished, and each start that stalls or
-fails gets a Newton fallback, on the stacked residual system: MINPACK's
-``hybr`` with a finite-difference Jacobian, over one residual evaluator
-that each solve builds once and that also gives every reported
-residual.  Coupled Riccati systems can have several stabilizing
-solutions, so enumeration is heuristic multistart and completeness is
-only ever validated at test scale.  G and V are read out of the
-players' reduced cost matrices M_i (:func:`dgame.game.m_matrix`); the
-damping floor and the deduplication distance are fixed module
+state/input couplings and Bd the block-diagonal input map.  One evaluator
+per game and cost set is the only place that forms A_cl, the closed-loop
+costs C_i, the value matrices (P_i solving the Riccati equation at a
+given F) and both residual families, for one gain or a stack of them.
+The solver runs damped policy iteration (each half step is a linear
+Lyapunov solve) from a spread of starts, all of them in lockstep: every
+iteration is one stacked numpy call per operation over the starts still
+running, and a start leaves that set as soon as it converges, leaves the
+stabilizing region or fails a solve, with the same outcome it would have
+on its own.  Each converged start is then polished, and each start that
+stalls or fails gets a Newton fallback, on the stacked residual system:
+MINPACK's ``hybr`` with a finite-difference Jacobian over the
+evaluator's packed residual.  Coupled Riccati systems can have several
+stabilizing solutions, so enumeration is heuristic multistart and
+completeness is only ever validated at test scale.  G and V are read out
+of the players' reduced cost matrices M_i (:func:`dgame.game.m_matrix`);
+the damping floor and the deduplication distance are fixed module
 constants, and only the start count, seed, tolerance and iteration cap
 are options.
 """
@@ -35,20 +37,13 @@ from scipy.optimize import root
 
 from .feedback import ReducedFeedback
 from .game import CostParameters, ReducedGame, gbar_matrix, m_matrix
-from .linalg import (
-    is_stable,
-    solve_lyapunov,
-    solve_lyapunov_stack,
-    sorted_spectrum,
-    symmetrize,
-)
+from .linalg import solve_lyapunov_stack, sorted_spectrum, symmetrize
 
 __all__ = [
     "SolveOptions",
     "CareResiduals",
     "EquilibriumSolution",
     "IndefiniteInputWeightError",
-    "care_residual",
     "solution_at",
     "solve_fbne",
     "equilibrium_cost",
@@ -105,124 +100,120 @@ class EquilibriumSolution:
     start: str = ""
 
 
-def _data_scale(rg: ReducedGame, ms) -> float:
-    """1 + max-entry scale of the reduced data (J, B1 and every M_i); makes
-    tolerances meaningful under the positive-scaling freedom of the cost
-    parameters."""
-    scale = 1.0
-    scale = max(scale, np.abs(rg.j).max(initial=0.0))
-    scale = max(scale, np.abs(rg.b1_stacked).max(initial=0.0))
-    for m_i in ms:
-        scale = max(scale, np.abs(m_i).max(initial=0.0))
-    return 1.0 + scale
+class _Evaluator:
+    """The closed loop of one game and cost set, at one gain or a stack.
 
-
-def _care_terms(rg: ReducedGame, c: CostParameters):
-    """``(ms, gbar, vbar_t)``: every M_i, the stationarity operator G and
-    the m x r stack V' of the players' own couplings v_bar[i][i]', read
-    out of rows r + s_i, columns :r of M_i."""
-    ms = [m_matrix(rg, c, i) for i in range(rg.n_players)]
-    own = [rg.input_slice(i) for i in range(rg.n_players)]
-    vbar_t = np.vstack([m_i[rg.r + s.start:rg.r + s.stop, :rg.r] for m_i, s in zip(ms, own)])
-    return ms, gbar_matrix(rg, c), vbar_t
-
-
-class _ResidualSystem:
-    """The coupled residual system of one game and cost set.
-
-    Built once per solve from ``(rg, ms, gbar, vbar_t)``, it holds what
-    no evaluation changes: J, B1 and the B1_i' blocks, the data scale,
-    the upper-triangle index of a value matrix and its mirror, and the
-    [I; F] buffer with its identity rows written.  :meth:`residuals`
-    (the residual matrices) and :meth:`vector` (the packed system that
-    ``root`` solves) share one evaluation, whose products are the
-    per-player 2-D formulas of the module docstring in a fixed operand
-    order, so both read the same bits.
+    Built once per solve from ``(rg, c)``, it holds what no evaluation
+    changes: the stack of every M_i, G, the m x r stack V' of the
+    players' own couplings v_bar[i][i]' (rows r + s_i, columns :r of
+    M_i), J, B1, the B1_i' blocks, the identity block of [I; F], the
+    data scale and the index maps of the packed Newton point.  Each
+    method takes one gain F of shape (m, r) or a stack (S, m, r);
+    per-player results carry a player axis before the matrix axes, and
+    every product keeps the 2-D shape and operand order of the module
+    docstring's formulas per item, so a stacked evaluation reads the
+    same bits as one gain at a time.
     """
 
-    def __init__(self, rg: ReducedGame, ms, gbar, vbar_t):
+    def __init__(self, rg: ReducedGame, c: CostParameters):
         r, m, n_players = rg.r, rg.m, rg.n_players
-        self.r, self.m = r, m
-        self.j, self.b1 = rg.j, rg.b1_stacked
-        self.b1_t = [b.T for b in rg.b1]
+        self.r, self.m, self.n_players = r, m, n_players
+        self.ms = np.stack([m_matrix(rg, c, i) for i in range(n_players)])
         self.rows = [rg.input_slice(i) for i in range(n_players)]
-        self.ms, self.gbar, self.vbar_t = ms, gbar, vbar_t
-        self.scale = _data_scale(rg, ms)
+        self.gbar = gbar_matrix(rg, c)
+        self.vbar_t = np.vstack([m_i[r + s.start:r + s.stop, :r]
+                                 for m_i, s in zip(self.ms, self.rows)])
+        self.j, self.b1, self.eye = rg.j, rg.b1_stacked, np.eye(r)
+        self.b1_t = [b.T for b in rg.b1]
+        # 1 + max-entry scale of J, B1 and every M_i: makes tolerances
+        # meaningful under the positive-scaling freedom of the costs
+        self.scale = 1.0 + max(1.0, *(np.abs(a).max(initial=0.0)
+                                      for a in (self.j, self.b1, self.ms)))
         iu = np.triu_indices(r)
         nn = iu[0].size
         self.iu_flat = np.ravel_multi_index(iu, (r, r))
+        self.tri_flat = (self.iu_flat + r * r * np.arange(n_players)[:, None]).reshape(-1)
         # entry (a, b) of P_k sits at the packed triangle index of
         # (min(a, b), max(a, b)) in player k's block
         mirror = np.empty((r, r), dtype=np.intp)
         mirror[iu] = mirror[iu[::-1]] = np.arange(nn)
         self.mirror = mirror + nn * np.arange(n_players)[:, None, None]
-        self.x = np.zeros((r + m, r))
-        self.x[:r] = np.eye(r)
-        self.size = m * r + n_players * nn
-        self.tri = [slice(m * r + k * nn, m * r + (k + 1) * nn) for k in range(n_players)]
 
-    def _matrices(self, f, p_list):
-        """Stationarity residual G F + V' + Bd' P and each player's Riccati
-        residual A_cl' P_i + P_i A_cl + [I; F]' M_i [I; F]."""
-        a_cl = self.j + self.b1 @ f
-        x = self.x
-        x[self.r:] = f
-        care = [a_cl.T @ p + p @ a_cl + x.T @ m_i @ x for p, m_i in zip(p_list, self.ms)]
-        stat = self.gbar @ f + self.vbar_t
-        for rows, b_t, p in zip(self.rows, self.b1_t, p_list):
-            stat[rows] += b_t @ p
-        return stat, care
+    def closed_loop(self, f):
+        """A_cl = J + B1 F."""
+        return self.j + self.b1 @ f
 
-    def residuals(self, f, p_list) -> CareResiduals:
-        """Both residual families at (f, p_list) with their max-norms."""
-        stat, care = self._matrices(f, p_list)
+    def costs(self, f):
+        """Every player's closed-loop cost C_i = [I; F]' M_i [I; F]."""
+        r = self.r
+        x = np.empty(f.shape[:-2] + (r + self.m, r))
+        x[..., :r, :] = self.eye
+        x[..., r:, :] = f
+        x = x[..., None, :, :]
+        return x.swapaxes(-1, -2) @ self.ms @ x
+
+    def values(self, a_cl, costs):
+        """Value matrices P_i with A_cl' P_i + P_i A_cl + C_i = 0 for the
+        costs of any players, in one stacked Lyapunov solve; returns
+        ``(p, errors)``, ``p`` shaped like ``costs`` and one error (or
+        ``None``) per item in C order."""
+        r = self.r
+        a = np.broadcast_to(a_cl[..., None, :, :], costs.shape).reshape(-1, r, r)
+        p, errors = solve_lyapunov_stack(a, costs.reshape(-1, r, r))
+        return p.reshape(costs.shape), errors
+
+    def residual_matrices(self, f, p, a_cl, costs):
+        """``(stat, care, bd_t_p)``: the stationarity residual G F + V' +
+        Bd' P, each player's Riccati residual A_cl' P_i + P_i A_cl + C_i,
+        and Bd' P itself (the stack of B1_i' P_i)."""
+        care = a_cl.swapaxes(-1, -2)[..., None, :, :] @ p + p @ a_cl[..., None, :, :] + costs
+        bd_t_p = np.concatenate([b_t @ p[..., k, :, :] for k, b_t in enumerate(self.b1_t)],
+                                axis=-2)
+        return self.gbar @ f + self.vbar_t + bd_t_p, care, bd_t_p
+
+    @staticmethod
+    def max_norm(stat, care):
+        """The max-norm over both residual families, per item."""
+        return np.maximum(np.abs(stat).max(axis=(-2, -1), initial=0.0),
+                          np.abs(care).max(axis=(-3, -2, -1), initial=0.0))
+
+    def residuals(self, f, p, a_cl=None, costs=None) -> CareResiduals:
+        """Both residual families at one gain f and value matrices p, with
+        their max-norms; forms the loop unless ``a_cl`` and ``costs`` of
+        f are given."""
+        if a_cl is None:
+            a_cl, costs = self.closed_loop(f), self.costs(f)
+        stat, care, _ = self.residual_matrices(f, np.asarray(p), a_cl, costs)
         return CareResiduals(
             care=tuple(care),
             stationarity=stat,
-            care_norms=tuple(float(np.abs(c).max(initial=0.0)) for c in care),
+            care_norms=tuple(float(v) for v in np.abs(care).max(axis=(1, 2), initial=0.0)),
             stationarity_norm=float(np.abs(stat).max(initial=0.0)),
             scale=self.scale,
         )
 
-    def pack(self, f, p_list) -> np.ndarray:
+    def pack(self, f, p) -> np.ndarray:
         """z = [vec(F); upper triangle of each P_i]."""
-        return np.concatenate([f.reshape(-1)] + [p.take(self.iu_flat) for p in p_list])
+        return np.concatenate([f.reshape(-1)] + [p_k.take(self.iu_flat) for p_k in p])
 
     def unpack(self, z):
-        """``(f, p_list)`` of a packed point; ``f`` is a view into ``z``."""
+        """``(f, p)`` of a packed point; ``f`` is a view into ``z``."""
         mr = self.m * self.r
         # + 0.0 turns a packed -0.0 into +0.0, as symmetrizing by a sum would
-        p = (z[mr:] + 0.0).take(self.mirror)
-        return z[:mr].reshape(self.m, self.r), list(p)
+        return z[:mr].reshape(self.m, self.r), (z[mr:] + 0.0).take(self.mirror)
 
     def vector(self, z) -> np.ndarray:
         """The packed residual at z: vec of the stationarity residual, then
         the upper triangle of each Riccati residual.  The output array is
         new at every call: ``hybr`` keeps the array it is handed."""
-        f, p_list = self.unpack(z)
-        stat, care = self._matrices(f, p_list)
-        out = np.empty(self.size)
-        out[:stat.size] = stat.reshape(-1)
-        for tri, c in zip(self.tri, care):
-            out[tri] = c.take(self.iu_flat)
-        return out
+        f, p = self.unpack(z)
+        stat, care, _ = self.residual_matrices(f, p, self.closed_loop(f), self.costs(f))
+        return np.concatenate([stat.reshape(-1), care.take(self.tri_flat)])
 
 
-def care_residual(rg: ReducedGame, c: CostParameters,
-                  f_red: ReducedFeedback | np.ndarray,
-                  p: list[np.ndarray]) -> CareResiduals:
-    """Residual matrices and max-norms of both equation families at
-    (f_red, p); purely evaluative, no solving."""
-    f = f_red.matrix if isinstance(f_red, ReducedFeedback) else np.asarray(f_red, dtype=float)
-    system = _ResidualSystem(rg, *_care_terms(rg, c))
-    return system.residuals(f, [symmetrize(pi) for pi in p])
-
-
-def _lyapunov_values(rg, ms, f):
-    """Value matrices implied by a stabilizing f via per-player Lyapunov solves."""
-    a_cl = rg.j + rg.b1_stacked @ f
-    stacked = np.vstack([np.eye(rg.r), f])
-    return [solve_lyapunov(a_cl, stacked.T @ ms[i] @ stacked) for i in range(rg.n_players)]
+def _stable(a_cl):
+    """Whether every eigenvalue of A_cl has negative real part, per item."""
+    return np.max(np.linalg.eigvals(a_cl).real, axis=-1, initial=-np.inf) < 0.0
 
 
 def solution_at(rg: ReducedGame, c: CostParameters,
@@ -236,21 +227,24 @@ def solution_at(rg: ReducedGame, c: CostParameters,
     :func:`dgame.linalg.solve_lyapunov` raises when the loop admits no
     unique value matrices.
     """
-    system = _ResidualSystem(rg, *_care_terms(rg, c))
+    ev = _Evaluator(rg, c)
     f = f_red.matrix
-    p_list = _lyapunov_values(rg, system.ms, f)
-    a_cl = rg.j + rg.b1_stacked @ f
+    a_cl, costs = ev.closed_loop(f), ev.costs(f)
+    p, errors = ev.values(a_cl, costs)
+    for err in errors:
+        if err is not None:
+            raise err
     return EquilibriumSolution(
         f_star=f_red,
-        p=tuple(p_list),
+        p=tuple(p),
         a_cl=a_cl,
         spectrum=sorted_spectrum(np.linalg.eigvals(a_cl)),
-        residuals=system.residuals(f, p_list),
+        residuals=ev.residuals(f, p, a_cl, costs),
         iterations=0,
     )
 
 
-def _policy_iteration(rg, ms, gbar, vbar_t, f0s, scale, opts):
+def _policy_iteration(ev: _Evaluator, f0s, opts):
     """Damped fixed-point iteration from every start in lockstep.
 
     Each start follows its own iteration: stop with ``None`` once the
@@ -261,8 +255,7 @@ def _policy_iteration(rg, ms, gbar, vbar_t, f0s, scale, opts):
     grew.  All active starts share one stacked numpy call per operation
     and retire from the active set as soon as they stop.
     """
-    n_players, r = rg.n_players, rg.r
-    f = np.array(f0s, dtype=float).reshape(len(f0s), rg.m, r)
+    f = np.array(f0s, dtype=float).reshape(len(f0s), ev.m, ev.r)
     alpha = np.ones(len(f0s))
     last_res = np.full(len(f0s), np.inf)
     outcomes = [None] * len(f0s)
@@ -272,33 +265,25 @@ def _policy_iteration(rg, ms, gbar, vbar_t, f0s, scale, opts):
             break
         # drop unstable loops
         fa = f[active]
-        a_cl = rg.j + rg.b1_stacked @ fa
-        stable = np.max(np.linalg.eigvals(a_cl).real, axis=-1, initial=-np.inf) < 0.0
+        a_cl = ev.closed_loop(fa)
+        stable = _stable(a_cl)
         active, fa, a_cl = active[stable], fa[stable], a_cl[stable]
         # value matrices, one Lyapunov item per (start, player)
-        x = np.concatenate([np.broadcast_to(np.eye(r), a_cl.shape), fa], axis=1)
-        x_t = x.transpose(0, 2, 1)
-        c = np.stack([x_t @ ms[i] @ x for i in range(n_players)], axis=1)
-        p, errors = solve_lyapunov_stack(np.repeat(a_cl, n_players, axis=0),
-                                         c.reshape(-1, r, r))
-        solved = np.array([e is None for e in errors], dtype=bool).reshape(-1, n_players).all(axis=1)
-        active, fa, a_cl = active[solved], fa[solved], a_cl[solved]
-        c, p = c[solved], p.reshape(-1, n_players, r, r)[solved]
-        # residuals of both equation families
-        a_t = a_cl.transpose(0, 2, 1)[:, None]
-        care_norm = np.abs(a_t @ p + p @ a_cl[:, None] + c).max(axis=(2, 3), initial=0.0)
-        bd_t_p = np.concatenate([rg.b1[i].T @ p[:, i] for i in range(n_players)], axis=1)
-        stat = gbar @ fa + vbar_t + bd_t_p
-        res = np.maximum(np.abs(stat).max(axis=(1, 2), initial=0.0),
-                         care_norm.max(axis=1, initial=0.0))
-        done = res <= opts.tol * scale
+        costs = ev.costs(fa)
+        p, errors = ev.values(a_cl, costs)
+        solved = np.array([e is None for e in errors], dtype=bool).reshape(-1, ev.n_players)
+        solved = solved.all(axis=1)
+        active, fa, a_cl, costs, p = (v[solved] for v in (active, fa, a_cl, costs, p))
+        stat, care, bd_t_p = ev.residual_matrices(fa, p, a_cl, costs)
+        res = ev.max_norm(stat, care)
+        done = res <= opts.tol * ev.scale
         for k in np.flatnonzero(done):
             outcomes[active[k]] = (fa[k], list(p[k]), it)
         go = ~done
         active, fa, bd_t_p, res = active[go], fa[go], bd_t_p[go], res[go]
         # damped step towards the policy update
         try:
-            f_next = -np.linalg.solve(gbar, vbar_t + bd_t_p)
+            f_next = -np.linalg.solve(ev.gbar, ev.vbar_t + bd_t_p)
         except np.linalg.LinAlgError:
             return outcomes
         worse = res > last_res[active]
@@ -309,19 +294,19 @@ def _policy_iteration(rg, ms, gbar, vbar_t, f0s, scale, opts):
     return outcomes
 
 
-def _newton_refine(system: _ResidualSystem, f0, p0):
+def _newton_refine(ev: _Evaluator, f0, p0):
     """Newton on the stacked residual system from (f0, p0).
 
-    MINPACK's ``hybr`` solves ``system.vector(z) = 0`` over the packed
-    point z (vec F, then the upper triangle of each P_i), building its
+    MINPACK's ``hybr`` solves ``ev.vector(z) = 0`` over the packed point
+    z (vec F, then the upper triangle of each P_i), building its
     Jacobian from finite differences; returns ``(f, p_list)`` with
     symmetrized value matrices, or ``None`` when ``hybr`` fails.
     """
-    sol = root(system.vector, system.pack(f0, p0), method="hybr", tol=1e-13)
+    sol = root(ev.vector, ev.pack(f0, p0), method="hybr", tol=1e-13)
     if not sol.success:
         return None
-    f, p_list = system.unpack(sol.x)
-    return f, [symmetrize(p) for p in p_list]
+    f, p = ev.unpack(sol.x)
+    return f, [symmetrize(p_k) for p_k in p]
 
 
 def _lqr_start(j, b, wq, wr):
@@ -370,23 +355,20 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
     feedback entries); an empty list means no start converged.
     """
     opts = opts or SolveOptions()
-    ms, gbar, vbar_t = _care_terms(rg, c)
-    for i in range(rg.n_players):
-        si = rg.input_slice(i)
-        block = ms[i][rg.r + si.start:rg.r + si.stop, rg.r + si.start:rg.r + si.stop]
+    ev = _Evaluator(rg, c)
+    for i, (m_i, si) in enumerate(zip(ev.ms, ev.rows)):
+        block = m_i[rg.r + si.start:rg.r + si.stop, rg.r + si.start:rg.r + si.stop]
         if block.size and np.linalg.eigvalsh(symmetrize(block))[0] <= 0:
             raise IndefiniteInputWeightError(
                 f"effective input weight of player {i} is not positive definite"
             )
-    system = _ResidualSystem(rg, ms, gbar, vbar_t)
-    scale = system.scale
     solutions: list[EquilibriumSolution] = []
 
     def try_add(f, p_list, res, iters, label):
-        a_cl = rg.j + rg.b1_stacked @ f
-        if not is_stable(a_cl):
+        a_cl = ev.closed_loop(f)
+        if not _stable(a_cl):
             return
-        if res.max_norm > opts.tol * scale:
+        if res.max_norm > opts.tol * ev.scale:
             return
         for sol in solutions:
             gap = np.abs(sol.f_star.matrix - f).max(initial=0.0)
@@ -403,28 +385,27 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
         ))
 
     starts = _starting_points(rg, opts)
-    outcomes = _policy_iteration(rg, ms, gbar, vbar_t, [f0 for _, f0 in starts], scale, opts)
+    outcomes = _policy_iteration(ev, [f0 for _, f0 in starts], opts)
     for (label, f0), out in zip(starts, outcomes):
         if out is not None:
             f, p_list, iters = out
-            res = system.residuals(f, p_list)
-            polished = _newton_refine(system, f, p_list)
+            res = ev.residuals(f, p_list)
+            polished = _newton_refine(ev, f, p_list)
             if polished is not None:
-                res_pol = system.residuals(*polished)
+                res_pol = ev.residuals(*polished)
                 if res_pol.max_norm < res.max_norm:
                     (f, p_list), res = polished, res_pol
             try_add(f, p_list, res, iters, label)
             continue
-        if is_stable(rg.j + rg.b1_stacked @ f0):
-            try:
-                p0 = _lyapunov_values(rg, ms, f0)
-            except (np.linalg.LinAlgError, ValueError):
-                p0 = [np.zeros((rg.r, rg.r)) for _ in range(rg.n_players)]
-        else:
-            p0 = [np.zeros((rg.r, rg.r)) for _ in range(rg.n_players)]
-        refined = _newton_refine(system, f0, p0)
+        a_cl = ev.closed_loop(f0)
+        p0 = np.zeros((rg.n_players, rg.r, rg.r))
+        if _stable(a_cl):
+            p, errors = ev.values(a_cl, ev.costs(f0))
+            if all(err is None for err in errors):
+                p0 = p
+        refined = _newton_refine(ev, f0, p0)
         if refined is not None:
-            try_add(*refined, system.residuals(*refined), opts.max_iter, f"{label}+newton")
+            try_add(*refined, ev.residuals(*refined), opts.max_iter, f"{label}+newton")
 
     solutions.sort(key=lambda s: tuple(np.round(s.f_star.matrix, 8).reshape(-1)))
     return solutions
@@ -448,26 +429,22 @@ def verify_nash_local(rg: ReducedGame, c: CostParameters, sol: EquilibriumSoluti
     to ``tol`` (equivalently: no initial state benefits).  Returns
     ``(ok, counterexample)`` with the violating deviation when found.
     """
-    ms, _, _ = _care_terms(rg, c)
+    ev = _Evaluator(rg, c)
     rng = np.random.default_rng(seed)
     f_star = sol.f_star.matrix
-    for i in range(rg.n_players):
-        si = rg.input_slice(i)
-        base_p = sol.p[i]
+    for i, si in enumerate(ev.rows):
         for _ in range(n_trials):
             delta = rng.standard_normal((rg.input_dims[i], rg.r))
             delta *= radius * rng.uniform(0.05, 1.0) / max(np.abs(delta).max(), 1e-12)
             f_dev = f_star.copy()
-            f_dev[si] = f_dev[si] + delta
-            a_dev = rg.j + rg.b1_stacked @ f_dev
-            if not is_stable(a_dev):
+            f_dev[si] += delta
+            a_dev = ev.closed_loop(f_dev)
+            if not _stable(a_dev):
                 continue
-            stacked = np.vstack([np.eye(rg.r), f_dev])
-            try:
-                p_dev = solve_lyapunov(a_dev, stacked.T @ ms[i] @ stacked)
-            except (np.linalg.LinAlgError, ValueError):
+            p_dev, errors = ev.values(a_dev, ev.costs(f_dev)[i:i + 1])
+            if errors[0] is not None:
                 continue
-            gap = np.linalg.eigvalsh(symmetrize(p_dev - base_p))[0]
+            gap = np.linalg.eigvalsh(symmetrize(p_dev[0] - sol.p[i]))[0]
             if gap < -tol * sol.residuals.scale:
                 return False, {"player": i, "delta": delta, "min_eig_gap": float(gap)}
     return True, None

@@ -337,6 +337,66 @@ def test_malformed_problem_files(tmp_path, capsys):
     assert stderr_of(json.dumps(prob)) == "error: B[0] must have 3 rows\n"
 
 
+def _traj_text(times):
+    """A lane trajectory CSV (n = 3, two scalar inputs) sampled at ``times``."""
+    return "t,x1,x2,x3,u1,u2\n" + "".join(f"{t},1,0.5,0.2,0.1,-0.3\n" for t in times)
+
+
+# argv (run in a scratch working directory), files written there first, and
+# the expected start of the one stderr line
+FILE_FAULTS = {
+    "reduce-out-missing-dir": (["reduce", REPO_FIXTURE, "--out", "missing/rep.json"], {},
+                               "error: cannot write missing/rep.json"),
+    "forward-out-missing-dir": (["forward", REPO_FIXTURE, "--starts", 2,
+                                 "--out", "missing/rep.json"], {},
+                                "error: cannot write missing/rep.json"),
+    "simulate-out-missing-dir": (["simulate", REPO_FIXTURE, "--x1-0", "1,0.4",
+                                  "--out", "missing/traj.csv"], {},
+                                 "error: cannot write missing/traj.csv"),
+    "misspecify-traj-out-missing-dir": (["misspecify", REPO_FIXTURE, "--starts", 16,
+                                         "--out", "rep.json", "--traj-out", "missing/err.csv"],
+                                        {}, "error: cannot write missing/err.csv"),
+    "traj-missing-file": (["inverse", REPO_FIXTURE, "--traj", "absent.csv"], {},
+                          "error: cannot read trajectory file"),
+    "traj-header-only": (["inverse", REPO_FIXTURE, "--traj", "traj.csv"],
+                         {"traj.csv": _traj_text([])},
+                         "error: malformed trajectory file traj.csv: no samples"),
+    "traj-too-few-rows": (["inverse", REPO_FIXTURE, "--traj", "traj.csv"],
+                          {"traj.csv": _traj_text([0.0, 0.1])},
+                          "error: malformed trajectory file traj.csv: need at least n=3"),
+    "traj-missing-state-column": (["inverse", REPO_FIXTURE, "--traj", "traj.csv"],
+                                  {"traj.csv": "t,x1,x2,u1,u2\n0,1,0,1,1\n0.1,0,1,1,2\n"},
+                                  "error: malformed trajectory file traj.csv: 2 state columns"),
+    "traj-non-increasing-times": (["verify", REPO_FIXTURE, "--theta", "theta.json",
+                                   "--traj", "traj.csv"],
+                                  {"traj.csv": _traj_text([0.0, 0.1, 0.1, 0.2]),
+                                   "theta.json": json.dumps({"theta": [[1.0], [1.0]]})},
+                                  "error: malformed trajectory file traj.csv: times must"),
+    "theta-not-utf8": (["verify", REPO_FIXTURE, "--theta", "theta.json"],
+                       {"theta.json": b"\xff\xfe[]"}, "error: cannot read theta file"),
+    "problem-not-utf8": (["reduce", "prob.json"], {"prob.json": b"\xff\xfe{}"},
+                         "error: cannot read problem file"),
+    "theta-null-entry": (["verify", REPO_FIXTURE, "--theta", "theta.json"],
+                         {"theta.json": json.dumps({"theta": [[None] + [1.0] * 7, [1.0] * 8]})},
+                         "error: theta[0] has a null or non-finite entry"),
+    "theta-non-numeric": (["verify", REPO_FIXTURE, "--theta", "theta.json"],
+                          {"theta.json": json.dumps({"theta": [["x", 1.0], [1.0, 2.0]]})},
+                          "error: theta[0] is not a numeric vector"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_FAULTS))
+def test_unusable_files_exit_1_with_one_line(tmp_path, monkeypatch, capsys, case):
+    argv, files, message = FILE_FAULTS[case]
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data if isinstance(data, bytes) else data.encode())
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert one_line_message(capsys, message)
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 @pytest.mark.parametrize("schema", [PROBLEM_SCHEMA, REPORT_SCHEMA])
 def test_schemas_are_valid(schema):
     jsonschema.validators.validator_for(schema).check_schema(schema)

@@ -9,7 +9,6 @@ from dgame import (
     DescriptorGame,
     ReducedFeedback,
     SolveOptions,
-    care_residual,
     equilibrium_cost,
     reduce_game,
     simulate,
@@ -18,17 +17,14 @@ from dgame import (
 )
 from dgame.forward import (
     DAMPING_FLOOR,
-    _ResidualSystem,
-    _care_terms,
-    _data_scale,
-    _lyapunov_values,
+    _Evaluator,
     _newton_refine,
     _policy_iteration,
     _starting_points,
     solution_at,
 )
 from dgame.game import m_matrix
-from dgame.linalg import is_stable, symmetrize
+from dgame.linalg import is_stable, solve_lyapunov, symmetrize
 from conftest import (
     friendly_costs,
     lane_costs_gt,
@@ -48,8 +44,9 @@ def test_care_residual_zero_case():
     g = DescriptorGame(e, a, (np.array([[1.0], [1.0], [1.0]]),))
     rg = reduce_game(g)
     zeros = CostParameters(q=(np.zeros((3, 3)),), r=((np.zeros((1, 1)),),))
-    res = care_residual(rg, zeros, np.zeros((1, 2)), [np.zeros((2, 2))])
-    assert res.max_norm == 0.0
+    sol = solution_at(rg, zeros, ReducedFeedback(np.zeros((1, 2)), rg.input_dims))
+    assert not any(p.any() for p in sol.p)
+    assert sol.residuals.max_norm == 0.0
 
 
 def test_care_residual_matches_expanded_assembly():
@@ -61,7 +58,7 @@ def test_care_residual_matches_expanded_assembly():
     c = friendly_costs(rng, 4, (1, 2))
     f = rng.standard_normal((3, 2))
     p_list = [np.eye(2) + 0.1 * k for k in range(2)]
-    res = care_residual(rg, c, f, p_list)
+    res = _Evaluator(rg, c).residuals(f, p_list)
     x1, x2 = rg.w.x1, rg.w.x2
     b2 = rg.b2_stacked
     a_cl = rg.j + rg.b1_stacked @ f
@@ -258,10 +255,17 @@ def test_rejects_indefinite_own_weight():
         solve_fbne(rg, bad, FAST)
 
 
+def _lyapunov_values_oracle(rg, ms, f):
+    """Oracle: value matrices of a stabilizing f, one 2-D Lyapunov solve
+    per player."""
+    a_cl = rg.j + rg.b1_stacked @ f
+    stacked = np.vstack([np.eye(rg.r), f])
+    return [solve_lyapunov(a_cl, stacked.T @ ms[i] @ stacked) for i in range(rg.n_players)]
+
+
 def _policy_iteration_per_start(rg, ms, gbar, vbar_t, f0, scale, opts):
     """Oracle: the damped fixed-point iteration for one start on its own;
     returns (f, p_list, iters) or None."""
-    system = _ResidualSystem(rg, ms, gbar, vbar_t)
     f = f0.copy()
     alpha = 1.0
     last_res = np.inf
@@ -270,31 +274,32 @@ def _policy_iteration_per_start(rg, ms, gbar, vbar_t, f0, scale, opts):
         if not is_stable(a_cl):
             return None
         try:
-            p_list = _lyapunov_values(rg, ms, f)
+            p_list = _lyapunov_values_oracle(rg, ms, f)
         except (np.linalg.LinAlgError, ValueError):
             return None
-        res = system.residuals(f, p_list)
-        if res.max_norm <= opts.tol * scale:
+        stat, care = _residual_matrices_oracle(rg, ms, gbar, vbar_t, f, p_list)
+        res = max(float(np.abs(stat).max(initial=0.0)),
+                  *(float(np.abs(c).max(initial=0.0)) for c in care))
+        if res <= opts.tol * scale:
             return f, p_list, it
         bd_t_p = np.vstack([rg.b1[i].T @ p_list[i] for i in range(rg.n_players)])
         try:
             f_next = -np.linalg.solve(gbar, vbar_t + bd_t_p)
         except np.linalg.LinAlgError:
             return None
-        if res.max_norm > last_res:
+        if res > last_res:
             alpha = max(alpha / 2.0, DAMPING_FLOOR)
-        last_res = res.max_norm
+        last_res = res
         f = f + alpha * (f_next - f)
     return None
 
 
 def _assert_lockstep_matches_per_start(rg, c, f0s, opts):
-    ms, gbar, vbar_t = _care_terms(rg, c)
-    scale = _data_scale(rg, ms)
-    got = _policy_iteration(rg, ms, gbar, vbar_t, f0s, scale, opts)
+    ev = _Evaluator(rg, c)
+    got = _policy_iteration(ev, f0s, opts)
     assert len(got) == len(f0s)
     for f0, out in zip(f0s, got):
-        want = _policy_iteration_per_start(rg, ms, gbar, vbar_t, f0, scale, opts)
+        want = _policy_iteration_per_start(rg, ev.ms, ev.gbar, ev.vbar_t, f0, ev.scale, opts)
         if want is None:
             assert out is None
             continue
@@ -410,29 +415,51 @@ RESIDUAL_CASES = {
 }
 
 
+def _data_scale_oracle(rg, ms):
+    return 1.0 + max(1.0, np.abs(rg.j).max(initial=0.0),
+                     np.abs(np.hstack(rg.b1)).max(initial=0.0),
+                     *(np.abs(m_i).max(initial=0.0) for m_i in ms))
+
+
 @pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
 def test_residual_system_matches_oracle_bytes(case):
     rg, c = RESIDUAL_CASES[case]()
-    ms, gbar, vbar_t = _care_terms(rg, c)
-    system = _ResidualSystem(rg, ms, gbar, vbar_t)
+    ev = _Evaluator(rg, c)
+    ms, gbar, vbar_t = ev.ms, ev.gbar, ev.vbar_t
     pack, unpack, fun = _newton_system_oracle(rg, ms, gbar, vbar_t)
     rng = np.random.default_rng(0)
     size = rg.m * rg.r + rg.n_players * rg.r * (rg.r + 1) // 2
     # 20 seeded points, then one whose packed zeros are all negative
     points = [rng.standard_normal(size) * 10.0 ** rng.uniform(-2, 2) for _ in range(20)]
-    for z in points + [np.full(size, -0.0)]:
-        assert _same_bytes(system.vector(z), fun(z))
-        f, p_list = system.unpack(z)
+    points.append(np.full(size, -0.0))
+    oracle = []
+    for z in points:
+        assert _same_bytes(ev.vector(z), fun(z))
+        f, p_list = ev.unpack(z)
         f_w, p_w = unpack(z)
         assert _same_bytes(f, f_w)
         assert all(_same_bytes(p, pw) for p, pw in zip(p_list, p_w))
-        assert _same_bytes(system.pack(f, p_list), pack(f_w, p_w))
-        res = system.residuals(f, p_list)
+        assert _same_bytes(ev.pack(f, p_list), pack(f_w, p_w))
+        res = ev.residuals(f, p_list)
         stat, care = _residual_matrices_oracle(rg, ms, gbar, vbar_t, f_w, p_w)
         assert _same_bytes(res.stationarity, stat)
         assert len(res.care) == len(care)
         assert all(_same_bytes(a, b) for a, b in zip(res.care, care))
-        assert res.scale == _data_scale(rg, ms)
+        assert res.scale == _data_scale_oracle(rg, ms)
+        oracle.append((f_w, p_w, stat, care, res.max_norm))
+    # all 21 points as one stack: every item reads the oracle's bytes
+    fs = np.stack([o[0] for o in oracle])
+    ps = np.stack([np.stack(o[1]) for o in oracle])
+    a_cls = ev.closed_loop(fs)
+    stats, cares, _ = ev.residual_matrices(fs, ps, a_cls, ev.costs(fs))
+    norms = ev.max_norm(stats, cares)
+    assert stats.shape == (len(points), rg.m, rg.r)
+    assert cares.shape == (len(points), rg.n_players, rg.r, rg.r)
+    for k, (f_w, _, stat, care, max_norm) in enumerate(oracle):
+        assert _same_bytes(a_cls[k], rg.j + np.hstack(rg.b1) @ f_w)
+        assert _same_bytes(stats[k], stat)
+        assert all(_same_bytes(cares[k, i], care[i]) for i in range(rg.n_players))
+        assert norms[k] == max_norm
 
 
 @pytest.mark.parametrize("costs", ["costs_gt", "costs_id", "costs_mis"])
@@ -441,20 +468,20 @@ def test_newton_refine_matches_oracle_on_lane_starts(lane, costs):
     # refine from every other start, as solve_fbne runs them; hybr keeps
     # the arrays it is handed, so this also catches a reused output array
     rg, c = lane["rg"], lane[costs]
-    ms, gbar, vbar_t = _care_terms(rg, c)
-    system = _ResidualSystem(rg, ms, gbar, vbar_t)
+    ev = _Evaluator(rg, c)
+    ms, gbar, vbar_t = ev.ms, ev.gbar, ev.vbar_t
     opts = SolveOptions(n_starts=12)
     f0s = [f0 for _, f0 in _starting_points(rg, opts)]
-    outcomes = _policy_iteration(rg, ms, gbar, vbar_t, f0s, system.scale, opts)
+    outcomes = _policy_iteration(ev, f0s, opts)
     refined = 0
     for f0, out in zip(f0s, outcomes):
         if out is not None:
             f, p_list, _ = out
         elif is_stable(rg.j + rg.b1_stacked @ f0):
-            f, p_list = f0, _lyapunov_values(rg, ms, f0)
+            f, p_list = f0, _lyapunov_values_oracle(rg, ms, f0)
         else:
             f, p_list = f0, [np.zeros((rg.r, rg.r)) for _ in range(rg.n_players)]
-        got = _newton_refine(system, f, p_list)
+        got = _newton_refine(ev, f, p_list)
         want = _newton_refine_oracle(rg, ms, gbar, vbar_t, f, p_list)
         assert (got is None) == (want is None)
         if got is None:

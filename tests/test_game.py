@@ -12,7 +12,7 @@ from dgame import (
     reduce_game,
     simulate,
 )
-from dgame.forward import _care_terms
+from dgame.forward import _Evaluator
 from dgame.pencil import ImpulsiveModesError
 from conftest import (
     KS,
@@ -195,7 +195,7 @@ def test_vbar_stack_rows():
         dims = tuple(int(d) for d in rng.integers(1, 3, size=int(rng.integers(1, 4))))
         cases.append((reduce_game(random_game(rng, n, r, dims)), friendly_costs(rng, n, dims)))
     for rg, c in cases:
-        _, _, stack = _care_terms(rg, c)
+        stack = _Evaluator(rg, c).vbar_t
         assert stack.shape == (rg.m, rg.r)
         x1, x2 = rg.w.x1, rg.w.x2
         want = np.vstack([(-x1.T @ c.q[i] @ x2 @ rg.b2[i]).T for i in range(rg.n_players)])
