@@ -701,10 +701,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_options(args) -> None:
+    """Reject option values under which verdicts or counts mean nothing."""
+    if not 0.0 <= args.eps_pd < np.inf:
+        raise UsageError("--eps-pd must be finite and >= 0")
+    if not 0.0 < args.tol < np.inf:
+        raise UsageError("--tol must be finite and > 0")
+    if args.starts < 0:
+        raise UsageError("--starts must be >= 0")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
+    if getattr(args, "nash_trials", 0) < 0:
+        raise UsageError("--nash-trials must be >= 0")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -138,7 +138,7 @@ def is_admissible(g: DescriptorGame | ReducedGame, f: FeedbackProfile,
         if s[-1] <= tol * max(1.0, s[0]):
             return Admissibility(False, "index raised: closed loop is not impulse-free")
     f_red = _reduce_stacked(rg, f_stacked)
-    a_cl = rg.j + rg.b1_stacked @ f_red
+    a_cl = rg.closed_loop(f_red)
     spec = sorted_spectrum(np.linalg.eigvals(a_cl))
     if not is_stable(a_cl):
         return Admissibility(False, "closed-loop finite spectrum is not stable", spec)
@@ -198,7 +198,7 @@ def preimage_sample(g: DescriptorGame | ReducedGame, f_red: ReducedFeedback,
     found.
     """
     rg = g if isinstance(g, ReducedGame) else reduce_game(g)
-    if not is_stable(rg.j + rg.b1_stacked @ f_red.matrix):
+    if not is_stable(rg.closed_loop(f_red.matrix)):
         raise UnstableLoopError("reduced feedback does not stabilize the game")
     s = preimage_matrix(rg, f_red)
     s_pinv = np.linalg.pinv(s)
@@ -258,7 +258,7 @@ def simulate(g: DescriptorGame | ReducedGame,
         f_red = reduce_feedback(rg, f)
     else:
         f_red = f
-    a_cl = rg.j + rg.b1_stacked @ f_red.matrix
+    a_cl = rg.closed_loop(f_red.matrix)
     if not is_stable(a_cl):
         raise UnstableLoopError("closed loop is unstable")
     x1_0 = np.asarray(x1_0, dtype=float).reshape(-1)

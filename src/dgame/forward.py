@@ -7,10 +7,11 @@ symmetric P_i with stable A_cl = J + B1 F solving, for every player,
     G F = -(V' + Bd' P)                                    (stationarity)
 
 where G collects the effective input weights and cross couplings, V the
-state/input couplings and Bd the block-diagonal input map.  One evaluator
-per game and cost set is the only place that forms A_cl, the closed-loop
-costs C_i, the value matrices (P_i solving the Riccati equation at a
-given F) and both residual families, for one gain or a stack of them.
+state/input couplings and Bd the block-diagonal input map.  A_cl comes
+from :meth:`dgame.game.ReducedGame.closed_loop`; one evaluator per game
+and cost set is the only place that forms the closed-loop costs C_i, the
+value matrices (P_i solving the Riccati equation at a given F) and both
+residual families, for one gain or a stack of them.
 The solver runs damped policy iteration (each half step is a linear
 Lyapunov solve) from a spread of starts, all of them in lockstep: every
 iteration is one stacked numpy call per operation over the starts still
@@ -106,13 +107,13 @@ class _Evaluator:
     Built once per solve from ``(rg, c)``, it holds what no evaluation
     changes: the stack of every M_i, G, the m x r stack V' of the
     players' own couplings v_bar[i][i]' (rows r + s_i, columns :r of
-    M_i), J, B1, the B1_i' blocks, the identity block of [I; F], the
-    data scale and the index maps of the packed Newton point.  Each
-    method takes one gain F of shape (m, r) or a stack (S, m, r);
-    per-player results carry a player axis before the matrix axes, and
-    every product keeps the 2-D shape and operand order of the module
-    docstring's formulas per item, so a stacked evaluation reads the
-    same bits as one gain at a time.
+    M_i), the game's A_cl map (:meth:`ReducedGame.closed_loop`), the
+    B1_i' blocks, the identity block of [I; F], the data scale and the
+    index maps of the packed Newton point.  Each method takes one gain F
+    of shape (m, r) or a stack (S, m, r); per-player results carry a
+    player axis before the matrix axes, and every product keeps the 2-D
+    shape and operand order of the module docstring's formulas per item,
+    so a stacked evaluation reads the same bits as one gain at a time.
     """
 
     def __init__(self, rg: ReducedGame, c: CostParameters):
@@ -123,12 +124,12 @@ class _Evaluator:
         self.gbar = gbar_matrix(rg, c)
         self.vbar_t = np.vstack([m_i[r + s.start:r + s.stop, :r]
                                  for m_i, s in zip(self.ms, self.rows)])
-        self.j, self.b1, self.eye = rg.j, rg.b1_stacked, np.eye(r)
+        self.closed_loop, self.eye = rg.closed_loop, np.eye(r)
         self.b1_t = [b.T for b in rg.b1]
         # 1 + max-entry scale of J, B1 and every M_i: makes tolerances
         # meaningful under the positive-scaling freedom of the costs
         self.scale = 1.0 + max(1.0, *(np.abs(a).max(initial=0.0)
-                                      for a in (self.j, self.b1, self.ms)))
+                                      for a in (rg.j, rg.b1_stacked, self.ms)))
         iu = np.triu_indices(r)
         nn = iu[0].size
         self.iu_flat = np.ravel_multi_index(iu, (r, r))
@@ -138,10 +139,6 @@ class _Evaluator:
         mirror = np.empty((r, r), dtype=np.intp)
         mirror[iu] = mirror[iu[::-1]] = np.arange(nn)
         self.mirror = mirror + nn * np.arange(n_players)[:, None, None]
-
-    def closed_loop(self, f):
-        """A_cl = J + B1 F."""
-        return self.j + self.b1 @ f
 
     def costs(self, f):
         """Every player's closed-loop cost C_i = [I; F]' M_i [I; F]."""

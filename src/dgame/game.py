@@ -190,6 +190,10 @@ class ReducedGame:
         o = int(np.sum(self.input_dims[:i]))
         return slice(o, o + self.input_dims[i])
 
+    def closed_loop(self, f: np.ndarray) -> np.ndarray:
+        """A_cl = J + B1 F for one reduced gain F (m x r) or a stack (S, m, r)."""
+        return self.j + self.b1_stacked @ f
+
 
 def reduce_game(g: DescriptorGame, decomposition: WeierstrassData | None = None) -> ReducedGame:
     """Split the descriptor game into its dynamic and algebraic parts.

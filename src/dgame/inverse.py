@@ -16,7 +16,10 @@ normalized representative.  This module assembles M_i, computes kernels
 and definiteness margins, identifies a maximal-margin representative
 (with optional support constraints such as diagonal state weights),
 samples the solution set, and reports which closed-loop behaviors an
-identified cost tuple rationalizes.
+identified cost tuple rationalizes.  The margin is concave on the
+kernel, so its maximum comes from one deterministic solve of the convex
+dual over the spectraplex, with a duality gap as its stopping rule; only
+the empty-set diagnosis is seeded.
 """
 from __future__ import annotations
 
@@ -58,10 +61,8 @@ __all__ = [
     "BehaviorReport",
 ]
 
-#: restarts and steps of the margin optimizer's supergradient ascent (the
-#: local polish that follows it takes twice ``ASCENT_ITERS`` steps)
-RESTARTS = 32
-ASCENT_ITERS = 200
+#: iteration cap of the margin optimizer's dual solve
+DUAL_ITERS = 10000
 
 #: residual-against-margin weight (relative to sigma_max(M_i)^2) and step
 #: count of each of the eight restarts of the infeasible-case fallback
@@ -171,7 +172,7 @@ def constraint_matrices(rg: ReducedGame, f_red: ReducedFeedback) -> list[np.ndar
     redundancy so that theta carries each weight entry once.
     """
     f = f_red.matrix
-    a_cl = rg.j + rg.b1_stacked @ f
+    a_cl = rg.closed_loop(f)
     if not is_stable(a_cl):
         raise ValueError("observed reduced feedback must stabilize the game")
     r, n = rg.r, rg.n
@@ -259,7 +260,9 @@ class InverseCertificate:
 
 @dataclass(frozen=True)
 class IdentifyOptions:
-    """Definiteness-margin threshold and the seed of the margin optimizer."""
+    """Definiteness-margin threshold, and the seed of the penalized descent
+    that diagnoses an empty solution set (the margin optimizer itself
+    draws nothing at random)."""
 
     eps_pd: float = 1e-8
     seed: int = 0
@@ -273,76 +276,61 @@ def _margin_map(rg, layout, i, basis_full):
     return mats
 
 
-def _maximize_margin(mats, seed, dim):
-    """max over |z|=1 of lambda_min(sum z_k A_k); the objective is concave
-    and 1-homogeneous.  Scalar weights reduce to a linear functional with
-    closed-form maximizer; tiny kernels get an angular grid; otherwise a
-    seeded projected supergradient ascent with restarts."""
-    if dim == 0:
-        return None, -np.inf
+def _simplex_projection(v):
+    """Euclidean projection of ``v`` onto the probability simplex."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    k = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
+    return np.maximum(v - css[k] / (k + 1.0), 0.0)
+
+
+def _maximize_margin(mats, floor):
+    """max over |z| = 1 of lambda_min(sum z_k A_k), through its dual.
+
+    The margin is concave and 1-homogeneous, so where its maximum is
+    positive it equals min |g(W)| over the spectraplex {W >= 0, tr W = 1},
+    g_k(W) = <W, A_k> (Overton, SIAM J. Optim. 1992).  Accelerated
+    projected gradient on |g(W)|^2 / 2 (Beck and Teboulle, SIAM J.
+    Imaging Sci. 2009) takes steps 1 / |G|_2^2, G the stacked vec(A_k),
+    from W = I / m, and resets its momentum when it opposes the step
+    (O'Donoghue and Candes, Found. Comput. Math. 2015); without the reset
+    a rank-deficient optimum takes thousands of steps.  Each iterate
+    gives z = g(W) / |g(W)|, and every unit z has lambda_min(A(z)) <=
+    |g(W)|, so |g(W)| minus the best margin is a duality gap.
+
+    Returns ``(z, W)``: the best z once the gap is at most 1e-12 |G|_2 or
+    after ``DUAL_ITERS`` steps, or ``z = None`` once |g(W)| <=
+    max(floor, 1e-12 |G|_2), W certifying that no unit z has a margin
+    above ``floor``.  Scalar weights make W = [[1]], so the first check
+    returns z = c / |c|, c_k = A_k.
+    """
     msize = mats[0].shape[0]
-    if msize == 1:
-        c = np.array([m[0, 0] for m in mats])
-        nc = np.linalg.norm(c)
-        if nc == 0.0:
-            return None, 0.0
-        z = c / nc
-        return z, float(nc)
-
-    def value(z):
-        acc = sum(zk * mk for zk, mk in zip(z, mats))
-        return float(np.linalg.eigvalsh(acc)[0])
-
-    def supergrad(z):
-        acc = sum(zk * mk for zk, mk in zip(z, mats))
-        w, v = np.linalg.eigh(acc)
-        vmin = v[:, 0]
-        return np.array([vmin @ mk @ vmin for mk in mats])
-
-    if dim <= 2:
-        best_z, best_v = None, -np.inf
-        if dim == 1:
-            for z in (np.array([1.0]), np.array([-1.0])):
-                val = value(z)
-                if val > best_v:
-                    best_z, best_v = z, val
-        else:
-            for ang in np.linspace(0.0, 2 * np.pi, 721)[:-1]:
-                z = np.array([np.cos(ang), np.sin(ang)])
-                val = value(z)
-                if val > best_v:
-                    best_z, best_v = z, val
-        z = best_z
-    else:
-        rng = np.random.default_rng(seed)
-        best_z, best_v = None, -np.inf
-        for _ in range(RESTARTS):
-            z = rng.standard_normal(dim)
-            z /= np.linalg.norm(z)
-            for it in range(ASCENT_ITERS):
-                g = supergrad(z)
-                step = 0.5 / np.sqrt(it + 1.0)
-                z_new = z + step * g
-                nz = np.linalg.norm(z_new)
-                if nz == 0.0:
-                    break
-                z_new /= nz
-                z = z_new
-            val = value(z)
-            if val > best_v:
-                best_z, best_v = z, val
-        z = best_z
-    # local polish with shrinking steps
-    val = value(z)
-    for it in range(2 * ASCENT_ITERS):
-        g = supergrad(z)
-        step = 0.2 / (it + 1.0)
-        z_new = z + step * g
-        z_new /= np.linalg.norm(z_new)
-        v_new = value(z_new)
-        if v_new > val:
-            z, val = z_new, v_new
-    return z, val
+    gmat = np.stack([a.reshape(-1) for a in mats])
+    gnorm = np.linalg.norm(gmat, 2)
+    tol = 1e-12 * gnorm
+    w = y = np.eye(msize) / msize
+    t = 1.0
+    best_z, best = None, -np.inf
+    for _ in range(DUAL_ITERS):
+        g = gmat @ w.reshape(-1)
+        dual = np.linalg.norm(g)
+        if dual <= max(floor, tol):
+            return None, w
+        z = g / dual
+        val = np.linalg.eigvalsh((z @ gmat).reshape(msize, msize))[0]
+        if val > best:
+            best_z, best = z, val
+        if dual - best <= tol:
+            break
+        grad = ((gmat @ y.reshape(-1)) @ gmat).reshape(msize, msize)
+        lam, vec = np.linalg.eigh(y - grad / gnorm ** 2)
+        w_next = (vec * _simplex_projection(lam)) @ vec.T
+        if np.vdot(y - w_next, w_next - w) > 0.0:
+            t = 1.0
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = w_next + ((t - 1.0) / t_next) * (w_next - w)
+        w, t = w_next, t_next
+    return best_z, w
 
 
 def _penalized_fallback(m_restricted, rg, layout, i, kept, seed):
@@ -396,12 +384,12 @@ def identify(rg: ReducedGame, f_red: ReducedFeedback,
 
     Two stages: an orthonormal kernel basis of (the support-restricted)
     M_i, then margin maximization over the unit sphere of kernel
-    coefficients.  A positive margin certifies the player's solution set
-    is nonempty; when no kernel direction achieves one, a penalized
-    descent reports the best-effort parameter with ``feasible=False``
-    (the empty-solution-set verdict).  Ties in margin break toward the
-    lexicographically smallest rounded theta, making the output a pure
-    function of the inputs.
+    coefficients by the dual solve of :func:`_maximize_margin`.  A margin
+    above ``2 eps_pd`` certifies the player's solution set is nonempty;
+    when no kernel direction achieves one, a seeded penalized descent
+    reports the best-effort parameter with ``feasible=False`` (the
+    empty-solution-set verdict).  The margin solve draws nothing at
+    random, so a feasible theta is a pure function of the inputs.
     """
     opts = opts or IdentifyOptions()
     constraints = constraints or Constraints()
@@ -418,16 +406,11 @@ def identify(rg: ReducedGame, f_red: ReducedFeedback,
         theta = None
         if z_basis.shape[1]:
             mats = _margin_map(rg, layout, i, basis_full)
-            z, _val = _maximize_margin(mats, opts.seed, z_basis.shape[1])
+            z, _ = _maximize_margin(mats, opts.eps_pd * 2.0)
             if z is not None:
                 cand = basis_full @ z
                 cand /= np.linalg.norm(cand)
                 if pd_margin(rg, layout, i, cand) > opts.eps_pd * 2.0:
-                    # resolve near-ties deterministically
-                    alt = -cand
-                    if (abs(pd_margin(rg, layout, i, alt) - pd_margin(rg, layout, i, cand))
-                            <= 1e-12 and tuple(np.round(alt, 9)) < tuple(np.round(cand, 9))):
-                        cand = alt
                     theta = cand
         if theta is None:
             theta = _penalized_fallback(m_restricted, rg, layout, i, kept, opts.seed)
@@ -548,7 +531,7 @@ def rationalized_behaviors(rg: ReducedGame, cert: InverseCertificate,
         raise ValueError("certificate is infeasible: no rationalizing costs to solve")
     sols = solve_fbne(rg, cert.costs(), solve_opts or SolveOptions())
     matches = match_behaviors(rg, cert.f_red, sols)
-    a_obs = rg.j + rg.b1_stacked @ cert.f_red.matrix
+    a_obs = rg.closed_loop(cert.f_red.matrix)
     return BehaviorReport(
         solutions=tuple(sols),
         spectra=tuple(sol.spectrum for sol in sols),

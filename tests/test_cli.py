@@ -142,6 +142,15 @@ def test_inverse_feasible_on_fixture(tmp_path):
     assert rep["behaviors"]["matching"] >= 1
 
 
+def test_inverse_accepts_zero_starts_and_margin_threshold(tmp_path):
+    # the lower ends of the option ranges stay valid (the benchmark runs
+    # inverse --starts 0)
+    out = tmp_path / "rep.json"
+    assert run(["inverse", REPO_FIXTURE, "--out", out, "--starts", 0, "--eps-pd", 0]) == 0
+    meta = json.loads(out.read_text())["meta"]
+    assert (meta["starts"], meta["eps_pd"]) == (0, 0.0)
+
+
 def test_inverse_with_diagonal_constraint(tmp_path):
     path = write_problem(tmp_path, constraints={"diagonal_q": True})
     out = tmp_path / "rep.json"
@@ -382,6 +391,28 @@ FILE_FAULTS = {
     "theta-non-numeric": (["verify", REPO_FIXTURE, "--theta", "theta.json"],
                           {"theta.json": json.dumps({"theta": [["x", 1.0], [1.0, 2.0]]})},
                           "error: theta[0] is not a numeric vector"),
+    # option values under which a verdict or a count means nothing
+    "eps-pd-negative": (["verify", REPO_FIXTURE, "--theta", "theta.json", "--eps-pd", -10],
+                        {"theta.json": json.dumps({"theta": [[1.0] * 8, [1.0] * 8]})},
+                        "error: --eps-pd must be finite and >= 0"),
+    "eps-pd-nan": (["inverse", REPO_FIXTURE, "--eps-pd", "nan"], {},
+                   "error: --eps-pd must be finite and >= 0"),
+    "eps-pd-inf": (["inverse", REPO_FIXTURE, "--eps-pd", "inf"], {},
+                   "error: --eps-pd must be finite and >= 0"),
+    "tol-negative": (["forward", REPO_FIXTURE, "--tol", -1], {},
+                     "error: --tol must be finite and > 0"),
+    "tol-zero": (["forward", REPO_FIXTURE, "--tol", 0], {},
+                 "error: --tol must be finite and > 0"),
+    "tol-nan": (["forward", REPO_FIXTURE, "--tol", "nan"], {},
+                "error: --tol must be finite and > 0"),
+    "starts-negative": (["forward", REPO_FIXTURE, "--starts", -3], {},
+                        "error: --starts must be >= 0"),
+    "seed-negative": (["forward", REPO_FIXTURE, "--seed", -1], {},
+                      "error: --seed must be >= 0"),
+    "nash-trials-negative": (["verify", REPO_FIXTURE, "--theta", "theta.json",
+                              "--nash-trials", -1],
+                             {"theta.json": json.dumps({"theta": [[1.0] * 8, [1.0] * 8]})},
+                             "error: --nash-trials must be >= 0"),
 }
 
 

@@ -22,6 +22,7 @@ from dgame import (
     solve_fbne,
     transform_decomposition,
 )
+from dgame.inverse import _margin_map, _maximize_margin
 from conftest import (
     THETA_MIS,
     friendly_costs,
@@ -198,8 +199,9 @@ def test_identify_infeasible_under_crippling_support(lane_setup):
     assert any(p.residual > 1e-6 for p in cert.players)
 
 
-def test_identify_multi_input_margin_path():
-    # matrix-valued own weight exercises the eigenvalue-ascent branch
+@pytest.fixture(scope="module")
+def multi_input_setup():
+    """A (2, 1)-input game with E = I and one of its equilibria."""
     rng = np.random.default_rng(2)
     g = random_game(rng, 3, 3, (2, 1))
     g = DescriptorGame(np.eye(3), g.a, g.b)
@@ -207,12 +209,175 @@ def test_identify_multi_input_margin_path():
     c = friendly_costs(rng, 3, (2, 1))
     sols = solve_fbne(rg, c, FAST)
     assert sols
-    cert = identify(rg, sols[0].f_star)
+    return rg, sols[0].f_star
+
+
+def test_identify_multi_input_margin_path(multi_input_setup):
+    # matrix-valued own weight exercises the margin optimizer's dual solve
+    rg, f_obs = multi_input_setup
+    cert = identify(rg, f_obs)
     assert cert.feasible
     layout = cert.layout
     for i, pc in enumerate(cert.players):
         assert pc.residual <= 1e-7 * (1 + np.linalg.norm(pc.m, 2))
         assert pd_margin(rg, layout, i, pc.theta) > 0
+
+
+# The margin optimizer that the dual solve replaced: an angular grid for
+# kernels of dimension <= 2, seeded restarts of a projected supergradient
+# ascent otherwise, then a local polish; a closed form for scalar weights.
+# Kept as the reference whose margin the dual solve must reach.
+ORACLE_RESTARTS, ORACLE_ASCENT_ITERS = 32, 200
+
+
+def _maximize_margin_oracle(mats, seed, dim):
+    if dim == 0:
+        return None, -np.inf
+    msize = mats[0].shape[0]
+    if msize == 1:
+        c = np.array([m[0, 0] for m in mats])
+        nc = np.linalg.norm(c)
+        if nc == 0.0:
+            return None, 0.0
+        z = c / nc
+        return z, float(nc)
+
+    def value(z):
+        acc = sum(zk * mk for zk, mk in zip(z, mats))
+        return float(np.linalg.eigvalsh(acc)[0])
+
+    def supergrad(z):
+        acc = sum(zk * mk for zk, mk in zip(z, mats))
+        w, v = np.linalg.eigh(acc)
+        vmin = v[:, 0]
+        return np.array([vmin @ mk @ vmin for mk in mats])
+
+    if dim <= 2:
+        best_z, best_v = None, -np.inf
+        if dim == 1:
+            for z in (np.array([1.0]), np.array([-1.0])):
+                val = value(z)
+                if val > best_v:
+                    best_z, best_v = z, val
+        else:
+            for ang in np.linspace(0.0, 2 * np.pi, 721)[:-1]:
+                z = np.array([np.cos(ang), np.sin(ang)])
+                val = value(z)
+                if val > best_v:
+                    best_z, best_v = z, val
+        z = best_z
+    else:
+        rng = np.random.default_rng(seed)
+        best_z, best_v = None, -np.inf
+        for _ in range(ORACLE_RESTARTS):
+            z = rng.standard_normal(dim)
+            z /= np.linalg.norm(z)
+            for it in range(ORACLE_ASCENT_ITERS):
+                g = supergrad(z)
+                step = 0.5 / np.sqrt(it + 1.0)
+                z_new = z + step * g
+                nz = np.linalg.norm(z_new)
+                if nz == 0.0:
+                    break
+                z_new /= nz
+                z = z_new
+            val = value(z)
+            if val > best_v:
+                best_z, best_v = z, val
+        z = best_z
+    val = value(z)
+    for it in range(2 * ORACLE_ASCENT_ITERS):
+        g = supergrad(z)
+        step = 0.2 / (it + 1.0)
+        z_new = z + step * g
+        z_new /= np.linalg.norm(z_new)
+        v_new = value(z_new)
+        if v_new > val:
+            z, val = z_new, v_new
+    return z, val
+
+
+def _dual_solve(mats, floor=2e-8):
+    """The dual solve's primal point, its margin, the dual value |g(W)| of
+    its W (checked to lie in the spectraplex) and |G|_2."""
+    z, w = _maximize_margin(mats, floor)
+    assert abs(np.trace(w) - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(w)[0] >= -1e-12
+    dual = float(np.linalg.norm([np.sum(w * a) for a in mats]))
+    gnorm = np.linalg.norm(np.stack([a.reshape(-1) for a in mats]), 2)
+    margin = None
+    if z is not None:
+        assert abs(np.linalg.norm(z) - 1.0) <= 1e-12
+        margin = np.linalg.eigvalsh(sum(zk * a for zk, a in zip(z, mats)))[0]
+    return z, margin, dual, gnorm
+
+
+def _assert_certified_and_no_worse(mats):
+    _, margin, dual, gnorm = _dual_solve(mats)
+    assert margin is not None
+    assert dual - margin <= 1e-12 * gnorm
+    _, oracle = _maximize_margin_oracle(mats, 0, len(mats))
+    assert margin >= oracle - 1e-12
+
+
+def test_margin_dual_beats_retired_optimizer_on_planted_games():
+    # three players with two inputs each, r = n - 1: the multi-input case
+    for n in (4, 5):
+        rng = np.random.default_rng(n)
+        rg = reduce_game(random_game(rng, n, n - 1, (2, 2, 2)))
+        f_obs = ReducedFeedback(stabilizing_reduced_gain(rng, rg), rg.input_dims)
+        cert = identify(rg, f_obs)
+        assert cert.feasible
+        for i, pc in enumerate(cert.players):
+            _assert_certified_and_no_worse(_margin_map(rg, cert.layout, i, pc.kernel))
+
+
+@pytest.mark.parametrize("support, dim", [
+    ((1, 2, 5, 6, 7, 8, 9), 1),
+    ((0, 2, 3, 4, 5, 6, 7, 8), 2),
+    ((1, 2, 3, 4, 5, 6, 7, 8, 9), 3),
+    (None, 4),
+])
+def test_margin_dual_beats_retired_optimizer_under_supports(multi_input_setup, support, dim):
+    rg, f_obs = multi_input_setup
+    cert = identify(rg, f_obs, Constraints(support=support))
+    pc = cert.players[0]
+    assert pc.kernel.shape[1] == dim
+    assert pc.feasible
+    _assert_certified_and_no_worse(_margin_map(rg, cert.layout, 0, pc.kernel))
+
+
+def test_margin_dual_is_closed_form_for_scalar_weights(lane_setup, multi_input_setup):
+    # with m_i = 1 the spectraplex is W = [[1]]: the first check returns
+    # z = c / |c| bit for bit, c_k the scalar weight of kernel vector k
+    _, rg, f_obs = lane_setup
+    rg_multi, f_multi = multi_input_setup
+    for game, f, i in ((rg, f_obs, 0), (rg, f_obs, 1), (rg_multi, f_multi, 1)):
+        cert = identify(game, f)
+        mats = _margin_map(game, cert.layout, i, cert.players[i].kernel)
+        c = np.array([a[0, 0] for a in mats])
+        z, _ = _maximize_margin(mats, 2e-8)
+        assert z.tobytes() == (c / np.linalg.norm(c)).tobytes()
+        assert z.tobytes() == _maximize_margin_oracle(mats, 0, len(mats))[0].tobytes()
+
+
+def test_identify_infeasible_multi_input_floor_exit(multi_input_setup):
+    # player 0 keeps a dim-2 kernel whose best margin is negative: the dual
+    # value falls under the 2 eps_pd floor, W certifies that no kernel
+    # direction clears it, and the penalized descent reports infeasible
+    rg, f_obs = multi_input_setup
+    support = (0, 1, 2, 4, 5, 7, 8, 9)
+    cert = identify(rg, f_obs, Constraints(support=support))
+    p0, p1 = cert.players
+    assert p0.kernel.shape[1] == 2
+    assert not p0.feasible and p1.feasible
+    assert p0.pd_margin < 0.0
+    mats = _margin_map(rg, cert.layout, 0, p0.kernel)
+    z, _, dual, gnorm = _dual_solve(mats)
+    assert z is None
+    # it stops at the floor, without driving the dual value to zero
+    assert 1e-12 * gnorm < dual <= 2e-8
+    assert _maximize_margin_oracle(mats, 0, 2)[1] < 0.0
 
 
 def test_dimension_report_lane(lane_setup):
