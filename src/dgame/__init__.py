@@ -69,7 +69,6 @@ from .forward import (
 from .inverse import (
     BehaviorReport,
     Constraints,
-    IdentifyOptions,
     InverseCertificate,
     ThetaLayout,
     constraint_matrices,

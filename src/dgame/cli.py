@@ -13,7 +13,7 @@ cost set (``costs``), named alternates (``cost_sets``, selected with
 Reports are JSON with floats at 17 significant digits, written atomically
 and schema-validated, so identical inputs and seeds give byte-identical
 output.  Exit codes: 0 success, 1 usage/malformed input (including a
-file that cannot be read or written), 2 model
+malformed command line and a file that cannot be read or written), 2 model
 assumption violated (including an effective input weight that is not
 positive definite), 3 no equilibrium found, 4 solution set empty,
 5 unstable closed loop.
@@ -48,8 +48,9 @@ from .game import (
     reduce_game,
 )
 from .inverse import (
+    MATCH_DT,
+    MATCH_HORIZON,
     Constraints,
-    IdentifyOptions,
     ThetaLayout,
     constraint_matrices,
     dimension_report,
@@ -347,10 +348,6 @@ def _solve_opts(args) -> SolveOptions:
     return SolveOptions(n_starts=int(args.starts), seed=int(args.seed), tol=float(args.tol))
 
 
-def _identify_opts(args) -> IdentifyOptions:
-    return IdentifyOptions(eps_pd=float(args.eps_pd), seed=int(args.seed))
-
-
 def _pencil_section(rg) -> dict:
     """The pencil analysis behind the reduction ``rg``; the pencil is
     regular, since constructing the game raises otherwise."""
@@ -455,7 +452,7 @@ def cmd_inverse(args) -> int:
     problem = load_problem(args.problem)
     rg = reduce_game(problem.game)
     f_red = _observed_reduced(problem, rg, args)
-    cert = identify(rg, f_red, problem.constraints, _identify_opts(args))
+    cert = identify(rg, f_red, problem.constraints, args.eps_pd)
     report = {
         "meta": _meta(args),
         "pencil": _pencil_section(rg),
@@ -486,7 +483,7 @@ def cmd_misspecify(args) -> int:
     ode_game = DescriptorGame(np.eye(game.n), game.a, game.b)
     rg_ode = reduce_game(ode_game)
     f_red_ode = reduce_feedback(rg_ode, f_obs)
-    cert_ode = identify(rg_ode, f_red_ode, problem.constraints, _identify_opts(args))
+    cert_ode = identify(rg_ode, f_red_ode, problem.constraints, args.eps_pd)
     # evaluate the ODE-identified parameters against the true descriptor
     # kernel conditions at the observed feedback
     ms_true = constraint_matrices(rg, f_red_true)
@@ -545,14 +542,15 @@ def cmd_misspecify(args) -> int:
     return EXIT_OK if cert_ode.feasible else EXIT_INFEASIBLE
 
 
-def _error_trajectories_csv(rg, f_red_obs, sols, horizon=6.0, dt=0.01) -> str:
+def _error_trajectories_csv(rg, f_red_obs, sols) -> str:
     """CSV of state/control error norms of each misspecified equilibrium
-    loop against the observed loop, from the shared reduced initial state."""
+    loop against the observed loop, from the shared reduced initial state,
+    over behavior matching's horizon and step."""
     x1_0 = np.ones(rg.r)
-    obs = simulate(rg, f_red_obs, x1_0, horizon, dt)
+    obs = simulate(rg, f_red_obs, x1_0, MATCH_HORIZON, MATCH_DT)
     cols = {"t": obs.times}
     for k, s in enumerate(sols):
-        traj = simulate(rg, s.f_star, x1_0, horizon, dt)
+        traj = simulate(rg, s.f_star, x1_0, MATCH_HORIZON, MATCH_DT)
         cols[f"xerr{k+1}"] = np.linalg.norm(traj.x - obs.x, axis=1)
         cols[f"uerr{k+1}"] = np.linalg.norm(traj.u - obs.u, axis=1)
     header = list(cols)
@@ -644,8 +642,17 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a usage error (exit 1) instead
+    of argparse's exit 2, which is ``EXIT_ASSUMPTION`` here; subcommand
+    parsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dgame",
         description="Forward and inverse linear-quadratic descriptor differential games.",
     )
@@ -654,7 +661,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("problem", help="problem JSON file")
         p.add_argument("--out", help="write the JSON report (or CSV for simulate) here")
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomized steps (default 0)")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed of the forward solver's starts and of verify's "
+                            "equilibrium spot check (default 0)")
         p.add_argument("--tol", type=float, default=1e-9,
                        help="relative solver tolerance (default 1e-9)")
         p.add_argument("--starts", type=int, default=64,
@@ -716,9 +725,8 @@ def _check_options(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_options(args)
         return args.func(args)
     except UsageError as exc:

@@ -124,8 +124,7 @@ def _index_preserving_block(rg: ReducedGame, f_stacked: np.ndarray) -> np.ndarra
     return np.eye(k) + rg.b2_stacked @ f_stacked @ rg.w.x2
 
 
-def is_admissible(g: DescriptorGame | ReducedGame, f: FeedbackProfile,
-                  tol: float = 1e-10) -> Admissibility:
+def is_admissible(g: DescriptorGame | ReducedGame, f: FeedbackProfile) -> Admissibility:
     """Check that (E, A + B F) stays regular and impulse-free with a stable
     finite spectrum; the diagnostics name whichever condition failed."""
     rg = g if isinstance(g, ReducedGame) else reduce_game(g)
@@ -135,7 +134,7 @@ def is_admissible(g: DescriptorGame | ReducedGame, f: FeedbackProfile,
     w_blk = _index_preserving_block(rg, f_stacked)
     if w_blk.shape[0]:
         s = np.linalg.svd(w_blk, compute_uv=False)
-        if s[-1] <= tol * max(1.0, s[0]):
+        if s[-1] <= 1e-10 * max(1.0, s[0]):
             return Admissibility(False, "index raised: closed loop is not impulse-free")
     f_red = _reduce_stacked(rg, f_stacked)
     a_cl = rg.closed_loop(f_red)
@@ -174,28 +173,26 @@ def preimage_matrix(rg: ReducedGame, f_red: ReducedFeedback) -> np.ndarray:
 
 
 def preimage_member(g: DescriptorGame | ReducedGame, f_red: ReducedFeedback,
-                    f: FeedbackProfile, tol: float = 1e-8) -> bool:
-    """True iff ``f`` is admissible and ``F S = F_red`` within tolerance,
-    i.e. ``f`` reproduces exactly the closed-loop behavior of ``f_red``."""
+                    f: FeedbackProfile) -> bool:
+    """True iff ``f`` is admissible and ``F S = F_red`` to ``1e-8`` relative
+    (max-norm), i.e. ``f`` reproduces the closed-loop behavior of ``f_red``."""
     rg = g if isinstance(g, ReducedGame) else reduce_game(g)
     if not is_admissible(rg, f).ok:
         return False
     s = preimage_matrix(rg, f_red)
     gap = np.abs(f.stacked @ s - f_red.matrix).max(initial=0.0)
-    return bool(gap <= tol * (1.0 + np.abs(f_red.matrix).max(initial=0.0)))
+    return bool(gap <= 1e-8 * (1.0 + np.abs(f_red.matrix).max(initial=0.0)))
 
 
 def preimage_sample(g: DescriptorGame | ReducedGame, f_red: ReducedFeedback,
-                    seed: int | None = None, spread: float = 1.0,
-                    max_tries: int = 50) -> FeedbackProfile:
+                    seed: int | None = None) -> FeedbackProfile:
     """A full-state feedback realizing ``f_red``.
 
     Returns the minimum-norm solution of the underdetermined system
     ``F S = F_red`` when ``seed`` is None, otherwise adds a seeded random
     component from the kernel of S' (rows may vary freely there without
-    changing the behavior).  The sample is always validated; random draws
-    are retried a bounded number of times until an admissible member is
-    found.
+    changing the behavior).  The sample is always validated; up to 50
+    random draws are tried, then the minimum-norm solution.
     """
     rg = g if isinstance(g, ReducedGame) else reduce_game(g)
     if not is_stable(rg.closed_loop(f_red.matrix)):
@@ -209,15 +206,15 @@ def preimage_sample(g: DescriptorGame | ReducedGame, f_red: ReducedFeedback,
         candidates.append(f_min)
     else:
         rng = np.random.default_rng(seed)
-        for _ in range(max_tries):
-            candidates.append(f_min + spread * rng.standard_normal((rg.m, rg.n)) @ ker_proj)
+        for _ in range(50):
+            candidates.append(f_min + rng.standard_normal((rg.m, rg.n)) @ ker_proj)
         candidates.append(f_min)
     for cand in candidates:
         profile = FeedbackProfile.from_stacked(cand, rg.input_dims)
         if preimage_member(rg, f_red, profile):
             return profile
     raise UnstableLoopError(
-        f"no admissible preimage member found after {max_tries} tries"
+        "no admissible preimage member found after 50 tries"
     )
 
 
@@ -321,16 +318,19 @@ def fit_feedback(traj: Trajectory, input_dims=None) -> FitResult:
 
 
 def write_trajectory_csv(traj: Trajectory, path_or_file) -> None:
-    """Write samples as ``t,x1..xn,u1..um`` rows, 17 significant digits."""
+    """Write samples as ``t,x1..xn,u1..um`` rows, 17 significant digits,
+    and CRLF line ends (as ``csv.writer`` ends them)."""
     n, m = traj.x.shape[1], traj.u.shape[1]
     header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)]
+    row = ",".join(["%.17g"] * len(header)) + "\r\n"
 
     def emit(fh):
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(len(traj.times)):
-            row = [traj.times[k], *traj.x[k], *traj.u[k]]
-            writer.writerow([f"{v:.17g}" for v in row])
+        fh.write(",".join(header) + "\r\n")
+        # a block of rows at a time bounds the Python floats alive at once
+        for lo in range(0, len(traj.times), 1024):
+            block = slice(lo, lo + 1024)
+            rows = np.column_stack([traj.times[block], traj.x[block], traj.u[block]])
+            fh.write("".join(row % tuple(r) for r in rows.tolist()))
 
     if hasattr(path_or_file, "write"):
         emit(path_or_file)

@@ -38,7 +38,7 @@ from scipy.optimize import root
 
 from .feedback import ReducedFeedback
 from .game import CostParameters, ReducedGame, gbar_matrix, m_matrix
-from .linalg import solve_lyapunov_stack, sorted_spectrum, symmetrize
+from .linalg import is_stable, solve_lyapunov_stack, sorted_spectrum, symmetrize
 
 __all__ = [
     "SolveOptions",
@@ -208,11 +208,6 @@ class _Evaluator:
         return np.concatenate([stat.reshape(-1), care.take(self.tri_flat)])
 
 
-def _stable(a_cl):
-    """Whether every eigenvalue of A_cl has negative real part, per item."""
-    return np.max(np.linalg.eigvals(a_cl).real, axis=-1, initial=-np.inf) < 0.0
-
-
 def solution_at(rg: ReducedGame, c: CostParameters,
                 f_red: ReducedFeedback) -> EquilibriumSolution:
     """The candidate solution of ``c`` at a stabilizing reduced feedback.
@@ -263,7 +258,7 @@ def _policy_iteration(ev: _Evaluator, f0s, opts):
         # drop unstable loops
         fa = f[active]
         a_cl = ev.closed_loop(fa)
-        stable = _stable(a_cl)
+        stable = is_stable(a_cl)
         active, fa, a_cl = active[stable], fa[stable], a_cl[stable]
         # value matrices, one Lyapunov item per (start, player)
         costs = ev.costs(fa)
@@ -363,7 +358,7 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
 
     def try_add(f, p_list, res, iters, label):
         a_cl = ev.closed_loop(f)
-        if not _stable(a_cl):
+        if not is_stable(a_cl):
             return
         if res.max_norm > opts.tol * ev.scale:
             return
@@ -396,7 +391,7 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
             continue
         a_cl = ev.closed_loop(f0)
         p0 = np.zeros((rg.n_players, rg.r, rg.r))
-        if _stable(a_cl):
+        if is_stable(a_cl):
             p, errors = ev.values(a_cl, ev.costs(f0))
             if all(err is None for err in errors):
                 p0 = p
@@ -416,15 +411,16 @@ def equilibrium_cost(sol: EquilibriumSolution, i: int, x1_0: np.ndarray) -> floa
 
 def verify_nash_local(rg: ReducedGame, c: CostParameters, sol: EquilibriumSolution,
                       n_trials: int = 200, radius: float = 0.5,
-                      seed: int = 0, tol: float = 1e-8):
+                      seed: int = 0):
     """Spot-check the equilibrium property with random unilateral deviations.
 
     For each player and trial, perturbs only that player's reduced gain;
     deviations that destabilize the loop are skipped (they have infinite
     cost).  The deviated value matrix comes from an exact Lyapunov solve,
     and the check requires it to dominate the equilibrium value matrix up
-    to ``tol`` (equivalently: no initial state benefits).  Returns
-    ``(ok, counterexample)`` with the violating deviation when found.
+    to ``1e-8`` times the data scale (equivalently: no initial state
+    benefits).  Returns ``(ok, counterexample)`` with the violating
+    deviation when found.
     """
     ev = _Evaluator(rg, c)
     rng = np.random.default_rng(seed)
@@ -436,12 +432,12 @@ def verify_nash_local(rg: ReducedGame, c: CostParameters, sol: EquilibriumSoluti
             f_dev = f_star.copy()
             f_dev[si] += delta
             a_dev = ev.closed_loop(f_dev)
-            if not _stable(a_dev):
+            if not is_stable(a_dev):
                 continue
             p_dev, errors = ev.values(a_dev, ev.costs(f_dev)[i:i + 1])
             if errors[0] is not None:
                 continue
             gap = np.linalg.eigvalsh(symmetrize(p_dev[0] - sol.p[i]))[0]
-            if gap < -tol * sol.residuals.scale:
+            if gap < -1e-8 * sol.residuals.scale:
                 return False, {"player": i, "delta": delta, "min_eig_gap": float(gap)}
     return True, None

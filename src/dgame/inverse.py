@@ -18,8 +18,9 @@ and definiteness margins, identifies a maximal-margin representative
 samples the solution set, and reports which closed-loop behaviors an
 identified cost tuple rationalizes.  The margin is concave on the
 kernel, so its maximum comes from one deterministic solve of the convex
-dual over the spectraplex, with a duality gap as its stopping rule; only
-the empty-set diagnosis is seeded.
+dual over the spectraplex, with a duality gap as its stopping rule; the
+same solve diagnoses an empty solution set.  Only
+:func:`sample_solution_set` draws random numbers.
 """
 from __future__ import annotations
 
@@ -48,7 +49,6 @@ __all__ = [
     "Constraints",
     "PlayerCertificate",
     "InverseCertificate",
-    "IdentifyOptions",
     "constraint_matrices",
     "residual",
     "pd_margin",
@@ -63,11 +63,6 @@ __all__ = [
 
 #: iteration cap of the margin optimizer's dual solve
 DUAL_ITERS = 10000
-
-#: residual-against-margin weight (relative to sigma_max(M_i)^2) and step
-#: count of each of the eight restarts of the infeasible-case fallback
-PENALTY = 1.0
-FALLBACK_ITERS = 400
 
 #: behaviors are compared on closed-loop inputs over this horizon and step
 #: and match within this sup-norm distance
@@ -258,16 +253,6 @@ class InverseCertificate:
         return self.layout.costs_from_thetas(self.thetas)
 
 
-@dataclass(frozen=True)
-class IdentifyOptions:
-    """Definiteness-margin threshold, and the seed of the penalized descent
-    that diagnoses an empty solution set (the margin optimizer itself
-    draws nothing at random)."""
-
-    eps_pd: float = 1e-8
-    seed: int = 0
-
-
 def _margin_map(rg, layout, i, basis_full):
     """Symmetric matrices A_k with own_weight(sum z_k b_k) = sum z_k A_k."""
     mats = []
@@ -298,11 +283,12 @@ def _maximize_margin(mats, floor):
     gives z = g(W) / |g(W)|, and every unit z has lambda_min(A(z)) <=
     |g(W)|, so |g(W)| minus the best margin is a duality gap.
 
-    Returns ``(z, W)``: the best z once the gap is at most 1e-12 |G|_2 or
-    after ``DUAL_ITERS`` steps, or ``z = None`` once |g(W)| <=
-    max(floor, 1e-12 |G|_2), W certifying that no unit z has a margin
-    above ``floor``.  Scalar weights make W = [[1]], so the first check
-    returns z = c / |c|, c_k = A_k.
+    Returns ``(z, W)``, z the best unit point of all iterates: once the
+    gap is at most 1e-12 |G|_2, once |g(W)| <= max(floor, 1e-12 |G|_2)
+    (W then certifies that no unit z has a margin above ``floor``), or
+    after ``DUAL_ITERS`` steps.  An iterate with g(W) = 0 certifies that
+    no margin is positive and offers z = e_1.  Scalar weights make
+    W = [[1]], so the first check returns z = c / |c|, c_k = A_k.
     """
     msize = mats[0].shape[0]
     gmat = np.stack([a.reshape(-1) for a in mats])
@@ -314,13 +300,11 @@ def _maximize_margin(mats, floor):
     for _ in range(DUAL_ITERS):
         g = gmat @ w.reshape(-1)
         dual = np.linalg.norm(g)
-        if dual <= max(floor, tol):
-            return None, w
-        z = g / dual
+        z = g / dual if dual else np.eye(g.size)[0]
         val = np.linalg.eigvalsh((z @ gmat).reshape(msize, msize))[0]
         if val > best:
             best_z, best = z, val
-        if dual - best <= tol:
+        if dual <= max(floor, tol) or dual - best <= tol:
             break
         grad = ((gmat @ y.reshape(-1)) @ gmat).reshape(msize, msize)
         lam, vec = np.linalg.eigh(y - grad / gnorm ** 2)
@@ -333,65 +317,24 @@ def _maximize_margin(mats, floor):
     return best_z, w
 
 
-def _penalized_fallback(m_restricted, rg, layout, i, kept, seed):
-    """No feasible kernel point: trade off residual against margin on the
-    unit sphere by subgradient descent; diagnosis mode, feasible=False."""
-    dim = m_restricted.shape[1]
-    rng = np.random.default_rng(seed + 1)
-    mtm = m_restricted.T @ m_restricted
-    smax = np.linalg.norm(m_restricted, 2) if m_restricted.size else 1.0
-    mu = PENALTY * max(smax, 1e-12) ** 2
-    # own-weight matrix of each kept unit coordinate: the margin's gradient map
-    unit_mats = _margin_map(rg, layout, i, np.eye(layout.size)[:, kept])
-
-    def embed(z):
-        th = np.zeros(layout.size)
-        th[list(kept)] = z
-        return th
-
-    def objective(z):
-        th = embed(z)
-        return float(z @ mtm @ z) - mu * pd_margin(rg, layout, i, th)
-
-    def grad(z):
-        th = embed(z)
-        w = _own_weight(rg, layout, i, th)
-        eigw, eigv = np.linalg.eigh(w)
-        vmin = eigv[:, 0]
-        g_margin = np.array([vmin @ a_k @ vmin for a_k in unit_mats])
-        return 2.0 * (mtm @ z) - mu * g_margin
-
-    best_z, best_obj = None, np.inf
-    for _ in range(8):
-        z = rng.standard_normal(dim)
-        z /= np.linalg.norm(z)
-        for it in range(FALLBACK_ITERS):
-            g = grad(z)
-            step = 0.1 / np.sqrt(it + 1.0) / max(np.linalg.norm(g), 1e-12)
-            z = z - step * g
-            z /= np.linalg.norm(z)
-        obj = objective(z)
-        if obj < best_obj:
-            best_z, best_obj = z, obj
-    return embed(best_z)
-
-
 def identify(rg: ReducedGame, f_red: ReducedFeedback,
              constraints: Constraints | None = None,
-             opts: IdentifyOptions | None = None) -> InverseCertificate:
+             eps_pd: float = 1e-8) -> InverseCertificate:
     """Identify, per player, a normalized cost parameter rationalizing the
     observed reduced feedback.
 
-    Two stages: an orthonormal kernel basis of (the support-restricted)
-    M_i, then margin maximization over the unit sphere of kernel
-    coefficients by the dual solve of :func:`_maximize_margin`.  A margin
-    above ``2 eps_pd`` certifies the player's solution set is nonempty;
-    when no kernel direction achieves one, a seeded penalized descent
-    reports the best-effort parameter with ``feasible=False`` (the
-    empty-solution-set verdict).  The margin solve draws nothing at
-    random, so a feasible theta is a pure function of the inputs.
+    One path per player.  The search basis is an orthonormal basis of the
+    numerical kernel of (the support-restricted) M_i or, when that kernel
+    is empty, M_i's least-residual direction (its last right singular
+    vector).  The dual solve of :func:`_maximize_margin` picks the unit
+    combination theta of that basis with the largest margin.  theta is
+    feasible when its margin exceeds ``eps_pd (1 + |theta|)`` and its
+    residual is at the kernel's rounding level; otherwise the certificate
+    reports the empty-solution-set verdict, with the dual's W certifying
+    that no kernel direction clears ``2 eps_pd``, or with theta at
+    residual sigma_min(M_i) when the kernel is empty.  Nothing is drawn
+    at random: theta is a pure function of the inputs.
     """
-    opts = opts or IdentifyOptions()
     constraints = constraints or Constraints()
     layout = ThetaLayout(n=rg.n, input_dims=rg.input_dims)
     kept = constraints.kept_indices(layout)
@@ -403,22 +346,17 @@ def identify(rg: ReducedGame, f_red: ReducedFeedback,
         z_basis = kernel_basis(m_restricted)
         basis_full = np.zeros((layout.size, z_basis.shape[1]))
         basis_full[kept, :] = z_basis
-        theta = None
-        if z_basis.shape[1]:
-            mats = _margin_map(rg, layout, i, basis_full)
-            z, _ = _maximize_margin(mats, opts.eps_pd * 2.0)
-            if z is not None:
-                cand = basis_full @ z
-                cand /= np.linalg.norm(cand)
-                if pd_margin(rg, layout, i, cand) > opts.eps_pd * 2.0:
-                    theta = cand
-        if theta is None:
-            theta = _penalized_fallback(m_restricted, rg, layout, i, kept, opts.seed)
-            theta = theta / np.linalg.norm(theta)
+        search = basis_full
+        if not z_basis.shape[1]:
+            search = np.zeros((layout.size, 1))
+            search[kept, 0] = np.linalg.svd(m_restricted)[2][-1]
+        z, _ = _maximize_margin(_margin_map(rg, layout, i, search), eps_pd * 2.0)
+        theta = search @ z
+        theta /= np.linalg.norm(theta)
         res = residual(m_full, theta)
         margin = pd_margin(rg, layout, i, theta)
         feasible = bool(
-            margin > opts.eps_pd * (1.0 + np.linalg.norm(theta))
+            margin > eps_pd * (1.0 + np.linalg.norm(theta))
             and res <= 10.0 * KERNEL_TOL * max(1.0, np.linalg.norm(m_full, 2))
         )
         players.append(PlayerCertificate(
@@ -465,25 +403,25 @@ def dimension_report(cert: InverseCertificate, rg: ReducedGame) -> list[dict]:
 
 
 def sample_solution_set(rg: ReducedGame, cert: InverseCertificate, i: int,
-                        seed: int = 0, eps_pd: float = 1e-8,
-                        max_tries: int = 200) -> np.ndarray:
+                        seed: int = 0) -> np.ndarray:
     """Draw a normalized feasible parameter for player ``i`` from the
-    certified solution set (seeded, deterministic).  Raises when the
-    certificate is infeasible or no draw lands in the open cone."""
+    certified solution set (seeded, deterministic): up to 200 draws from
+    the kernel, each or its negative kept once its margin exceeds 1e-8.
+    Raises when the kernel is empty or no draw lands in the open cone."""
     pc = cert.players[i]
     if pc.kernel.shape[1] == 0:
         raise ValueError("player has an empty kernel: nothing to sample")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(200):
         z = rng.standard_normal(pc.kernel.shape[1])
         theta = pc.kernel @ z
         norm = np.linalg.norm(theta)
         if norm == 0.0:
             continue
         theta /= norm
-        if pd_margin(rg, cert.layout, i, theta) <= eps_pd:
+        if pd_margin(rg, cert.layout, i, theta) <= 1e-8:
             theta = -theta
-        if pd_margin(rg, cert.layout, i, theta) > eps_pd:
+        if pd_margin(rg, cert.layout, i, theta) > 1e-8:
             return theta
     raise ValueError("no feasible sample found in the solution set")
 

@@ -137,7 +137,7 @@ def lyapunov_operator(a_cl: np.ndarray) -> np.ndarray:
     return k.reshape(a_cl.shape[:-2] + (n * n, n * n))
 
 
-def solve_lyapunov_stack(a_cl: np.ndarray, q: np.ndarray, resid_tol: float = 1e-10):
+def solve_lyapunov_stack(a_cl: np.ndarray, q: np.ndarray):
     """Solve ``a_cl[k]' P_k + P_k a_cl[k] + q[k] = 0`` for a stack of pairs.
 
     Takes ``(S, n, n)`` stacks and returns ``(p, errors)``: ``p[k]`` is
@@ -181,7 +181,7 @@ def solve_lyapunov_stack(a_cl: np.ndarray, q: np.ndarray, resid_tol: float = 1e-
         u = x.reshape(idx.size, n, n).transpose(0, 2, 1)                  # inverse of vec
         p[idx] = 0.5 * (u + u.transpose(0, 2, 1))
     resid = np.abs(a_cl.transpose(0, 2, 1) @ p + p @ a_cl + q).max(axis=(1, 2), initial=0.0)
-    bound = resid_tol * q_scale * np.maximum(1.0, np.abs(p).max(axis=(1, 2), initial=0.0))
+    bound = 1e-10 * q_scale * np.maximum(1.0, np.abs(p).max(axis=(1, 2), initial=0.0))
     for k in np.flatnonzero(~np.isfinite(resid) | (resid > bound)):
         if errors[k] is None:
             errors[k] = ValueError(
@@ -192,7 +192,7 @@ def solve_lyapunov_stack(a_cl: np.ndarray, q: np.ndarray, resid_tol: float = 1e-
     return p, errors
 
 
-def solve_lyapunov(a_cl: np.ndarray, q: np.ndarray, resid_tol: float = 1e-10) -> np.ndarray:
+def solve_lyapunov(a_cl: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve ``a_cl' P + P a_cl + q = 0`` for symmetric P.
 
     Solves the Kronecker linear system ``K vec(P) = -vec(q)`` with
@@ -203,14 +203,15 @@ def solve_lyapunov(a_cl: np.ndarray, q: np.ndarray, resid_tol: float = 1e-10) ->
 
     Raises ``numpy.linalg.LinAlgError`` when K is (numerically) singular,
     i.e. the Lyapunov equation has no unique solution, and ``ValueError``
-    when the residual check fails or q is not symmetric.
+    when q is not symmetric or the residual's max-norm exceeds
+    ``1e-10 (1 + max|q|) max(1, max|P|)``.
     """
     a_cl = np.asarray(a_cl, dtype=float)
     q = np.asarray(q, dtype=float)
     n = a_cl.shape[0]
     if a_cl.shape != (n, n) or q.shape != (n, n):
         raise ValueError("solve_lyapunov requires square matrices of equal size")
-    p, errors = solve_lyapunov_stack(a_cl[None], q[None], resid_tol)
+    p, errors = solve_lyapunov_stack(a_cl[None], q[None])
     if errors[0] is not None:
         raise errors[0]
     return p[0]
@@ -252,21 +253,23 @@ def sorted_spectrum(w: np.ndarray) -> np.ndarray:
     return w[np.lexsort((w.imag, w.real))]
 
 
-def is_stable(a: np.ndarray, margin: float = 0.0) -> bool:
-    """True if all eigenvalues of ``a`` have real part < -margin."""
-    return bool(np.max(eigvals(a).real, initial=-np.inf) < -margin)
+def is_stable(a: np.ndarray):
+    """Whether every eigenvalue of ``a`` has negative real part: a bool
+    for one matrix, a bool array for a stack ``(..., n, n)``."""
+    stable = np.max(np.linalg.eigvals(a).real, axis=-1, initial=-np.inf) < 0.0
+    return bool(stable) if stable.ndim == 0 else stable
 
 
-def min_eig_sym(a: np.ndarray, tol: float = SYM_TOL) -> float:
+def min_eig_sym(a: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return np.inf
-    if not is_symmetric(a, tol):
+    if not is_symmetric(a):
         raise ValueError("min_eig_sym requires a symmetric matrix")
     return float(np.linalg.eigvalsh(symmetrize(a))[0])
 
 
-def is_pd(a: np.ndarray, eps: float = 0.0) -> bool:
-    """True if the symmetric matrix ``a`` satisfies ``min eig > eps``."""
-    return min_eig_sym(a) > eps
+def is_pd(a: np.ndarray) -> bool:
+    """True if the symmetric matrix ``a`` has ``min eig > 0``."""
+    return min_eig_sym(a) > 0.0

@@ -142,11 +142,11 @@ def is_regular(p: Pencil) -> bool:
     return False
 
 
-def _split_by_rank(p: Pencil, rank_tol: float):
+def _split_by_rank(p: Pencil):
     """SVD-split E = U diag(Sigma_r, 0) V'; returns pieces in those coordinates."""
     u, s, vt = np.linalg.svd(p.e)
     smax = s[0] if s.size else 0.0
-    r = int(np.sum(s > rank_tol * max(smax, 1e-300)))
+    r = int(np.sum(s > RANK_TOL * max(smax, 1e-300)))
     at = u.T @ p.a @ vt.T
     return u, s, vt.T, r, at
 
@@ -159,7 +159,7 @@ def _a22_invertible(at: np.ndarray, r: int) -> bool:
     return bool(s[-1] > 1e-12 * max(1.0, s[0]))
 
 
-def index_of(p: Pencil, rank_tol: float = RANK_TOL) -> int:
+def index_of(p: Pencil) -> int:
     """Nilpotency index of the infinite-eigenvalue block.
 
     Returns 0 when E is invertible (pure ODE), 1 when the pencil is
@@ -169,7 +169,7 @@ def index_of(p: Pencil, rank_tol: float = RANK_TOL) -> int:
     """
     if not is_regular(p):
         raise IrregularPencilError("pencil is not regular")
-    _, _, _, r, at = _split_by_rank(p, rank_tol)
+    _, _, _, r, at = _split_by_rank(p)
     n = p.n
     if r == n:
         return 0
@@ -205,7 +205,7 @@ def index_of(p: Pencil, rank_tol: float = RANK_TOL) -> int:
     return n
 
 
-def weierstrass(p: Pencil, rank_tol: float = RANK_TOL) -> WeierstrassData:
+def weierstrass(p: Pencil) -> WeierstrassData:
     """Weierstrass decomposition of a regular, index <= 1 pencil.
 
     Raises :class:`IrregularPencilError` for irregular pencils and
@@ -213,7 +213,7 @@ def weierstrass(p: Pencil, rank_tol: float = RANK_TOL) -> WeierstrassData:
     """
     if not is_regular(p):
         raise IrregularPencilError("pencil is not regular")
-    u, s, v, r, at = _split_by_rank(p, rank_tol)
+    u, s, v, r, at = _split_by_rank(p)
     n = p.n
     if r == n:
         sig_inv = np.diag(1.0 / s)
@@ -248,12 +248,12 @@ def weierstrass(p: Pencil, rank_tol: float = RANK_TOL) -> WeierstrassData:
     return WeierstrassData(x=x, y=y, r=r, j=j, index=1)
 
 
-def finite_spectrum(p: Pencil, rank_tol: float = RANK_TOL) -> np.ndarray:
+def finite_spectrum(p: Pencil) -> np.ndarray:
     """Finite eigenvalues of the pencil, canonically ordered.
 
     For a closed-loop query pass ``Pencil(e, a + b @ f)``.
     """
-    w = weierstrass(p, rank_tol)
+    w = weierstrass(p)
     return sorted_spectrum(np.linalg.eigvals(w.j))
 
 

@@ -167,6 +167,18 @@ def test_inverse_infeasible_support_exits_4(tmp_path):
     assert not rep["inverse"]["feasible"]
 
 
+def test_inverse_infeasible_report_does_not_depend_on_seed(tmp_path):
+    # identification draws nothing at random, so --seed leaves even the
+    # empty-set diagnosis alone
+    path = write_problem(tmp_path, constraints={"support": [0, 6]})
+    sections = []
+    for seed in (0, 7):
+        out = tmp_path / f"rep{seed}.json"
+        assert run(["inverse", path, "--out", out, "--seed", seed]) == 4
+        sections.append(json.loads(out.read_text())["inverse"])
+    assert sections[0] == sections[1]
+
+
 def test_inverse_from_trajectory(tmp_path):
     traj_csv = tmp_path / "traj.csv"
     assert run(["simulate", REPO_FIXTURE, "--x1-0", "1,0.4",
@@ -413,6 +425,12 @@ FILE_FAULTS = {
                               "--nash-trials", -1],
                              {"theta.json": json.dumps({"theta": [[1.0] * 8, [1.0] * 8]})},
                              "error: --nash-trials must be >= 0"),
+    # malformed command lines: exit 1, not argparse's 2 (EXIT_ASSUMPTION)
+    "argv-bad-int": (["forward", REPO_FIXTURE, "--starts", "abc"], {},
+                     "error: argument --starts: invalid int value: 'abc'"),
+    "argv-unknown-option": (["reduce", REPO_FIXTURE, "--bogus"], {},
+                            "error: unrecognized arguments: --bogus"),
+    "argv-missing-subcommand": ([], {}, "error: the following arguments are required: command"),
 }
 
 
@@ -426,6 +444,14 @@ def test_unusable_files_exit_1_with_one_line(tmp_path, monkeypatch, capsys, case
     assert run(argv) == 1
     assert one_line_message(capsys, message)
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["inverse", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dgame")
 
 
 @pytest.mark.parametrize("schema", [PROBLEM_SCHEMA, REPORT_SCHEMA])

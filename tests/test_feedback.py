@@ -6,6 +6,7 @@ from dgame import (
     FeedbackProfile,
     Pencil,
     ReducedFeedback,
+    Trajectory,
     UnstableLoopError,
     finite_spectrum,
     fit_feedback,
@@ -258,3 +259,36 @@ def test_trajectory_csv_round_trip(tmp_path, lane):
     np.testing.assert_array_equal(back.times, traj.times)
     np.testing.assert_array_equal(back.x, traj.x)
     np.testing.assert_array_equal(back.u, traj.u)
+
+
+def _write_trajectory_csv_oracle(traj, fh):
+    """The ``csv.writer`` implementation the row-format writer replaced."""
+    import csv
+    n, m = traj.x.shape[1], traj.u.shape[1]
+    writer = csv.writer(fh)
+    writer.writerow(["t"] + [f"x{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)])
+    for k in range(len(traj.times)):
+        row = [traj.times[k], *traj.x[k], *traj.u[k]]
+        writer.writerow([f"{v:.17g}" for v in row])
+
+
+def test_trajectory_csv_matches_csv_writer_bytes(tmp_path):
+    # signed zeros, huge values, denormals and non-finite entries, over
+    # more rows than one write block
+    import io
+    rng = np.random.default_rng(8)
+    k = 2500
+    x = rng.standard_normal((k, 4)) * 10.0 ** rng.integers(-300, 300, size=(k, 4))
+    u = rng.standard_normal((k, 2))
+    x[0] = [-0.0, 0.0, 1e300, 5e-324]
+    u[1] = [-2.2e-310, np.nan]
+    x[2, :2] = [np.inf, -np.inf]
+    traj = Trajectory(np.arange(k) * 1e-3, x, u)
+    want = io.StringIO(newline="")
+    _write_trajectory_csv_oracle(traj, want)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    assert path.read_bytes() == want.getvalue().encode()
+    got = io.StringIO(newline="")
+    write_trajectory_csv(traj, got)
+    assert got.getvalue() == want.getvalue()

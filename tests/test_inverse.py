@@ -298,23 +298,21 @@ def _maximize_margin_oracle(mats, seed, dim):
 
 
 def _dual_solve(mats, floor=2e-8):
-    """The dual solve's primal point, its margin, the dual value |g(W)| of
-    its W (checked to lie in the spectraplex) and |G|_2."""
+    """The dual solve's primal point (checked to be a unit vector), its
+    margin, the dual value |g(W)| of its W (checked to lie in the
+    spectraplex) and |G|_2."""
     z, w = _maximize_margin(mats, floor)
     assert abs(np.trace(w) - 1.0) <= 1e-12
     assert np.linalg.eigvalsh(w)[0] >= -1e-12
     dual = float(np.linalg.norm([np.sum(w * a) for a in mats]))
     gnorm = np.linalg.norm(np.stack([a.reshape(-1) for a in mats]), 2)
-    margin = None
-    if z is not None:
-        assert abs(np.linalg.norm(z) - 1.0) <= 1e-12
-        margin = np.linalg.eigvalsh(sum(zk * a for zk, a in zip(z, mats)))[0]
+    assert abs(np.linalg.norm(z) - 1.0) <= 1e-12
+    margin = np.linalg.eigvalsh(sum(zk * a for zk, a in zip(z, mats)))[0]
     return z, margin, dual, gnorm
 
 
 def _assert_certified_and_no_worse(mats):
     _, margin, dual, gnorm = _dual_solve(mats)
-    assert margin is not None
     assert dual - margin <= 1e-12 * gnorm
     _, oracle = _maximize_margin_oracle(mats, 0, len(mats))
     assert margin >= oracle - 1e-12
@@ -364,7 +362,8 @@ def test_margin_dual_is_closed_form_for_scalar_weights(lane_setup, multi_input_s
 def test_identify_infeasible_multi_input_floor_exit(multi_input_setup):
     # player 0 keeps a dim-2 kernel whose best margin is negative: the dual
     # value falls under the 2 eps_pd floor, W certifies that no kernel
-    # direction clears it, and the penalized descent reports infeasible
+    # direction clears it, and the best kernel direction is reported
+    # infeasible
     rg, f_obs = multi_input_setup
     support = (0, 1, 2, 4, 5, 7, 8, 9)
     cert = identify(rg, f_obs, Constraints(support=support))
@@ -372,12 +371,42 @@ def test_identify_infeasible_multi_input_floor_exit(multi_input_setup):
     assert p0.kernel.shape[1] == 2
     assert not p0.feasible and p1.feasible
     assert p0.pd_margin < 0.0
+    # theta lies in the kernel
+    assert p0.residual <= 1e-12 * np.linalg.norm(p0.m, 2)
     mats = _margin_map(rg, cert.layout, 0, p0.kernel)
-    z, _, dual, gnorm = _dual_solve(mats)
-    assert z is None
+    z, margin, dual, gnorm = _dual_solve(mats)
+    assert margin <= dual
+    assert margin < 0.0
     # it stops at the floor, without driving the dual value to zero
     assert 1e-12 * gnorm < dual <= 2e-8
     assert _maximize_margin_oracle(mats, 0, 2)[1] < 0.0
+
+
+def test_identify_empty_kernel_takes_least_residual_direction(lane_setup):
+    # support (0, 6) leaves each lane player's restricted M_i with full
+    # column rank: theta is its last right singular vector, signed for
+    # the larger margin
+    _, rg, f_obs = lane_setup
+    support = (0, 6)
+    cert = identify(rg, f_obs, Constraints(support=support))
+    assert not cert.feasible
+    for i, pc in enumerate(cert.players):
+        assert pc.kernel.shape[1] == 0 and not pc.feasible
+        _, s, vt = np.linalg.svd(pc.m[:, support])
+        v = np.zeros(cert.layout.size)
+        v[list(support)] = vt[-1]
+        assert min(np.linalg.norm(pc.theta - v), np.linalg.norm(pc.theta + v)) <= 1e-14
+        assert pc.residual == pytest.approx(s[-1], rel=1e-12)
+        assert pc.pd_margin >= pd_margin(rg, cert.layout, i, -pc.theta)
+
+
+def test_margin_dual_with_zero_margin_map():
+    # g(W) = 0 already at W = I / m: W certifies that no margin is
+    # positive, and z is the first coordinate
+    mats = [np.zeros((2, 2))] * 3
+    z, w = _maximize_margin(mats, 2e-8)
+    assert z.tolist() == [1.0, 0.0, 0.0]
+    np.testing.assert_array_equal(w, np.eye(2) / 2)
 
 
 def test_dimension_report_lane(lane_setup):

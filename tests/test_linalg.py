@@ -171,8 +171,18 @@ def test_eigvals_and_stability():
     np.testing.assert_allclose(sorted_spectrum(eigvals(np.diag([-1.0, -2.0]))), [-2.0, -1.0])
     w = sorted_spectrum(eigvals(np.array([[0.0, 1.0], [-1.0, 0.0]])))
     np.testing.assert_allclose(w, [-1j, 1j], atol=1e-12)
-    assert is_stable(np.diag([-1.0, -2.0]))
-    assert not is_stable(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    assert is_stable(np.diag([-1.0, -2.0])) is True
+    assert is_stable(np.array([[0.0, 1.0], [-1.0, 0.0]])) is False
+
+
+def test_is_stable_per_item_of_a_stack():
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((2, 6, 3, 3)) - 1.0
+    got = is_stable(stack)
+    assert got.shape == (2, 6) and got.dtype == bool
+    want = [[is_stable(a) for a in row] for row in stack]
+    assert got.tolist() == want
+    assert 0 < got.sum() < got.size
 
 
 def test_min_eig_sym_and_pd():
