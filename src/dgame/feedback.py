@@ -15,7 +15,7 @@ feedback matrices from trajectories, and the trajectory CSV format.
 """
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -341,13 +341,14 @@ def write_trajectory_csv(traj: Trajectory, path_or_file) -> None:
 
 def read_trajectory_csv(path, input_dims=None) -> Trajectory:
     """Read a trajectory written by :func:`write_trajectory_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+    with open(path) as fh:
+        header = fh.readline().split(",")
         n = sum(1 for h in header if h.startswith("x"))
         m = sum(1 for h in header if h.startswith("u"))
-        rows = [[float(v) for v in row] for row in reader if row]
-    data = np.asarray(rows)
+        with warnings.catch_warnings():
+            # an empty body is the "no samples" error below, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
     if data.size == 0:
         raise ValueError(f"no samples in {path}")
     return Trajectory(

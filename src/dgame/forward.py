@@ -151,12 +151,13 @@ class _Evaluator:
 
     def values(self, a_cl, costs):
         """Value matrices P_i with A_cl' P_i + P_i A_cl + C_i = 0 for the
-        costs of any players, in one stacked Lyapunov solve; returns
-        ``(p, errors)``, ``p`` shaped like ``costs`` and one error (or
-        ``None``) per item in C order."""
+        costs of any players, in one stacked Lyapunov solve that shares
+        each loop among its players; returns ``(p, errors)``, ``p``
+        shaped like ``costs`` and one error (or ``None``) per item in C
+        order."""
         r = self.r
-        a = np.broadcast_to(a_cl[..., None, :, :], costs.shape).reshape(-1, r, r)
-        p, errors = solve_lyapunov_stack(a, costs.reshape(-1, r, r))
+        p, errors = solve_lyapunov_stack(a_cl.reshape(-1, r, r),
+                                         costs.reshape(-1, costs.shape[-3], r, r))
         return p.reshape(costs.shape), errors
 
     def residual_matrices(self, f, p, a_cl, costs):

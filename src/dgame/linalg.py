@@ -6,18 +6,22 @@ Implements the identities the rest of the toolkit is built on:
     vec(X Y Z) = (Z' kron X) vec(Y)
     vec(A)     = D_n vech(A)        for symmetric A
 
-together with Lyapunov solves via the Kronecker operator
+together with Lyapunov solves ``A' P + P A + Q = 0`` for one matrix or a
+stack of them (one failing item never spoils the others).  Below order
+n = 10 each item is the Kronecker system
 
-    K = (I kron A') + (A' kron I),      K vec(P) = -vec(Q),
+    K = (I kron A') + (A' kron I),      K vec(P) = -vec(Q);
 
-for one matrix or a stack of them (one failing item never spoils the
-others), numerical kernel bases, and eigenvalue/definiteness queries.
-Everything operates on plain numpy arrays at desk scale (n up to a few
-tens); no sparse or large-scale paths.
+from n = 10 on, each loop is factored once as A' = U T U' (real Schur
+form) for all its right-hand sides, each a triangular Sylvester solve
+T Y + Y T' = -U' Q U with P = U Y U' (Bartels-Stewart).  Also numerical
+kernel bases and eigenvalue/definiteness queries, on plain numpy arrays
+at desk scale (n up to a few tens); no sparse or large-scale paths.
 """
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 
 __all__ = [
     "kron",
@@ -47,6 +51,13 @@ KERNEL_TOL = 1e-9
 #: memory budget for the Kronecker operators of one group of stacked
 #: Lyapunov solves; a group holds at least one item
 _LYAPUNOV_GROUP_BYTES = 256 << 10
+
+#: smallest order n whose Lyapunov solves go through the real Schur form
+#: rather than the Kronecker operator
+_SCHUR_MIN_ORDER = 10
+
+#: the error of a Lyapunov equation without a unique solution
+_PAIRING = "non-unique/no Lyapunov solution (eigenvalue pairing in a_cl)"
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -138,32 +149,58 @@ def lyapunov_operator(a_cl: np.ndarray) -> np.ndarray:
 
 
 def solve_lyapunov_stack(a_cl: np.ndarray, q: np.ndarray):
-    """Solve ``a_cl[k]' P_k + P_k a_cl[k] + q[k] = 0`` for a stack of pairs.
+    """Solve ``a_cl[s]' P + P a_cl[s] + q[s] = 0`` for a stack of loops.
 
-    Takes ``(S, n, n)`` stacks and returns ``(p, errors)``: ``p[k]`` is
-    the symmetric solution of item k and ``errors[k]`` is ``None``, or
-    the exception :func:`solve_lyapunov` raises for that item alone
-    (``p[k]`` is then NaN).  One failing item never affects another: a
-    singular operator in the stack falls back to item-by-item solves.
-    Items go through the solver in groups whose Kronecker operators
-    together stay within a fixed memory budget.
+    ``a_cl`` is ``(S, n, n)``; ``q`` is ``(S, n, n)``, or ``(S, K, n, n)``
+    for K right-hand sides sharing the loop ``a_cl[s]``.  Returns
+    ``(p, errors)``: ``p`` shaped like ``q``, and per item of ``q`` in C
+    order ``None`` or the exception :func:`solve_lyapunov` raises for it
+    alone (its ``p`` is then NaN).  One failing item never affects
+    another.  For n < 10 the items are Kronecker systems, solved in
+    groups within a fixed memory budget and one by one when a group is
+    singular; for n >= 10 each loop gets one real Schur form
+    ``a_cl[s]' = U T U'`` and each right-hand side one ``dtrsyl`` solve
+    ``T Y + Y T' = -U' q U`` (Bartels & Stewart 1972), ``P = U Y U'``.
     """
     a_cl = np.asarray(a_cl, dtype=float)
     q = np.asarray(q, dtype=float)
-    if a_cl.ndim != 3 or a_cl.shape[1] != a_cl.shape[2] or q.shape != a_cl.shape:
+    if (a_cl.ndim != 3 or a_cl.shape[1] != a_cl.shape[2] or q.ndim not in (3, 4)
+            or q.shape[:1] + q.shape[-2:] != a_cl.shape):
         raise ValueError("solve_lyapunov requires square matrices of equal size")
-    s, n = a_cl.shape[0], a_cl.shape[1]
-    errors: list[Exception | None] = [None] * s
-    p = np.full((s, n, n), np.nan)
+    shape, n = q.shape, a_cl.shape[1]
+    qs = q if q.ndim == 4 else q[:, None]
+    a = np.broadcast_to(a_cl[:, None], qs.shape).reshape(-1, n, n)
+    q = qs.reshape(-1, n, n)
+    errors: list[Exception | None] = [None] * len(q)
+    p = np.full(q.shape, np.nan)
     q_scale = 1.0 + np.abs(q).max(axis=(1, 2), initial=0.0)
     symmetric = np.abs(q - q.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) <= 1e-10 * q_scale
     for k in np.flatnonzero(~symmetric):
         errors[k] = ValueError("solve_lyapunov requires symmetric q")
-    todo = np.flatnonzero(symmetric)
+    if n < _SCHUR_MIN_ORDER:
+        _lyapunov_kronecker(a, q, np.flatnonzero(symmetric), p, errors)
+    else:
+        _lyapunov_schur(a_cl, qs, symmetric.reshape(qs.shape[:2]), p, errors)
+    resid = np.abs(a.transpose(0, 2, 1) @ p + p @ a + q).max(axis=(1, 2), initial=0.0)
+    bound = 1e-10 * q_scale * np.maximum(1.0, np.abs(p).max(axis=(1, 2), initial=0.0))
+    for k in np.flatnonzero(~np.isfinite(resid) | (resid > bound)):
+        if errors[k] is None:
+            errors[k] = ValueError(
+                f"Lyapunov residual {resid[k]:.2e} exceeds tolerance; "
+                "equation is ill-conditioned (near eigenvalue pairing)"
+            )
+        p[k] = np.nan
+    return p.reshape(shape), errors
+
+
+def _lyapunov_kronecker(a, q, todo, p, errors):
+    """Fill the items ``todo`` of the flat stack ``p`` from stacked
+    Kronecker systems ``K vec(P) = -vec(q)``."""
+    n = a.shape[-1]
     group = max(1, _LYAPUNOV_GROUP_BYTES // max(1, 8 * n ** 4))
     for lo in range(0, todo.size, group):
         idx = todo[lo:lo + group]
-        k_op = lyapunov_operator(a_cl[idx])
+        k_op = lyapunov_operator(a[idx])
         rhs = -q[idx].transpose(0, 2, 1).reshape(idx.size, n * n, 1)   # -vec(q)
         try:
             x = np.linalg.solve(k_op, rhs)
@@ -173,38 +210,48 @@ def solve_lyapunov_stack(a_cl: np.ndarray, q: np.ndarray):
                 try:
                     x[j] = np.linalg.solve(k_op[j], rhs[j])
                 except np.linalg.LinAlgError as exc:
-                    err = np.linalg.LinAlgError(
-                        "non-unique/no Lyapunov solution (eigenvalue pairing in a_cl)")
+                    err = np.linalg.LinAlgError(_PAIRING)
                     err.__cause__ = exc
                     errors[idx[j]] = err
                     x[j] = np.nan
         u = x.reshape(idx.size, n, n).transpose(0, 2, 1)                  # inverse of vec
         p[idx] = 0.5 * (u + u.transpose(0, 2, 1))
-    resid = np.abs(a_cl.transpose(0, 2, 1) @ p + p @ a_cl + q).max(axis=(1, 2), initial=0.0)
-    bound = 1e-10 * q_scale * np.maximum(1.0, np.abs(p).max(axis=(1, 2), initial=0.0))
-    for k in np.flatnonzero(~np.isfinite(resid) | (resid > bound)):
-        if errors[k] is None:
-            errors[k] = ValueError(
-                f"Lyapunov residual {resid[k]:.2e} exceeds tolerance; "
-                "equation is ill-conditioned (near eigenvalue pairing)"
-            )
-        p[k] = np.nan
-    return p, errors
+
+
+def _lyapunov_schur(a_cl, q, todo, p, errors):
+    """Fill the items of the flat stack ``p`` that the (S, K) mask
+    ``todo`` marks, from one real Schur form per loop and one ``dtrsyl``
+    solve per right-hand side; a loop that is not finite or has no Schur
+    form leaves its items NaN."""
+    k = q.shape[1]
+    finite = np.isfinite(a_cl).all(axis=(1, 2))
+    for s in np.flatnonzero(todo.any(axis=1) & finite):
+        try:
+            t, u = sla.schur(a_cl[s].T, output="real", check_finite=False)
+        except np.linalg.LinAlgError:
+            continue
+        rows = np.flatnonzero(todo[s])
+        f = u.T @ -q[s, rows] @ u
+        for j, f_j in zip(rows, f):
+            y, scale, info = sla.lapack.dtrsyl(t, t, f_j, tranb="T")
+            if info == 1:
+                errors[s * k + j] = np.linalg.LinAlgError(_PAIRING)
+                continue
+            y = u @ (y / scale) @ u.T
+            p[s * k + j] = 0.5 * (y + y.T)
 
 
 def solve_lyapunov(a_cl: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve ``a_cl' P + P a_cl + q = 0`` for symmetric P.
 
-    Solves the Kronecker linear system ``K vec(P) = -vec(q)`` with
-    ``K = (I kron a_cl') + (a_cl' kron I)``; unique exactly when no two
-    eigenvalues of ``a_cl`` sum to zero (always true for stable ``a_cl``).
-    Adequate for the desk-scale problems this toolkit targets.  This is
-    the one-item case of :func:`solve_lyapunov_stack`.
+    The one-item case of :func:`solve_lyapunov_stack` (Kronecker system
+    for n < 10, real Schur form for n >= 10); the solution is unique
+    exactly when no two eigenvalues of ``a_cl`` sum to zero (always true
+    for stable ``a_cl``).
 
-    Raises ``numpy.linalg.LinAlgError`` when K is (numerically) singular,
-    i.e. the Lyapunov equation has no unique solution, and ``ValueError``
-    when q is not symmetric or the residual's max-norm exceeds
-    ``1e-10 (1 + max|q|) max(1, max|P|)``.
+    Raises ``numpy.linalg.LinAlgError`` when the equation has no unique
+    solution, and ``ValueError`` when q is not symmetric or the
+    residual's max-norm exceeds ``1e-10 (1 + max|q|) max(1, max|P|)``.
     """
     a_cl = np.asarray(a_cl, dtype=float)
     q = np.asarray(q, dtype=float)

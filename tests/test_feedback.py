@@ -292,3 +292,49 @@ def test_trajectory_csv_matches_csv_writer_bytes(tmp_path):
     got = io.StringIO(newline="")
     write_trajectory_csv(traj, got)
     assert got.getvalue() == want.getvalue()
+
+
+def _read_trajectory_csv_oracle(path):
+    """The ``csv.reader`` implementation ``np.loadtxt`` replaced: the
+    header's column counts and the sample array."""
+    import csv
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        n = sum(1 for h in header if h.startswith("x"))
+        m = sum(1 for h in header if h.startswith("u"))
+        rows = [[float(v) for v in row] for row in reader if row]
+    return n, m, np.asarray(rows)
+
+
+def test_trajectory_csv_reader_matches_csv_reader_bytes(tmp_path):
+    # signed zeros, huge values, denormals and non-finite entries, with
+    # both line ends and a blank line
+    rng = np.random.default_rng(9)
+    k = 300
+    x = rng.standard_normal((k, 3)) * 10.0 ** rng.integers(-300, 300, size=(k, 3))
+    u = rng.standard_normal((k, 2))
+    x[0] = [-0.0, 0.0, 1e300]
+    x[1] = [1e-300, -1e-300, 5e-324]
+    u[1] = [-2.2e-310, np.nan]
+    x[2, :2] = [np.inf, -np.inf]
+    traj = Trajectory(np.arange(k) * 1e-3, x, u)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    lf = tmp_path / "traj_lf.csv"
+    lf.write_bytes(path.read_bytes().replace(b"\r\n", b"\n").replace(b"\n", b"\n\n", 1))
+    for p in (path, lf):
+        n, m, want = _read_trajectory_csv_oracle(p)
+        got = read_trajectory_csv(p, input_dims=(1, 1))
+        assert (got.x.shape[1], got.u.shape[1]) == (n, m) == (3, 2)
+        for a, b in ((got.times, want[:, 0]), (got.x, want[:, 1:4]), (got.u, want[:, 4:])):
+            assert a.tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("text", ["", "t,x1,u1\n", "t,x1,u1\r\n\r\n"])
+def test_trajectory_csv_without_samples_is_one_error(tmp_path, recwarn, text):
+    path = tmp_path / "traj.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="no samples in"):
+        read_trajectory_csv(path)
+    assert not recwarn.list

@@ -1,4 +1,10 @@
 """Inverse game: constraint assembly, kernels, identification, behaviors."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -22,6 +28,7 @@ from dgame import (
     solve_fbne,
     transform_decomposition,
 )
+from dgame.cli import load_problem
 from dgame.inverse import _margin_map, _maximize_margin
 from conftest import (
     THETA_MIS,
@@ -542,3 +549,57 @@ def test_forward_inverse_round_trip_random_games():
                 scale = np.linalg.norm(ms[i], 2) * np.linalg.norm(theta)
                 assert residual(ms[i], theta) <= 1e-7 * (1.0 + scale)
         done += 1
+
+
+def _planted_problem(rng, n, r, input_dims) -> dict:
+    """Problem dict (E, A, B, F) of the planted index-1 recipe: the pencil
+    in planted coordinates, inputs drawn there (B = Y^-T B_can) and F the
+    planted regulator gain, F = K (X^-1)[:r], which stabilizes J + B1 K."""
+    x = well_conditioned(rng, n)
+    y = well_conditioned(rng, n)
+    j = rng.standard_normal((r, r))
+    e_can = np.zeros((n, n))
+    e_can[:r, :r] = np.eye(r)
+    a_can = np.eye(n)
+    a_can[:r, :r] = j
+    y_inv_t = np.linalg.inv(y).T
+    x_inv = np.linalg.inv(x)
+    b_can = [rng.standard_normal((n, mi)) for mi in input_dims]
+    b1 = np.hstack([b[:r] for b in b_can])
+    p = sla.solve_continuous_are(j, b1, np.eye(r), np.eye(b1.shape[1]))
+    f = -b1.T @ p @ x_inv[:r]
+    offs = np.cumsum([0, *input_dims])
+    return {
+        "E": (y_inv_t @ e_can @ x_inv).tolist(),
+        "A": (y_inv_t @ a_can @ x_inv).tolist(),
+        "B": [(y_inv_t @ b).tolist() for b in b_can],
+        "F": [f[offs[i]:offs[i + 1]].tolist() for i in range(len(input_dims))],
+    }
+
+
+def test_planted_n24_inverse_matches_observed_behavior(tmp_path):
+    # the second game of the planted draw with seed 0 (n = 16, then 24, with
+    # r = 3n/4): with the identified costs, the solve from the observed
+    # feedback alone (no extra starts) must find the observed behavior, in
+    # process and in a fresh interpreter with BLAS pinned to one thread
+    # (where the Kronecker Lyapunov route once made it miss)
+    rng = np.random.default_rng(0)
+    for n in (16, 24):
+        problem = _planted_problem(rng, n, 3 * n // 4, (1, 1))
+    path, out = tmp_path / "planted_n24.json", tmp_path / "inverse.json"
+    path.write_text(json.dumps(problem))
+    prob = load_problem(str(path))
+    rg = reduce_game(prob.game)
+    cert = identify(rg, reduce_feedback(rg, prob.f_observed))
+    assert cert.feasible
+    rep = rationalized_behaviors(rg, cert, SolveOptions(n_starts=0))
+    assert rep.n_behaviors == 1 and rep.matches == (True,)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dgame.cli", "inverse", str(path), "--starts", "0",
+         "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    behaviors = json.loads(out.read_text())["behaviors"]
+    assert (behaviors["count"], behaviors["matching"]) == (1, 1)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from dgame import linalg
 from dgame.linalg import (
     duplication_matrix,
     eigvals,
@@ -11,8 +12,10 @@ from dgame.linalg import (
     is_stable,
     kernel_basis,
     kron,
+    lyapunov_operator,
     min_eig_sym,
     solve_lyapunov,
+    solve_lyapunov_stack,
     sorted_spectrum,
     unvech,
     vec,
@@ -200,7 +203,6 @@ def test_min_eig_gram_positivity():
 
 
 def test_lyapunov_stack_isolates_a_failing_item():
-    from dgame.linalg import solve_lyapunov_stack
     rng = np.random.default_rng(7)
     a_items, q_items = [], []
     for _ in range(4):
@@ -217,3 +219,84 @@ def test_lyapunov_stack_isolates_a_failing_item():
     for k in (0, 1, 3):
         assert errors[k] is None
         assert p[k].tobytes() == solve_lyapunov(a_items[k], q_items[k]).tobytes()
+
+
+def _stable_loops(rng, s, n):
+    """s random loops of order n with every eigenvalue in Re < -1."""
+    a = rng.standard_normal((s, n, n))
+    shift = np.linalg.eigvals(a).real.max(axis=1) + 1.0
+    return a - shift[:, None, None] * np.eye(n)
+
+
+def _psd_stack(rng, shape, n):
+    g = rng.standard_normal(shape + (n, n))
+    return g @ g.swapaxes(-1, -2)
+
+
+def _kronecker_oracle(a, q):
+    """P of one item from the explicit n^2 x n^2 Kronecker system."""
+    n = a.shape[0]
+    x = np.linalg.solve(lyapunov_operator(a), -vec(q))
+    return x.reshape(n, n, order="F")
+
+
+@pytest.mark.parametrize("n", [10, 12, 18, 24])
+def test_lyapunov_schur_route_matches_kronecker_oracle(n):
+    rng = np.random.default_rng(n)
+    a = _stable_loops(rng, 3, n)
+    q = _psd_stack(rng, (3, 2), n)
+    p, errors = solve_lyapunov_stack(a, q)
+    assert p.shape == q.shape and errors == [None] * 6
+    for s in range(3):
+        for k in range(2):
+            want = _kronecker_oracle(a[s], q[s, k])
+            assert np.abs(p[s, k] - want).max() <= 1e-12 * np.abs(want).max()
+            assert p[s, k].tobytes() == p[s, k].T.tobytes()
+
+
+def test_lyapunov_schur_route_isolates_failing_items():
+    n = 12
+    rng = np.random.default_rng(8)
+    a = _stable_loops(rng, 5, n)
+    q = _psd_stack(rng, (5,), n)
+    # eigenvalues +1 and -1 sum to zero: no unique solution for item 1
+    a[1] = np.diag(np.r_[1.0, -1.0, -np.arange(2.0, n)])
+    q[2, 0, 1] += 1.0
+    a[3, 4, 5] = np.nan
+    p, errors = solve_lyapunov_stack(a, q)
+    assert isinstance(errors[1], np.linalg.LinAlgError)
+    assert "eigenvalue pairing" in str(errors[1])
+    assert type(errors[2]) is ValueError and "symmetric q" in str(errors[2])
+    assert type(errors[3]) is ValueError and "Lyapunov residual nan" in str(errors[3])
+    for k in (1, 2, 3):
+        assert np.isnan(p[k]).all()
+    for k in (0, 4):
+        assert errors[k] is None
+        assert p[k].tobytes() == solve_lyapunov(a[k], q[k]).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_lyapunov_shared_loops_equal_the_flattened_stack(n):
+    # K right-hand sides per loop give the bytes of the same items with
+    # each loop repeated K times, on both routes
+    rng = np.random.default_rng(n)
+    a = _stable_loops(rng, 3, n)
+    q = _psd_stack(rng, (3, 4), n)
+    q[1, 2, 0, 1] += 1.0
+    p, errors = solve_lyapunov_stack(a, q)
+    p_flat, errors_flat = solve_lyapunov_stack(np.repeat(a, 4, axis=0), q.reshape(-1, n, n))
+    assert p.tobytes() == p_flat.tobytes()
+    assert [repr(e) for e in errors] == [repr(e) for e in errors_flat]
+    assert [k for k, e in enumerate(errors) if e is not None] == [6]
+
+
+def test_lyapunov_route_switches_between_orders_9_and_10(monkeypatch):
+    def no_kronecker(a_cl):
+        raise AssertionError("Kronecker route taken")
+
+    monkeypatch.setattr(linalg, "lyapunov_operator", no_kronecker)
+    rng = np.random.default_rng(10)
+    with pytest.raises(AssertionError, match="Kronecker route taken"):
+        solve_lyapunov_stack(_stable_loops(rng, 1, 9), _psd_stack(rng, (1,), 9))
+    p, errors = solve_lyapunov_stack(_stable_loops(rng, 1, 10), _psd_stack(rng, (1,), 10))
+    assert errors == [None] and np.isfinite(p).all()
