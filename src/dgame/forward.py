@@ -18,13 +18,18 @@ iteration is one stacked numpy call per operation over the starts still
 running, and a start leaves that set as soon as it converges, leaves the
 stabilizing region or fails a solve, with the same outcome it would have
 on its own.  Each converged start is then polished, and each start that
-stalls or fails gets a Newton fallback, on the stacked residual system:
-MINPACK's ``hybr`` with a finite-difference Jacobian over the
-evaluator's packed residual.  Coupled Riccati systems can have several
-stabilizing solutions, so enumeration is heuristic multistart and
-completeness is only ever validated at test scale.  G and V are read out
-of the players' reduced cost matrices M_i (:func:`dgame.game.m_matrix`);
-the damping floor and the deduplication distance are fixed module
+stalls or fails gets a Newton fallback, in one damped Newton solve over
+all of them (:func:`root`): the exact Jacobian of the evaluator's packed
+residual (the Frechet derivative of the coupled system in F and the
+P_i), an Armijo backtracking search on the residual's 2-norm, and every
+start moving in lockstep until its step falls below ``_STEP_TOL``
+relative to the point, its step is singular or not finite, backtracking
+reaches ``_BACKTRACK_FLOOR`` or ``_NEWTON_ITERS`` steps are spent.
+Coupled Riccati systems can have several stabilizing solutions, so
+enumeration is heuristic multistart and completeness is only ever
+validated at test scale.  G and V are read out of the players' reduced
+cost matrices M_i (:func:`dgame.game.m_matrix`); the damping floor, the
+Newton constants and the deduplication distance are fixed module
 constants, and only the start count, seed, tolerance and iteration cap
 are options.
 """
@@ -34,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import root
 
 from .feedback import ReducedFeedback
 from .game import CostParameters, ReducedGame, gbar_matrix, m_matrix
@@ -57,6 +61,25 @@ DAMPING_FLOOR = 1.0 / 16.0
 
 #: relative max-entry distance under which two feedbacks are one solution
 DEDUP_TOL = 1e-5
+
+#: Newton steps per start in :func:`root`
+_NEWTON_ITERS = 100
+
+#: sufficient decrease of the Armijo search: a step of length t must
+#: shrink the residual's 2-norm by the factor 1 - _ARMIJO * t
+_ARMIJO = 1e-4
+
+#: shortest step length the backtracking search tries before the start
+#: retires
+_BACKTRACK_FLOOR = 2.0 ** -12
+
+#: a start retires once its Newton step is at most _STEP_TOL (1 + |z|)
+#: in the 2-norm
+_STEP_TOL = 1e-13
+
+#: memory budget for the Jacobians of one group of starts in a Newton
+#: step; a group holds at least one start
+_NEWTON_GROUP_BYTES = 256 << 10
 
 
 class IndefiniteInputWeightError(ValueError):
@@ -108,9 +131,11 @@ class _Evaluator:
     changes: the stack of every M_i, G, the m x r stack V' of the
     players' own couplings v_bar[i][i]' (rows r + s_i, columns :r of
     M_i), the game's A_cl map (:meth:`ReducedGame.closed_loop`), the
-    B1_i' blocks, the identity block of [I; F], the data scale and the
-    index maps of the packed Newton point.  Each method takes one gain F
-    of shape (m, r) or a stack (S, m, r); per-player results carry a
+    B1_i' blocks, the identity block of [I; F], the data scale, the
+    index maps and unit directions of the packed Newton point and the
+    Jacobian's fixed stationarity rows.  Each method takes one gain F
+    of shape (m, r) or a stack (S, m, r), or one packed point of shape
+    (nz,) or a stack (S, nz); per-player results carry a
     player axis before the matrix axes, and every product keeps the 2-D
     shape and operand order of the module docstring's formulas per item,
     so a stacked evaluation reads the same bits as one gain at a time.
@@ -139,14 +164,31 @@ class _Evaluator:
         mirror = np.empty((r, r), dtype=np.intp)
         mirror[iu] = mirror[iu[::-1]] = np.arange(nn)
         self.mirror = mirror + nn * np.arange(n_players)[:, None, None]
+        # unit directions of the packed point: each entry of F, and each
+        # packed entry of a P_i as the symmetric matrix it unpacks to
+        mr = m * r
+        self.f_units = np.eye(mr).reshape(mr, m, r)
+        self.p_units = np.eye(nn).take(mirror, axis=-1)
+        self.b1_stacked_t = rg.b1_stacked.T
+        # the Jacobian's stationarity rows, G dF + B1_i' dP_i, hold at
+        # every point
+        self.jac0 = np.zeros((mr + n_players * nn,) * 2)
+        self.jac0[:mr, :mr] = np.kron(self.gbar, self.eye)
+        for k, (b_t, s) in enumerate(zip(self.b1_t, self.rows)):
+            self.jac0[r * s.start:r * s.stop, mr + k * nn:mr + (k + 1) * nn] = \
+                (b_t @ self.p_units).reshape(nn, -1).T
 
-    def costs(self, f):
-        """Every player's closed-loop cost C_i = [I; F]' M_i [I; F]."""
+    def lift(self, f):
+        """[I; F] of one gain or a stack."""
         r = self.r
         x = np.empty(f.shape[:-2] + (r + self.m, r))
         x[..., :r, :] = self.eye
         x[..., r:, :] = f
-        x = x[..., None, :, :]
+        return x
+
+    def costs(self, f):
+        """Every player's closed-loop cost C_i = [I; F]' M_i [I; F]."""
+        x = self.lift(f)[..., None, :, :]
         return x.swapaxes(-1, -2) @ self.ms @ x
 
     def values(self, a_cl, costs):
@@ -191,22 +233,55 @@ class _Evaluator:
         )
 
     def pack(self, f, p) -> np.ndarray:
-        """z = [vec(F); upper triangle of each P_i]."""
-        return np.concatenate([f.reshape(-1)] + [p_k.take(self.iu_flat) for p_k in p])
+        """z = [vec(F); upper triangle of each P_i], of shape (..., nz)."""
+        f, p = np.asarray(f), np.asarray(p)
+        lead = f.shape[:-2]
+        return np.concatenate([f.reshape(lead + (self.m * self.r,)),
+                               p.reshape(lead + (self.n_players * self.r ** 2,)).take(
+                                   self.tri_flat, axis=-1)], axis=-1)
 
     def unpack(self, z):
-        """``(f, p)`` of a packed point; ``f`` is a view into ``z``."""
+        """``(f, p)`` of a packed point or a stack; ``f`` is a view into ``z``."""
         mr = self.m * self.r
         # + 0.0 turns a packed -0.0 into +0.0, as symmetrizing by a sum would
-        return z[:mr].reshape(self.m, self.r), (z[mr:] + 0.0).take(self.mirror)
+        return (z[..., :mr].reshape(z.shape[:-1] + (self.m, self.r)),
+                (z[..., mr:] + 0.0).take(self.mirror, axis=-1))
 
     def vector(self, z) -> np.ndarray:
         """The packed residual at z: vec of the stationarity residual, then
-        the upper triangle of each Riccati residual.  The output array is
-        new at every call: ``hybr`` keeps the array it is handed."""
+        the upper triangle of each Riccati residual."""
         f, p = self.unpack(z)
         stat, care, _ = self.residual_matrices(f, p, self.closed_loop(f), self.costs(f))
-        return np.concatenate([stat.reshape(-1), care.take(self.tri_flat)])
+        lead = z.shape[:-1]
+        return np.concatenate([stat.reshape(lead + (self.m * self.r,)),
+                               care.reshape(lead + (self.n_players * self.r ** 2,)).take(
+                                   self.tri_flat, axis=-1)], axis=-1)
+
+    def jacobian(self, f, p, a_cl) -> np.ndarray:
+        """The Jacobian of :meth:`vector` in the packed point, (..., nz, nz).
+
+        Column j is the derivative along the j-th unit direction of z.  The
+        stationarity rows are G dF + B1_i' dP_i; player i's Riccati rows
+        are A_cl' dP_i + dP_i A_cl + dF' H_i + H_i' dF with
+        H_i = B1' P_i + M_i[r:, :] [I; F], at the gain f, value matrices
+        p and loop a_cl = A_cl(f).
+        """
+        r, mr, nn = self.r, self.m * self.r, self.iu_flat.size
+        lead = f.shape[:-2]
+        h = self.b1_stacked_t @ p + self.ms[:, r:, :] @ self.lift(f)[..., None, :, :]
+        d_f = self.f_units.swapaxes(-1, -2) @ h[..., None, :, :]
+        d_f = (d_f + d_f.swapaxes(-1, -2)).reshape(lead + (self.n_players, mr, r * r))
+        d_p = (a_cl.swapaxes(-1, -2)[..., None, :, :] @ self.p_units
+               + self.p_units @ a_cl[..., None, :, :]).reshape(lead + (nn, r * r))
+        d_p = d_p.take(self.iu_flat, axis=-1).swapaxes(-1, -2)
+        jac = np.empty(lead + self.jac0.shape)
+        jac[...] = self.jac0
+        jac[..., mr:, :mr] = d_f.take(self.iu_flat, axis=-1).swapaxes(-1, -2).reshape(
+            lead + (self.n_players * nn, mr))
+        for k in range(self.n_players):
+            block = slice(mr + k * nn, mr + (k + 1) * nn)
+            jac[..., block, block] = d_p
+        return jac
 
 
 def solution_at(rg: ReducedGame, c: CostParameters,
@@ -287,19 +362,69 @@ def _policy_iteration(ev: _Evaluator, f0s, opts):
     return outcomes
 
 
-def _newton_refine(ev: _Evaluator, f0, p0):
-    """Newton on the stacked residual system from (f0, p0).
+def _newton_steps(ev: _Evaluator, z, res):
+    """The Newton step -J(z)^-1 res(z) of every row of the stack z, NaN for
+    a singular Jacobian; Jacobians are formed and solved in groups of at
+    most ``_NEWTON_GROUP_BYTES``."""
+    group = max(1, _NEWTON_GROUP_BYTES // (8 * z.shape[-1] ** 2))
+    rhs = -res[..., None]
+    step = np.empty_like(rhs)
+    for lo in range(0, len(z), group):
+        sl = slice(lo, lo + group)
+        f, p = ev.unpack(z[sl])
+        jac = ev.jacobian(f, p, ev.closed_loop(f))
+        try:
+            step[sl] = np.linalg.solve(jac, rhs[sl])
+        except np.linalg.LinAlgError:
+            for k in range(len(jac)):
+                try:
+                    step[lo + k] = np.linalg.solve(jac[k], rhs[lo + k])
+                except np.linalg.LinAlgError:
+                    step[lo + k] = np.nan
+    return step[..., 0]
 
-    MINPACK's ``hybr`` solves ``ev.vector(z) = 0`` over the packed point
-    z (vec F, then the upper triangle of each P_i), building its
-    Jacobian from finite differences; returns ``(f, p_list)`` with
-    symmetrized value matrices, or ``None`` when ``hybr`` fails.
+
+def root(ev: _Evaluator, z) -> np.ndarray:
+    """Damped Newton on ``ev.vector(z) = 0`` from every row of the stack z.
+
+    All starts step in lockstep, each with its own Armijo backtracking
+    search on the residual's 2-norm: a step of length t (1, 1/2, 1/4,
+    ...) is taken once it shrinks that norm by the factor
+    1 - ``_ARMIJO`` t.  A start retires once its full step is at most
+    ``_STEP_TOL`` (1 + |z|), which it still takes, or when its step is
+    singular or not finite, its search falls below ``_BACKTRACK_FLOOR``
+    or it has taken ``_NEWTON_ITERS`` steps.  Returns the final points,
+    one row per start; each row is what that start gives on its own.
     """
-    sol = root(ev.vector, ev.pack(f0, p0), method="hybr", tol=1e-13)
-    if not sol.success:
-        return None
-    f, p = ev.unpack(sol.x)
-    return f, [symmetrize(p_k) for p_k in p]
+    z = np.array(z, dtype=float)
+    res = ev.vector(z)
+    norm = np.linalg.norm(res, axis=-1)
+    active = np.arange(len(z))
+    for _ in range(_NEWTON_ITERS):
+        if not active.size:
+            break
+        za = z[active]
+        step = _newton_steps(ev, za, res[active])
+        finite = np.isfinite(step).all(axis=-1)
+        small = finite & (np.linalg.norm(step, axis=-1)
+                          <= _STEP_TOL * (1.0 + np.linalg.norm(za, axis=-1)))
+        z[active[small]] = za[small] + step[small]
+        moved = np.zeros(active.size, dtype=bool)
+        t = np.ones(active.size)
+        search = np.flatnonzero(finite & ~small)
+        while search.size:
+            trial = za[search] + t[search, None] * step[search]
+            res_t = ev.vector(trial)
+            norm_t = np.linalg.norm(res_t, axis=-1)
+            ok = norm_t <= (1.0 - _ARMIJO * t[search]) * norm[active[search]]
+            took = active[search[ok]]
+            z[took], res[took], norm[took] = trial[ok], res_t[ok], norm_t[ok]
+            moved[search[ok]] = True
+            search = search[~ok]
+            t[search] /= 2.0
+            search = search[t[search] >= _BACKTRACK_FLOOR]
+        active = active[moved]
+    return z
 
 
 def _lqr_start(j, b, wq, wr):
@@ -342,6 +467,15 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
                opts: SolveOptions | None = None) -> list[EquilibriumSolution]:
     """Enumerate stabilizing solutions of the coupled Riccati system.
 
+    Every start runs the lockstep policy iteration.  Then one call of
+    :func:`root`, Newton steps with the exact Jacobian of the coupled
+    system, runs from all starts at once: from a converged start's point
+    it polishes, and the polish is kept only if it lowers the max-norm
+    residual; from any other start it is the fallback, started at the
+    initial gain with its Lyapunov value matrices (zero if the loop is
+    unstable or they fail) and labelled ``+newton``.  A point counts when
+    its loop is stable, its residual is within ``opts.tol`` times the
+    data scale and no earlier solution lies within ``DEDUP_TOL``.
     Requires every effective own-input weight r_bar[i][i] to be positive
     definite (raises :class:`IndefiniteInputWeightError`).  Returns the
     deduplicated solutions in a canonical order (lexicographic by rounded
@@ -379,16 +513,10 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
 
     starts = _starting_points(rg, opts)
     outcomes = _policy_iteration(ev, [f0 for _, f0 in starts], opts)
-    for (label, f0), out in zip(starts, outcomes):
+    z0 = np.empty((len(starts), len(ev.jac0)))
+    for k, ((_, f0), out) in enumerate(zip(starts, outcomes)):
         if out is not None:
-            f, p_list, iters = out
-            res = ev.residuals(f, p_list)
-            polished = _newton_refine(ev, f, p_list)
-            if polished is not None:
-                res_pol = ev.residuals(*polished)
-                if res_pol.max_norm < res.max_norm:
-                    (f, p_list), res = polished, res_pol
-            try_add(f, p_list, res, iters, label)
+            z0[k] = ev.pack(out[0], out[1])
             continue
         a_cl = ev.closed_loop(f0)
         p0 = np.zeros((rg.n_players, rg.r, rg.r))
@@ -396,9 +524,19 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
             p, errors = ev.values(a_cl, ev.costs(f0))
             if all(err is None for err in errors):
                 p0 = p
-        refined = _newton_refine(ev, f0, p0)
-        if refined is not None:
-            try_add(*refined, ev.residuals(*refined), opts.max_iter, f"{label}+newton")
+        z0[k] = ev.pack(f0, p0)
+    z = root(ev, z0)
+    for (label, _), out, z_k in zip(starts, outcomes, z):
+        refined = ev.unpack(z_k)
+        res_ref = ev.residuals(*refined)
+        if out is not None:
+            f, p_list, iters = out
+            res = ev.residuals(f, p_list)
+            if res_ref.max_norm < res.max_norm:
+                (f, p_list), res = refined, res_ref
+            try_add(f, p_list, res, iters, label)
+        else:
+            try_add(*refined, res_ref, opts.max_iter, f"{label}+newton")
 
     solutions.sort(key=lambda s: tuple(np.round(s.f_star.matrix, 8).reshape(-1)))
     return solutions

@@ -1,5 +1,8 @@
 """End-to-end command-line workflows over JSON problem files."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -457,3 +460,15 @@ def test_help_exits_0(capsys, argv):
 @pytest.mark.parametrize("schema", [PROBLEM_SCHEMA, REPORT_SCHEMA])
 def test_schemas_are_valid(schema):
     jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 0.1 s of every CLI start-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_FIXTURE.parent.parent / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, dgame.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -15,12 +15,13 @@ from dgame import (
     solve_fbne,
     verify_nash_local,
 )
+from dgame import forward
 from dgame.forward import (
     DAMPING_FLOOR,
     _Evaluator,
-    _newton_refine,
     _policy_iteration,
     _starting_points,
+    root as newton_root,
     solution_at,
 )
 from dgame.game import m_matrix
@@ -389,10 +390,12 @@ def _newton_system_oracle(rg, ms, gbar, vbar_t):
 
 
 def _newton_refine_oracle(rg, ms, gbar, vbar_t, f0, p0):
+    """Oracle: MINPACK's hybr with a finite-difference Jacobian from
+    (f0, p0); returns its last iterate, also when hybr reports that it
+    stopped making progress, which from a converged start means the
+    residual is at rounding level."""
     pack, unpack, fun = _newton_system_oracle(rg, ms, gbar, vbar_t)
     sol = root(fun, pack(f0, p0), method="hybr", tol=1e-13)
-    if not sol.success:
-        return None
     f, p_list = unpack(sol.x)
     return f, [symmetrize(p) for p in p_list]
 
@@ -462,31 +465,98 @@ def test_residual_system_matches_oracle_bytes(case):
         assert norms[k] == max_norm
 
 
-@pytest.mark.parametrize("costs", ["costs_gt", "costs_id", "costs_mis"])
-def test_newton_refine_matches_oracle_on_lane_starts(lane, costs):
-    # the polishing refine from every converged start and the fallback
-    # refine from every other start, as solve_fbne runs them; hybr keeps
-    # the arrays it is handed, so this also catches a reused output array
-    rg, c = lane["rg"], lane[costs]
+@pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+def test_jacobian_matches_central_differences(case):
+    rg, c = RESIDUAL_CASES[case]()
     ev = _Evaluator(rg, c)
-    ms, gbar, vbar_t = ev.ms, ev.gbar, ev.vbar_t
-    opts = SolveOptions(n_starts=12)
-    f0s = [f0 for _, f0 in _starting_points(rg, opts)]
-    outcomes = _policy_iteration(ev, f0s, opts)
-    refined = 0
+    rng = np.random.default_rng(1)
+    size = rg.m * rg.r + rg.n_players * rg.r * (rg.r + 1) // 2
+    zs = rng.standard_normal((4, size))
+    fs, ps = ev.unpack(zs)
+    jacs = ev.jacobian(fs, ps, ev.closed_loop(fs))
+    assert jacs.shape == (len(zs), size, size)
+    h = 1e-6
+    for z, jac in zip(zs, jacs):
+        f, p = ev.unpack(z)
+        # the stack reads the bits of one point at a time
+        assert _same_bytes(ev.jacobian(f, p, ev.closed_loop(f)), jac)
+        fd = np.empty_like(jac)
+        for j, e in enumerate(np.eye(size)):
+            fd[:, j] = (ev.vector(z + h * e) - ev.vector(z - h * e)) / (2.0 * h)
+        assert np.abs(jac - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+def _newton_starts(ev, rg, f0s, outcomes):
+    """Every start's packed Newton point, as solve_fbne builds it."""
+    pack, _, _ = _newton_system_oracle(rg, ev.ms, ev.gbar, ev.vbar_t)
+    z0 = []
     for f0, out in zip(f0s, outcomes):
         if out is not None:
-            f, p_list, _ = out
+            z0.append(pack(out[0], out[1]))
         elif is_stable(rg.j + rg.b1_stacked @ f0):
-            f, p_list = f0, _lyapunov_values_oracle(rg, ms, f0)
+            z0.append(pack(f0, _lyapunov_values_oracle(rg, ev.ms, f0)))
         else:
-            f, p_list = f0, [np.zeros((rg.r, rg.r)) for _ in range(rg.n_players)]
-        got = _newton_refine(ev, f, p_list)
-        want = _newton_refine_oracle(rg, ms, gbar, vbar_t, f, p_list)
-        assert (got is None) == (want is None)
-        if got is None:
-            continue
-        refined += 1
-        assert _same_bytes(got[0], want[0])
-        assert all(_same_bytes(p, pw) for p, pw in zip(got[1], want[1]))
-    assert refined > 0
+            z0.append(pack(f0, [np.zeros((rg.r, rg.r))] * rg.n_players))
+    return np.array(z0)
+
+
+@pytest.mark.parametrize("costs", ["costs_gt", "costs_id"])
+def test_root_polish_matches_oracle_on_lane_starts(lane, costs):
+    # from every start the policy iteration converges, the batched Newton
+    # solve and the hybr oracle polish to the same point (the policy
+    # iteration converges from no start on the misspecified costs)
+    rg, c = lane["rg"], lane[costs]
+    ev = _Evaluator(rg, c)
+    opts = SolveOptions(n_starts=12)
+    f0s = [f0 for _, f0 in _starting_points(rg, opts)]
+    outcomes = [out for out in _policy_iteration(ev, f0s, opts) if out is not None]
+    assert outcomes
+    z = newton_root(ev, _newton_starts(ev, rg, f0s, outcomes))
+    for (f0, p0, _), z_k in zip(outcomes, z):
+        want = _newton_refine_oracle(rg, ev.ms, ev.gbar, ev.vbar_t, f0, p0)
+        f, p = ev.unpack(z_k)
+        scale = 1.0 + max(np.abs(want[0]).max(), *(np.abs(pw).max() for pw in want[1]))
+        assert np.abs(f - want[0]).max() <= 1e-10 * scale
+        assert all(np.abs(p_k - pw).max() <= 1e-10 * scale for p_k, pw in zip(p, want[1]))
+
+
+@pytest.mark.parametrize("case", ["lane-id", "lane-mis", "three-players"])
+def test_root_start_is_independent_of_its_batch(case, monkeypatch):
+    # one batch, one call per start and groups of one Jacobian each give
+    # the same bits: a start's result never depends on its neighbours
+    rg, c = RESIDUAL_CASES[case]()
+    ev = _Evaluator(rg, c)
+    opts = SolveOptions(n_starts=6)
+    f0s = [f0 for _, f0 in _starting_points(rg, opts)]
+    z0 = _newton_starts(ev, rg, f0s, _policy_iteration(ev, f0s, opts))
+    batch = newton_root(ev, z0)
+    single = np.concatenate([newton_root(ev, z0[k:k + 1]) for k in range(len(z0))])
+    monkeypatch.setattr(forward, "_NEWTON_GROUP_BYTES", 1)
+    grouped = newton_root(ev, z0)
+    assert _same_bytes(batch, single)
+    assert _same_bytes(batch, grouped)
+    assert not _same_bytes(batch, z0)
+
+
+def test_root_retires_a_singular_start_alone(lane):
+    # a start whose Jacobian is singular keeps its point and leaves the
+    # others' bits alone, although it sits in their solve
+    rg, c = lane["rg"], lane["costs_id"]
+    ev = _Evaluator(rg, c)
+    opts = SolveOptions(n_starts=4)
+    f0s = [f0 for _, f0 in _starting_points(rg, opts)]
+    z0 = _newton_starts(ev, rg, f0s, _policy_iteration(ev, f0s, opts))
+    want = newton_root(ev, z0)
+    marked = np.zeros_like(z0[0])
+    marked[:rg.m * rg.r] = 7.0
+    jacobian = ev.jacobian
+
+    def singular_at_marked(f, p, a_cl):
+        jac = jacobian(f, p, a_cl)
+        jac[(f == 7.0).all(axis=(-2, -1))] = 0.0
+        return jac
+
+    ev.jacobian = singular_at_marked
+    got = newton_root(ev, np.vstack([z0[:3], marked, z0[3:]]))
+    assert _same_bytes(got[3], marked)
+    assert _same_bytes(np.vstack([got[:3], got[4:]]), want)
