@@ -38,7 +38,6 @@ from .game import (
     DescriptorGame,
     ReducedGame,
     UnstabilizableError,
-    gbar_matrix,
     m_matrix,
     reduce_game,
 )

@@ -633,9 +633,16 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"cannot parse --x1-0: {exc}") from exc
     if x1_0.size != rg.r:
         raise UsageError(f"--x1-0 must have r={rg.r} entries")
+    if not np.isfinite(x1_0).all():
+        raise UsageError("--x1-0 must have finite entries")
     if not (0.0 < args.dt < np.inf and 0.0 <= args.horizon < np.inf):
         raise UsageError("need a finite --dt > 0 and a finite --horizon >= 0")
-    traj = simulate(rg, problem.f_observed, x1_0, float(args.horizon), float(args.dt))
+    try:
+        traj = simulate(rg, problem.f_observed, x1_0, float(args.horizon), float(args.dt))
+    except MemoryError as exc:
+        samples = int(round(args.horizon / args.dt)) + 1
+        raise UsageError(f"cannot allocate {samples} samples; "
+                         "raise --dt or lower --horizon") from exc
     with _writing(args.out or "standard output"):
         write_trajectory_csv(traj, args.out or sys.stdout)
     print(f"simulate: {len(traj.times)} samples over {args.horizon}s", file=sys.stderr)

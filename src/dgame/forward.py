@@ -12,26 +12,21 @@ from :meth:`dgame.game.ReducedGame.closed_loop`; one evaluator per game
 and cost set is the only place that forms the closed-loop costs C_i, the
 value matrices (P_i solving the Riccati equation at a given F) and both
 residual families, for one gain or a stack of them.
-The solver runs damped policy iteration (each half step is a linear
-Lyapunov solve) from a spread of starts, all of them in lockstep: every
-iteration is one stacked numpy call per operation over the starts still
-running, and a start leaves that set as soon as it converges, leaves the
-stabilizing region or fails a solve, with the same outcome it would have
-on its own.  Each converged start is then polished, and each start that
-stalls or fails gets a Newton fallback, in one damped Newton solve over
-all of them (:func:`root`): the exact Jacobian of the evaluator's packed
-residual (the Frechet derivative of the coupled system in F and the
-P_i), an Armijo backtracking search on the residual's 2-norm, and every
-start moving in lockstep until its step falls below ``_STEP_TOL``
-relative to the point, its step is singular or not finite, backtracking
-reaches ``_BACKTRACK_FLOOR`` or ``_NEWTON_ITERS`` steps are spent.
+The solver packs every start, an initial gain with its Lyapunov value
+matrices (zero when its loop is unstable or a solve fails), and runs one
+damped Newton solve over all of them (:func:`root`): the exact Jacobian
+of the evaluator's packed residual (the Frechet derivative of the
+coupled system in F and the P_i), an Armijo backtracking search on the
+residual's 2-norm, and every start moving in lockstep until its step
+falls below ``_STEP_TOL`` relative to the point, its step is singular or
+not finite, backtracking reaches ``_BACKTRACK_FLOOR`` or ``_NEWTON_ITERS``
+steps are spent.
 Coupled Riccati systems can have several stabilizing solutions, so
 enumeration is heuristic multistart and completeness is only ever
-validated at test scale.  G and V are read out of the players' reduced
-cost matrices M_i (:func:`dgame.game.m_matrix`); the damping floor, the
-Newton constants and the deduplication distance are fixed module
-constants, and only the start count, seed, tolerance and iteration cap
-are options.
+validated at test scale.  G and V' are read out of the players' reduced
+cost matrices M_i (:func:`dgame.game.m_matrix`); the Newton constants
+and the deduplication distance are fixed module constants, and only the
+start count, seed and tolerance are options.
 """
 from __future__ import annotations
 
@@ -41,7 +36,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .feedback import ReducedFeedback
-from .game import CostParameters, ReducedGame, gbar_matrix, m_matrix
+from .game import CostParameters, ReducedGame, m_matrix
 from .linalg import is_stable, solve_lyapunov_stack, sorted_spectrum, symmetrize
 
 __all__ = [
@@ -55,9 +50,6 @@ __all__ = [
     "verify_nash_local",
 ]
 
-
-#: smallest damping factor of the policy iteration's step
-DAMPING_FLOOR = 1.0 / 16.0
 
 #: relative max-entry distance under which two feedbacks are one solution
 DEDUP_TOL = 1e-5
@@ -88,12 +80,13 @@ class IndefiniteInputWeightError(ValueError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Multistart solver options; ``tol`` is relative to the data scale."""
+    """Multistart solver options: the number of seeded starts, their seed
+    and the residual tolerance, relative to the data scale.  Each start
+    gets at most ``_NEWTON_ITERS`` Newton steps."""
 
     n_starts: int = 64
     seed: int = 0
     tol: float = 1e-9
-    max_iter: int = 300
 
 
 @dataclass(frozen=True)
@@ -113,7 +106,9 @@ class CareResiduals:
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
-    """One stabilizing solution: reduced feedback, value matrices, diagnostics."""
+    """One stabilizing solution: reduced feedback, value matrices, diagnostics
+    (``iterations`` is the number of Newton steps its start took, ``start``
+    the start's name)."""
 
     f_star: ReducedFeedback
     p: tuple[np.ndarray, ...]
@@ -128,9 +123,10 @@ class _Evaluator:
     """The closed loop of one game and cost set, at one gain or a stack.
 
     Built once per solve from ``(rg, c)``, it holds what no evaluation
-    changes: the stack of every M_i, G, the m x r stack V' of the
-    players' own couplings v_bar[i][i]' (rows r + s_i, columns :r of
-    M_i), the game's A_cl map (:meth:`ReducedGame.closed_loop`), the
+    changes: the stack of every M_i, player i's rows r + s_i of M_i read
+    as G (columns r:, the effective input weight and cross couplings)
+    and as the m x r stack V' of the own couplings v_bar[i][i]' (columns
+    :r), the game's A_cl map (:meth:`ReducedGame.closed_loop`), the
     B1_i' blocks, the identity block of [I; F], the data scale, the
     index maps and unit directions of the packed Newton point and the
     Jacobian's fixed stationarity rows.  Each method takes one gain F
@@ -146,9 +142,8 @@ class _Evaluator:
         self.r, self.m, self.n_players = r, m, n_players
         self.ms = np.stack([m_matrix(rg, c, i) for i in range(n_players)])
         self.rows = [rg.input_slice(i) for i in range(n_players)]
-        self.gbar = gbar_matrix(rg, c)
-        self.vbar_t = np.vstack([m_i[r + s.start:r + s.stop, :r]
-                                 for m_i, s in zip(self.ms, self.rows)])
+        own = np.vstack([m_i[r + s.start:r + s.stop] for m_i, s in zip(self.ms, self.rows)])
+        self.vbar_t, self.gbar = own[:, :r], own[:, r:]
         self.closed_loop, self.eye = rg.closed_loop, np.eye(r)
         self.b1_t = [b.T for b in rg.b1]
         # 1 + max-entry scale of J, B1 and every M_i: makes tolerances
@@ -203,19 +198,12 @@ class _Evaluator:
         return p.reshape(costs.shape), errors
 
     def residual_matrices(self, f, p, a_cl, costs):
-        """``(stat, care, bd_t_p)``: the stationarity residual G F + V' +
-        Bd' P, each player's Riccati residual A_cl' P_i + P_i A_cl + C_i,
-        and Bd' P itself (the stack of B1_i' P_i)."""
+        """``(stat, care)``: the stationarity residual G F + V' + Bd' P and
+        each player's Riccati residual A_cl' P_i + P_i A_cl + C_i."""
         care = a_cl.swapaxes(-1, -2)[..., None, :, :] @ p + p @ a_cl[..., None, :, :] + costs
         bd_t_p = np.concatenate([b_t @ p[..., k, :, :] for k, b_t in enumerate(self.b1_t)],
                                 axis=-2)
-        return self.gbar @ f + self.vbar_t + bd_t_p, care, bd_t_p
-
-    @staticmethod
-    def max_norm(stat, care):
-        """The max-norm over both residual families, per item."""
-        return np.maximum(np.abs(stat).max(axis=(-2, -1), initial=0.0),
-                          np.abs(care).max(axis=(-3, -2, -1), initial=0.0))
+        return self.gbar @ f + self.vbar_t + bd_t_p, care
 
     def residuals(self, f, p, a_cl=None, costs=None) -> CareResiduals:
         """Both residual families at one gain f and value matrices p, with
@@ -223,7 +211,7 @@ class _Evaluator:
         f are given."""
         if a_cl is None:
             a_cl, costs = self.closed_loop(f), self.costs(f)
-        stat, care, _ = self.residual_matrices(f, np.asarray(p), a_cl, costs)
+        stat, care = self.residual_matrices(f, np.asarray(p), a_cl, costs)
         return CareResiduals(
             care=tuple(care),
             stationarity=stat,
@@ -251,7 +239,7 @@ class _Evaluator:
         """The packed residual at z: vec of the stationarity residual, then
         the upper triangle of each Riccati residual."""
         f, p = self.unpack(z)
-        stat, care, _ = self.residual_matrices(f, p, self.closed_loop(f), self.costs(f))
+        stat, care = self.residual_matrices(f, p, self.closed_loop(f), self.costs(f))
         lead = z.shape[:-1]
         return np.concatenate([stat.reshape(lead + (self.m * self.r,)),
                                care.reshape(lead + (self.n_players * self.r ** 2,)).take(
@@ -312,56 +300,6 @@ def solution_at(rg: ReducedGame, c: CostParameters,
     )
 
 
-def _policy_iteration(ev: _Evaluator, f0s, opts):
-    """Damped fixed-point iteration from every start in lockstep.
-
-    Each start follows its own iteration: stop with ``None`` once the
-    loop is unstable, a Lyapunov solve fails or ``gbar`` is singular;
-    stop with ``(f, p_list, iters)`` once the residual is within
-    tolerance; otherwise step towards the policy update, halving the
-    start's damping (down to ``DAMPING_FLOOR``) whenever its residual
-    grew.  All active starts share one stacked numpy call per operation
-    and retire from the active set as soon as they stop.
-    """
-    f = np.array(f0s, dtype=float).reshape(len(f0s), ev.m, ev.r)
-    alpha = np.ones(len(f0s))
-    last_res = np.full(len(f0s), np.inf)
-    outcomes = [None] * len(f0s)
-    active = np.arange(len(f0s))
-    for it in range(opts.max_iter):
-        if not active.size:
-            break
-        # drop unstable loops
-        fa = f[active]
-        a_cl = ev.closed_loop(fa)
-        stable = is_stable(a_cl)
-        active, fa, a_cl = active[stable], fa[stable], a_cl[stable]
-        # value matrices, one Lyapunov item per (start, player)
-        costs = ev.costs(fa)
-        p, errors = ev.values(a_cl, costs)
-        solved = np.array([e is None for e in errors], dtype=bool).reshape(-1, ev.n_players)
-        solved = solved.all(axis=1)
-        active, fa, a_cl, costs, p = (v[solved] for v in (active, fa, a_cl, costs, p))
-        stat, care, bd_t_p = ev.residual_matrices(fa, p, a_cl, costs)
-        res = ev.max_norm(stat, care)
-        done = res <= opts.tol * ev.scale
-        for k in np.flatnonzero(done):
-            outcomes[active[k]] = (fa[k], list(p[k]), it)
-        go = ~done
-        active, fa, bd_t_p, res = active[go], fa[go], bd_t_p[go], res[go]
-        # damped step towards the policy update
-        try:
-            f_next = -np.linalg.solve(ev.gbar, ev.vbar_t + bd_t_p)
-        except np.linalg.LinAlgError:
-            return outcomes
-        worse = res > last_res[active]
-        alpha[active] = np.where(worse, np.maximum(alpha[active] / 2.0, DAMPING_FLOOR),
-                                 alpha[active])
-        last_res[active] = res
-        f[active] = fa + alpha[active][:, None, None] * (f_next - fa)
-    return outcomes
-
-
 def _newton_steps(ev: _Evaluator, z, res):
     """The Newton step -J(z)^-1 res(z) of every row of the stack z, NaN for
     a singular Jacobian; Jacobians are formed and solved in groups of at
@@ -384,7 +322,7 @@ def _newton_steps(ev: _Evaluator, z, res):
     return step[..., 0]
 
 
-def root(ev: _Evaluator, z) -> np.ndarray:
+def root(ev: _Evaluator, z) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on ``ev.vector(z) = 0`` from every row of the stack z.
 
     All starts step in lockstep, each with its own Armijo backtracking
@@ -393,13 +331,15 @@ def root(ev: _Evaluator, z) -> np.ndarray:
     1 - ``_ARMIJO`` t.  A start retires once its full step is at most
     ``_STEP_TOL`` (1 + |z|), which it still takes, or when its step is
     singular or not finite, its search falls below ``_BACKTRACK_FLOOR``
-    or it has taken ``_NEWTON_ITERS`` steps.  Returns the final points,
-    one row per start; each row is what that start gives on its own.
+    or it has taken ``_NEWTON_ITERS`` steps.  Returns ``(z, steps)``: the
+    final points, one row per start, and the number of steps each start
+    took; each row is what that start gives on its own.
     """
     z = np.array(z, dtype=float)
     res = ev.vector(z)
     norm = np.linalg.norm(res, axis=-1)
     active = np.arange(len(z))
+    steps = np.zeros(len(z), dtype=int)
     for _ in range(_NEWTON_ITERS):
         if not active.size:
             break
@@ -423,8 +363,9 @@ def root(ev: _Evaluator, z) -> np.ndarray:
             search = search[~ok]
             t[search] /= 2.0
             search = search[t[search] >= _BACKTRACK_FLOOR]
+        steps[active[small | moved]] += 1
         active = active[moved]
-    return z
+    return z, steps
 
 
 def _lqr_start(j, b, wq, wr):
@@ -457,8 +398,8 @@ def _starting_points(rg, opts):
         except Exception:
             continue
         starts.append((f"seeded-{k}", f0))
-        # non-stabilizing spread for the Newton fallback: covers solutions
-        # whose basins the damped iteration cannot reach
+        # non-stabilizing spread: Newton from these reaches roots whose
+        # basins no regulator gain lies in
         starts.append((f"seeded-raw-{k}", rng.standard_normal((m, r)) * gain_scale))
     return starts
 
@@ -467,15 +408,14 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
                opts: SolveOptions | None = None) -> list[EquilibriumSolution]:
     """Enumerate stabilizing solutions of the coupled Riccati system.
 
-    Every start runs the lockstep policy iteration.  Then one call of
-    :func:`root`, Newton steps with the exact Jacobian of the coupled
-    system, runs from all starts at once: from a converged start's point
-    it polishes, and the polish is kept only if it lowers the max-norm
-    residual; from any other start it is the fallback, started at the
-    initial gain with its Lyapunov value matrices (zero if the loop is
-    unstable or they fail) and labelled ``+newton``.  A point counts when
-    its loop is stable, its residual is within ``opts.tol`` times the
-    data scale and no earlier solution lies within ``DEDUP_TOL``.
+    Every start is packed as its initial gain with that gain's Lyapunov
+    value matrices (zero if the loop is unstable or a solve fails), and
+    one call of :func:`root`, Newton steps with the exact Jacobian of the
+    coupled system, runs from all of them at once.  In start order, a
+    start's point counts when its loop is stable, its residual is within
+    ``opts.tol`` times the data scale and no earlier solution lies within
+    ``DEDUP_TOL``; the solution carries the start's name and its Newton
+    step count as ``iterations``.
     Requires every effective own-input weight r_bar[i][i] to be positive
     definite (raises :class:`IndefiniteInputWeightError`).  Returns the
     deduplicated solutions in a canonical order (lexicographic by rounded
@@ -512,12 +452,8 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
         ))
 
     starts = _starting_points(rg, opts)
-    outcomes = _policy_iteration(ev, [f0 for _, f0 in starts], opts)
     z0 = np.empty((len(starts), len(ev.jac0)))
-    for k, ((_, f0), out) in enumerate(zip(starts, outcomes)):
-        if out is not None:
-            z0[k] = ev.pack(out[0], out[1])
-            continue
+    for k, (_, f0) in enumerate(starts):
         a_cl = ev.closed_loop(f0)
         p0 = np.zeros((rg.n_players, rg.r, rg.r))
         if is_stable(a_cl):
@@ -525,18 +461,10 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
             if all(err is None for err in errors):
                 p0 = p
         z0[k] = ev.pack(f0, p0)
-    z = root(ev, z0)
-    for (label, _), out, z_k in zip(starts, outcomes, z):
-        refined = ev.unpack(z_k)
-        res_ref = ev.residuals(*refined)
-        if out is not None:
-            f, p_list, iters = out
-            res = ev.residuals(f, p_list)
-            if res_ref.max_norm < res.max_norm:
-                (f, p_list), res = refined, res_ref
-            try_add(f, p_list, res, iters, label)
-        else:
-            try_add(*refined, res_ref, opts.max_iter, f"{label}+newton")
+    z, steps = root(ev, z0)
+    for (label, _), z_k, steps_k in zip(starts, z, steps):
+        f, p = ev.unpack(z_k)
+        try_add(f, p, ev.residuals(f, p), int(steps_k), label)
 
     solutions.sort(key=lambda s: tuple(np.round(s.f_star.matrix, 8).reshape(-1)))
     return solutions

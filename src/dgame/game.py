@@ -17,9 +17,9 @@ whose per-player cost matrix is the congruence
 with blocks named q_bar (state weight), v_bar (state/input coupling),
 r_bar (effective input weights) and s_bar (cross-input couplings).  This
 module owns the data types, the construction-time validation of the two
-standing assumptions (impulse-free pencil, per-player stabilizability),
-M_i itself (:func:`m_matrix`; consumers slice their blocks out of it)
-and the stationarity operator G of the forward solver.
+standing assumptions (impulse-free pencil, per-player stabilizability)
+and M_i itself (:func:`m_matrix`; consumers, the forward solver's
+stationarity operator G among them, slice their blocks out of it).
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ __all__ = [
     "ReducedGame",
     "reduce_game",
     "m_matrix",
-    "gbar_matrix",
 ]
 
 #: rank tolerance for the Hautus stabilizability test
@@ -244,24 +243,4 @@ def m_matrix(rg: ReducedGame, c: CostParameters, i: int) -> np.ndarray:
             out[sj, sk] = s_bar
             out[sk, sj] = s_bar.T
     return symmetrize(out)
-
-
-def gbar_matrix(rg: ReducedGame, c: CostParameters) -> np.ndarray:
-    """The m x m stationarity operator: diagonal blocks r_bar[i][i], off-
-    diagonal blocks are player i's cross couplings s(i; i, j).
-
-    These are blocks of the M_i, but built from their unsymmetrized
-    products, so they can differ from the slices of :func:`m_matrix` in
-    the last bit."""
-    x2 = rg.w.x2
-    out = np.zeros((rg.m, rg.m))
-    for i in range(rg.n_players):
-        si = rg.input_slice(i)
-        for j in range(rg.n_players):
-            sj = rg.input_slice(j)
-            core = rg.b2[i].T @ x2.T @ c.q[i] @ x2 @ rg.b2[j]
-            if i == j:
-                core = c.r[i][i] + core
-            out[si, sj] = core
-    return out
 

@@ -303,7 +303,7 @@ def test_criterion_7_property_suites():
             rg = reduce_game(g)
             c = friendly_costs(rng, n, dims)
             try:
-                sols = solve_fbne(rg, c, SolveOptions(n_starts=2, max_iter=150))
+                sols = solve_fbne(rg, c, SolveOptions(n_starts=2))
             except ValueError:
                 continue
             if not sols:

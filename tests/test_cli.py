@@ -295,6 +295,18 @@ def test_simulate_rejects_bad_time_grid(tmp_path, capsys, span):
     assert not out.exists()
 
 
+def test_simulate_grid_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("dgame.cli.simulate", no_memory)
+    out = tmp_path / "traj.csv"
+    assert run(["simulate", REPO_FIXTURE, "--x1-0", "1,0.4", "--horizon", "1e9",
+                "--dt", "1e-3", "--out", out]) == 1
+    assert one_line_message(capsys, "error: cannot allocate 1000000000001 samples")
+    assert not out.exists()
+
+
 def test_simulate_unstable_loop_exits_5(tmp_path):
     prob = lane_problem_dict(with_costs=False)
     prob["F"] = [np.zeros((1, 3)).tolist(), np.zeros((1, 3)).tolist()]
@@ -377,6 +389,8 @@ FILE_FAULTS = {
     "simulate-out-missing-dir": (["simulate", REPO_FIXTURE, "--x1-0", "1,0.4",
                                   "--out", "missing/traj.csv"], {},
                                  "error: cannot write missing/traj.csv"),
+    "simulate-x1-0-nan": (["simulate", REPO_FIXTURE, "--x1-0", "nan,1", "--out", "traj.csv"],
+                          {}, "error: --x1-0 must have finite entries"),
     "misspecify-traj-out-missing-dir": (["misspecify", REPO_FIXTURE, "--starts", 16,
                                          "--out", "rep.json", "--traj-out", "missing/err.csv"],
                                         {}, "error: cannot write missing/err.csv"),

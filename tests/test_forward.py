@@ -17,9 +17,8 @@ from dgame import (
 )
 from dgame import forward
 from dgame.forward import (
-    DAMPING_FLOOR,
+    _NEWTON_ITERS,
     _Evaluator,
-    _policy_iteration,
     _starting_points,
     root as newton_root,
     solution_at,
@@ -264,13 +263,16 @@ def _lyapunov_values_oracle(rg, ms, f):
     return [solve_lyapunov(a_cl, stacked.T @ ms[i] @ stacked) for i in range(rg.n_players)]
 
 
-def _policy_iteration_per_start(rg, ms, gbar, vbar_t, f0, scale, opts):
-    """Oracle: the damped fixed-point iteration for one start on its own;
-    returns (f, p_list, iters) or None."""
+def _policy_iteration_per_start(rg, ms, gbar, vbar_t, f0, scale):
+    """Near-root points: the damped fixed-point iteration for one start on
+    its own, which steps towards the policy update and halves its damping
+    (down to 1/16) whenever the residual grew; returns (f, p_list, iters)
+    once the residual is within 1e-9 times the data scale, or None after
+    300 iterations."""
     f = f0.copy()
     alpha = 1.0
     last_res = np.inf
-    for it in range(opts.max_iter):
+    for it in range(300):
         a_cl = rg.j + rg.b1_stacked @ f
         if not is_stable(a_cl):
             return None
@@ -281,7 +283,7 @@ def _policy_iteration_per_start(rg, ms, gbar, vbar_t, f0, scale, opts):
         stat, care = _residual_matrices_oracle(rg, ms, gbar, vbar_t, f, p_list)
         res = max(float(np.abs(stat).max(initial=0.0)),
                   *(float(np.abs(c).max(initial=0.0)) for c in care))
-        if res <= opts.tol * scale:
+        if res <= 1e-9 * scale:
             return f, p_list, it
         bd_t_p = np.vstack([rg.b1[i].T @ p_list[i] for i in range(rg.n_players)])
         try:
@@ -289,62 +291,10 @@ def _policy_iteration_per_start(rg, ms, gbar, vbar_t, f0, scale, opts):
         except np.linalg.LinAlgError:
             return None
         if res > last_res:
-            alpha = max(alpha / 2.0, DAMPING_FLOOR)
+            alpha = max(alpha / 2.0, 1.0 / 16.0)
         last_res = res
         f = f + alpha * (f_next - f)
     return None
-
-
-def _assert_lockstep_matches_per_start(rg, c, f0s, opts):
-    ev = _Evaluator(rg, c)
-    got = _policy_iteration(ev, f0s, opts)
-    assert len(got) == len(f0s)
-    for f0, out in zip(f0s, got):
-        want = _policy_iteration_per_start(rg, ev.ms, ev.gbar, ev.vbar_t, f0, ev.scale, opts)
-        if want is None:
-            assert out is None
-            continue
-        assert out is not None
-        (f, p_list, iters), (f_w, p_w, iters_w) = out, want
-        assert iters == iters_w
-        assert f.shape == f_w.shape and f.tobytes() == f_w.tobytes()
-        assert len(p_list) == len(p_w)
-        for p, pw in zip(p_list, p_w):
-            assert p.shape == pw.shape and p.tobytes() == pw.tobytes()
-    return got
-
-
-@pytest.mark.parametrize("costs", ["costs_gt", "costs_id", "costs_mis"])
-def test_lockstep_policy_iteration_matches_per_start_on_lane(lane, costs):
-    opts = SolveOptions(n_starts=16)
-    rg = lane["rg"]
-    f0s = [f0 for _, f0 in _starting_points(rg, opts)]
-    _assert_lockstep_matches_per_start(rg, lane[costs], f0s, opts)
-
-
-def test_lockstep_policy_iteration_matches_per_start_on_planted_game():
-    rng = np.random.default_rng(11)
-    g = random_game(rng, 8, 6, (1, 2))
-    rg = reduce_game(g)
-    c = friendly_costs(rng, 8, (1, 2))
-    opts = SolveOptions(n_starts=6)
-    f0s = [f0 for _, f0 in _starting_points(rg, opts)]
-    _assert_lockstep_matches_per_start(rg, c, f0s, opts)
-
-
-def test_lockstep_policy_iteration_mixed_starts(lane):
-    # stabilizing starts that converge, non-stabilizing starts and starts
-    # that stall at the iteration cap, retired at different iterations
-    rg, c = lane["rg"], lane["costs_id"]
-    opts = SolveOptions(max_iter=40)
-    starts = _starting_points(rg, SolveOptions(n_starts=8))
-    f0s = [f0 for _, f0 in starts]
-    got = _assert_lockstep_matches_per_start(rg, c, f0s, opts)
-    stabilizing = [is_stable(rg.j + rg.b1_stacked @ f0) for f0 in f0s]
-    assert any(out is not None for out in got)
-    assert any(out is None and ok for out, ok in zip(got, stabilizing))
-    assert any(not ok for ok in stabilizing)
-    assert len({out[2] for out in got if out is not None}) > 1
 
 
 def _residual_matrices_oracle(rg, ms, gbar, vbar_t, f, p_list):
@@ -449,20 +399,18 @@ def test_residual_system_matches_oracle_bytes(case):
         assert len(res.care) == len(care)
         assert all(_same_bytes(a, b) for a, b in zip(res.care, care))
         assert res.scale == _data_scale_oracle(rg, ms)
-        oracle.append((f_w, p_w, stat, care, res.max_norm))
+        oracle.append((f_w, p_w, stat, care))
     # all 21 points as one stack: every item reads the oracle's bytes
     fs = np.stack([o[0] for o in oracle])
     ps = np.stack([np.stack(o[1]) for o in oracle])
     a_cls = ev.closed_loop(fs)
-    stats, cares, _ = ev.residual_matrices(fs, ps, a_cls, ev.costs(fs))
-    norms = ev.max_norm(stats, cares)
+    stats, cares = ev.residual_matrices(fs, ps, a_cls, ev.costs(fs))
     assert stats.shape == (len(points), rg.m, rg.r)
     assert cares.shape == (len(points), rg.n_players, rg.r, rg.r)
-    for k, (f_w, _, stat, care, max_norm) in enumerate(oracle):
+    for k, (f_w, _, stat, care) in enumerate(oracle):
         assert _same_bytes(a_cls[k], rg.j + np.hstack(rg.b1) @ f_w)
         assert _same_bytes(stats[k], stat)
         assert all(_same_bytes(cares[k, i], care[i]) for i in range(rg.n_players))
-        assert norms[k] == max_norm
 
 
 @pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
@@ -486,14 +434,14 @@ def test_jacobian_matches_central_differences(case):
         assert np.abs(jac - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
-def _newton_starts(ev, rg, f0s, outcomes):
-    """Every start's packed Newton point, as solve_fbne builds it."""
+def _newton_starts(ev, rg, f0s):
+    """Every start's packed Newton point, as solve_fbne builds it: the
+    initial gain with its Lyapunov value matrices, zero ones when the
+    loop is unstable."""
     pack, _, _ = _newton_system_oracle(rg, ev.ms, ev.gbar, ev.vbar_t)
     z0 = []
-    for f0, out in zip(f0s, outcomes):
-        if out is not None:
-            z0.append(pack(out[0], out[1]))
-        elif is_stable(rg.j + rg.b1_stacked @ f0):
+    for f0 in f0s:
+        if is_stable(rg.j + rg.b1_stacked @ f0):
             z0.append(pack(f0, _lyapunov_values_oracle(rg, ev.ms, f0)))
         else:
             z0.append(pack(f0, [np.zeros((rg.r, rg.r))] * rg.n_players))
@@ -502,22 +450,51 @@ def _newton_starts(ev, rg, f0s, outcomes):
 
 @pytest.mark.parametrize("costs", ["costs_gt", "costs_id"])
 def test_root_polish_matches_oracle_on_lane_starts(lane, costs):
-    # from every start the policy iteration converges, the batched Newton
-    # solve and the hybr oracle polish to the same point (the policy
-    # iteration converges from no start on the misspecified costs)
+    # from every near-root point the damped policy iteration reaches, the
+    # batched Newton solve and the hybr oracle polish to the same point
+    # (the iteration reaches none on the misspecified costs)
     rg, c = lane["rg"], lane[costs]
     ev = _Evaluator(rg, c)
-    opts = SolveOptions(n_starts=12)
-    f0s = [f0 for _, f0 in _starting_points(rg, opts)]
-    outcomes = [out for out in _policy_iteration(ev, f0s, opts) if out is not None]
-    assert outcomes
-    z = newton_root(ev, _newton_starts(ev, rg, f0s, outcomes))
-    for (f0, p0, _), z_k in zip(outcomes, z):
+    f0s = [f0 for _, f0 in _starting_points(rg, SolveOptions(n_starts=12))]
+    near = [_policy_iteration_per_start(rg, ev.ms, ev.gbar, ev.vbar_t, f0, ev.scale)
+            for f0 in f0s]
+    near = [out for out in near if out is not None]
+    assert near
+    pack, _, _ = _newton_system_oracle(rg, ev.ms, ev.gbar, ev.vbar_t)
+    z, _ = newton_root(ev, np.array([pack(f0, p0) for f0, p0, _ in near]))
+    for (f0, p0, _), z_k in zip(near, z):
         want = _newton_refine_oracle(rg, ev.ms, ev.gbar, ev.vbar_t, f0, p0)
         f, p = ev.unpack(z_k)
         scale = 1.0 + max(np.abs(want[0]).max(), *(np.abs(pw).max() for pw in want[1]))
         assert np.abs(f - want[0]).max() <= 1e-10 * scale
         assert all(np.abs(p_k - pw).max() <= 1e-10 * scale for p_k, pw in zip(p, want[1]))
+
+
+@pytest.mark.parametrize("costs", ["costs_gt", "costs_id", "costs_mis"])
+def test_solutions_carry_their_start_and_newton_steps(lane, costs, monkeypatch):
+    # every solution is one start's Newton point: it carries that start's
+    # plain name and the number of Newton steps it took
+    rg, c = lane["rg"], lane[costs]
+    starts = _starting_points(rg, FAST)
+    names = [name for name, _ in starts]
+    calls = []
+
+    def spy(ev, z0):
+        z, steps = newton_root(ev, z0)
+        calls.append((ev, z0, z, steps))
+        return z, steps
+
+    monkeypatch.setattr(forward, "root", spy)
+    sols = solve_fbne(rg, c, FAST)
+    assert sols and len(calls) == 1
+    ev, z0, z, steps = calls[0]
+    want = _newton_starts(ev, rg, [f0 for _, f0 in starts])
+    assert np.abs(z0 - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+    for sol in sols:
+        assert sol.start in names
+        k = names.index(sol.start)
+        assert sol.iterations == steps[k] <= _NEWTON_ITERS
+        assert _same_bytes(sol.f_star.matrix, ev.unpack(z[k])[0])
 
 
 @pytest.mark.parametrize("case", ["lane-id", "lane-mis", "three-players"])
@@ -526,15 +503,14 @@ def test_root_start_is_independent_of_its_batch(case, monkeypatch):
     # the same bits: a start's result never depends on its neighbours
     rg, c = RESIDUAL_CASES[case]()
     ev = _Evaluator(rg, c)
-    opts = SolveOptions(n_starts=6)
-    f0s = [f0 for _, f0 in _starting_points(rg, opts)]
-    z0 = _newton_starts(ev, rg, f0s, _policy_iteration(ev, f0s, opts))
-    batch = newton_root(ev, z0)
-    single = np.concatenate([newton_root(ev, z0[k:k + 1]) for k in range(len(z0))])
+    z0 = _newton_starts(ev, rg, [f0 for _, f0 in _starting_points(rg, SolveOptions(n_starts=6))])
+    batch, steps = newton_root(ev, z0)
+    single = [newton_root(ev, z0[k:k + 1]) for k in range(len(z0))]
     monkeypatch.setattr(forward, "_NEWTON_GROUP_BYTES", 1)
-    grouped = newton_root(ev, z0)
-    assert _same_bytes(batch, single)
-    assert _same_bytes(batch, grouped)
+    grouped, grouped_steps = newton_root(ev, z0)
+    assert _same_bytes(batch, np.concatenate([z for z, _ in single]))
+    assert _same_bytes(steps, np.concatenate([n for _, n in single]))
+    assert _same_bytes(batch, grouped) and _same_bytes(steps, grouped_steps)
     assert not _same_bytes(batch, z0)
 
 
@@ -543,10 +519,8 @@ def test_root_retires_a_singular_start_alone(lane):
     # others' bits alone, although it sits in their solve
     rg, c = lane["rg"], lane["costs_id"]
     ev = _Evaluator(rg, c)
-    opts = SolveOptions(n_starts=4)
-    f0s = [f0 for _, f0 in _starting_points(rg, opts)]
-    z0 = _newton_starts(ev, rg, f0s, _policy_iteration(ev, f0s, opts))
-    want = newton_root(ev, z0)
+    z0 = _newton_starts(ev, rg, [f0 for _, f0 in _starting_points(rg, SolveOptions(n_starts=4))])
+    want, want_steps = newton_root(ev, z0)
     marked = np.zeros_like(z0[0])
     marked[:rg.m * rg.r] = 7.0
     jacobian = ev.jacobian
@@ -557,6 +531,7 @@ def test_root_retires_a_singular_start_alone(lane):
         return jac
 
     ev.jacobian = singular_at_marked
-    got = newton_root(ev, np.vstack([z0[:3], marked, z0[3:]]))
-    assert _same_bytes(got[3], marked)
+    got, steps = newton_root(ev, np.vstack([z0[:3], marked, z0[3:]]))
+    assert _same_bytes(got[3], marked) and steps[3] == 0
     assert _same_bytes(np.vstack([got[:3], got[4:]]), want)
+    assert _same_bytes(np.concatenate([steps[:3], steps[4:]]), want_steps)

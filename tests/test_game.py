@@ -7,7 +7,6 @@ from dgame import (
     CostParameters,
     DescriptorGame,
     UnstabilizableError,
-    gbar_matrix,
     m_matrix,
     reduce_game,
     simulate,
@@ -163,7 +162,8 @@ def test_gbar_single_player_is_own_weight():
     g = random_game(rng, 3, 2, (2,))
     rg = reduce_game(g)
     c = friendly_costs(rng, 3, (2,))
-    np.testing.assert_allclose(gbar_matrix(rg, c), m_matrix(rg, c, 0)[rg.r:, rg.r:], atol=1e-12)
+    np.testing.assert_allclose(_Evaluator(rg, c).gbar, m_matrix(rg, c, 0)[rg.r:, rg.r:],
+                               atol=1e-12)
 
 
 def test_gbar_identity_for_zero_state_weights():
@@ -174,12 +174,12 @@ def test_gbar_identity_for_zero_state_weights():
         q=(np.zeros((4, 4)), np.zeros((4, 4))),
         r=((np.eye(1), np.eye(2)), (np.eye(1), np.eye(2))),
     )
-    np.testing.assert_allclose(gbar_matrix(rg, zeros), np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(_Evaluator(rg, zeros).gbar, np.eye(3), atol=1e-14)
 
 
 def test_gbar_invertible_for_lane_ground_truth():
     rg = reduce_game(lane_game())
-    gbar = gbar_matrix(rg, lane_costs_gt())
+    gbar = _Evaluator(rg, lane_costs_gt()).gbar
     assert abs(np.linalg.det(gbar)) > 1e-6
 
 
