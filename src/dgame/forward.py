@@ -12,9 +12,14 @@ from :meth:`dgame.game.ReducedGame.closed_loop`; one evaluator per game
 and cost set is the only place that forms the closed-loop costs C_i, the
 value matrices (P_i solving the Riccati equation at a given F) and both
 residual families, for one gain or a stack of them.
-The solver packs every start, an initial gain with its Lyapunov value
-matrices (zero when its loop is unstable or a solve fails), and runs one
-damped Newton solve over all of them (:func:`root`): the exact Jacobian
+The starts are regulator gains (the joint regulator, each player's own
+regulator, and regulators with seeded random weights), all from one
+stacked Riccati solve (:func:`dgame.linalg.solve_riccati_stack`), and
+seeded random gains whose loops are mostly unstable.  The solver packs
+every start, an initial gain with its Lyapunov value matrices (zero
+when its loop is unstable or a solve fails; one stacked evaluation for
+all starts), and runs one damped Newton solve over all of them
+(:func:`root`): the exact Jacobian
 of the evaluator's packed residual (the Frechet derivative of the
 coupled system in F and the P_i), an Armijo backtracking search on the
 residual's 2-norm, and every start moving in lockstep until its step
@@ -33,11 +38,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .feedback import ReducedFeedback
 from .game import CostParameters, ReducedGame, m_matrix
-from .linalg import is_stable, solve_lyapunov_stack, sorted_spectrum, symmetrize
+from .linalg import (
+    is_stable,
+    solve_lyapunov_stack,
+    solve_riccati_stack,
+    sorted_spectrum,
+    symmetrize,
+)
 
 __all__ = [
     "SolveOptions",
@@ -368,39 +378,44 @@ def root(ev: _Evaluator, z) -> tuple[np.ndarray, np.ndarray]:
     return z, steps
 
 
-def _lqr_start(j, b, wq, wr):
-    p = sla.solve_continuous_are(j, b, wq, wr)
-    return -np.linalg.solve(wr, b.T @ p)
-
-
 def _starting_points(rg, opts):
-    """Deterministic then seeded stabilizing initial gains."""
-    starts = []
-    r, m = rg.r, rg.m
-    try:
-        starts.append(("joint-lqr", _lqr_start(rg.j, rg.b1_stacked, np.eye(r), np.eye(m))))
-    except Exception:
-        pass
-    try:
-        rows = [_lqr_start(rg.j, rg.b1[i], np.eye(r), np.eye(rg.input_dims[i]))
-                for i in range(rg.n_players)]
-        starts.append(("per-player-lqr", np.vstack(rows)))
-    except Exception:
-        pass
+    """Deterministic then seeded initial gains, as ``(name, gain)`` pairs.
+
+    Every start but ``seeded-raw-k`` is a regulator gain F = -R^-1 B' P,
+    P the stabilizing solution of A' P + P A - P B R^-1 B' P + Q = 0 for
+    A = J: ``joint-lqr`` (B = B1, Q = I, R = I), ``per-player-lqr`` (each
+    player's rows from B = B1_i, Q = I, R = I) and ``seeded-k`` (B = B1
+    with a random Q and diagonal R).  All of them come from one
+    :func:`dgame.linalg.solve_riccati_stack` call after every random
+    draw is made, so a regulator problem without a solution drops its
+    start (``per-player-lqr`` when any player's does; ``seeded-k`` with
+    ``seeded-raw-k``) and leaves the others' draws alone.
+    """
+    r, m, b1 = rg.r, rg.m, rg.b1_stacked
     rng = np.random.default_rng(opts.seed)
-    for k in range(opts.n_starts):
+    problems = [(b1, np.eye(r), np.ones(m))]
+    problems += [(b, np.eye(r), np.ones(b.shape[1])) for b in rg.b1]
+    raws = []
+    for _ in range(opts.n_starts):
         g = rng.standard_normal((r, r))
-        wq = g @ g.T + 0.1 * np.eye(r)
-        wr = np.diag(np.exp(rng.uniform(-2.0, 2.0, size=m)))
+        wr = np.exp(rng.uniform(-2.0, 2.0, size=m))
         gain_scale = 10.0 ** rng.uniform(-0.5, 1.5)
-        try:
-            f0 = _lqr_start(rg.j, rg.b1_stacked, wq, wr)
-        except Exception:
-            continue
-        starts.append((f"seeded-{k}", f0))
+        problems.append((b1, g @ g.T + 0.1 * np.eye(r), wr))
         # non-stabilizing spread: Newton from these reaches roots whose
         # basins no regulator gain lies in
-        starts.append((f"seeded-raw-{k}", rng.standard_normal((m, r)) * gain_scale))
+        raws.append(rng.standard_normal((m, r)) * gain_scale)
+    p, ok = solve_riccati_stack(rg.j, np.array([(b / wr) @ b.T for b, _, wr in problems]),
+                                np.array([wq for _, wq, _ in problems]))
+    gains = [-(b.T @ p_k) / wr[:, None] for (b, _, wr), p_k in zip(problems, p)]
+    seeded = 1 + rg.n_players
+    starts = []
+    if ok[0]:
+        starts.append(("joint-lqr", gains[0]))
+    if ok[1:seeded].all():
+        starts.append(("per-player-lqr", np.vstack(gains[1:seeded])))
+    for k, raw in enumerate(raws):
+        if ok[seeded + k]:
+            starts += [(f"seeded-{k}", gains[seeded + k]), (f"seeded-raw-{k}", raw)]
     return starts
 
 
@@ -452,16 +467,15 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
         ))
 
     starts = _starting_points(rg, opts)
-    z0 = np.empty((len(starts), len(ev.jac0)))
-    for k, (_, f0) in enumerate(starts):
-        a_cl = ev.closed_loop(f0)
-        p0 = np.zeros((rg.n_players, rg.r, rg.r))
-        if is_stable(a_cl):
-            p, errors = ev.values(a_cl, ev.costs(f0))
-            if all(err is None for err in errors):
-                p0 = p
-        z0[k] = ev.pack(f0, p0)
-    z, steps = root(ev, z0)
+    f0 = np.array([f for _, f in starts]).reshape(-1, rg.m, rg.r)
+    a_cl = ev.closed_loop(f0)
+    p0 = np.zeros((len(f0), rg.n_players, rg.r, rg.r))
+    stable = np.flatnonzero(is_stable(a_cl))
+    p, errors = ev.values(a_cl[stable], ev.costs(f0[stable]))
+    solved = np.array([err is None for err in errors], dtype=bool).reshape(
+        stable.size, rg.n_players).all(axis=1)
+    p0[stable[solved]] = p[solved]
+    z, steps = root(ev, ev.pack(f0, p0))
     for (label, _), z_k, steps_k in zip(starts, z, steps):
         f, p = ev.unpack(z_k)
         try_add(f, p, ev.residuals(f, p), int(steps_k), label)

@@ -462,8 +462,11 @@ def rationalized_behaviors(rg: ReducedGame, cert: InverseCertificate,
     """Solve the forward game with the certificate's costs and compare
     each equilibrium behavior with the observed one (:func:`match_behaviors`).
 
-    The observed feedback always reproduces itself when the certificate
-    is feasible.
+    A feasible certificate makes the observed feedback an equilibrium of
+    its costs, but the observed gain is not one of the solver's starts:
+    the behavior is reported only when some start converges to it and
+    passes the solver's acceptance test, so ``n_matching`` can be 0 even
+    then (the n = 32 planted game of the benchmark matches none).
     """
     if not cert.feasible:
         raise ValueError("certificate is infeasible: no rationalizing costs to solve")

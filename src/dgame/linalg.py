@@ -14,7 +14,10 @@ n = 10 each item is the Kronecker system
 
 from n = 10 on, each loop is factored once as A' = U T U' (real Schur
 form) for all its right-hand sides, each a triangular Sylvester solve
-T Y + Y T' = -U' Q U with P = U Y U' (Bartels-Stewart).  Also numerical
+T Y + Y T' = -U' Q U with P = U Y U' (Bartels-Stewart).  Stabilizing
+solutions of a stack of continuous-time algebraic Riccati equations
+come from one stacked Newton iteration for the matrix sign function of
+their Hamiltonians (:func:`solve_riccati_stack`).  Also numerical
 kernel bases and eigenvalue/definiteness queries, on plain numpy arrays
 at desk scale (n up to a few tens); no sparse or large-scale paths.
 """
@@ -32,6 +35,7 @@ __all__ = [
     "lyapunov_operator",
     "solve_lyapunov",
     "solve_lyapunov_stack",
+    "solve_riccati_stack",
     "kernel_basis",
     "eigvals",
     "sorted_spectrum",
@@ -55,6 +59,12 @@ _LYAPUNOV_GROUP_BYTES = 256 << 10
 #: smallest order n whose Lyapunov solves go through the real Schur form
 #: rather than the Kronecker operator
 _SCHUR_MIN_ORDER = 10
+
+#: the sign iteration's stop rule: an item has converged once its Newton
+#: update is at most _SIGN_TOL relative to the iterate (1-norm); the
+#: iteration converges quadratically, so the iterate it then holds is
+#: accurate to rounding level
+_SIGN_TOL = 1e-10
 
 #: the error of a Lyapunov equation without a unique solution
 _PAIRING = "non-unique/no Lyapunov solution (eigenvalue pairing in a_cl)"
@@ -262,6 +272,77 @@ def solve_lyapunov(a_cl: np.ndarray, q: np.ndarray) -> np.ndarray:
     if errors[0] is not None:
         raise errors[0]
     return p[0]
+
+
+def _inv_or_nan(z):
+    """Inverses of a stack, NaN for an item that is singular."""
+    try:
+        return np.linalg.inv(z)
+    except np.linalg.LinAlgError:
+        out = np.empty_like(z)
+        for k, z_k in enumerate(z):
+            try:
+                out[k] = np.linalg.inv(z_k)
+            except np.linalg.LinAlgError:
+                out[k] = np.nan
+        return out
+
+
+def solve_riccati_stack(a, s, q):
+    """Stabilizing solutions of ``a' P + P a - P s[k] P + q[k] = 0``.
+
+    ``a`` is ``(n, n)`` or ``(K, n, n)``; ``s`` and ``q`` are symmetric
+    ``(K, n, n)`` (for a regulator problem, s = B R^-1 B').  Returns
+    ``(p, ok)``: ``p`` of shape ``(K, n, n)`` with ``a - s[k] P_k`` stable
+    where ``ok[k]``, NaN elsewhere.  Each Hamiltonian
+    H_k = [[a, -s_k], [-q_k, -a']] goes through Newton's iteration for the
+    matrix sign function with determinant scaling (Roberts 1980; Byers
+    1987), Z <- (c Z + (c Z)^-1) / 2 with c = |det Z|^(-1/2n), all items
+    in one stack; an item retires once its update is at most
+    ``_SIGN_TOL`` relative to the iterate.  Its stable invariant subspace
+    is the kernel of W + I (W = sign H_k), so P_k is the least-squares
+    solution of [W12; W22 + I] P = -[W11 + I; W21] by a QR factorization.
+    An item is masked, never raised for, when it is not finite, a Z is
+    singular, it has not converged after 53 + 8 steps (the eigenvalues of
+    H_k are then too close to the imaginary axis to tell apart in double
+    precision) or [W12; W22 + I] is singular to working precision.
+    """
+    a, s, q = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, s, q)))
+    k, n = s.shape[0], s.shape[-1]
+    z = np.empty((k, 2 * n, 2 * n))
+    z[:, :n, :n], z[:, :n, n:] = a, -s
+    z[:, n:, :n], z[:, n:, n:] = -q, -a.transpose(0, 2, 1)
+    converged = np.zeros(k, dtype=bool)
+    active = np.flatnonzero(np.isfinite(z).all(axis=(1, 2)))
+    for _ in range(np.finfo(float).nmant + 9):     # 53 + 8 steps
+        if not active.size:
+            break
+        sign, logdet = np.linalg.slogdet(z[active])
+        regular = (sign != 0) & np.isfinite(logdet)
+        active, za = active[regular], z[active[regular]]
+        c = np.exp(-logdet[regular] / (2 * n))[:, None, None]
+        new = 0.5 * (c * za + _inv_or_nan(za) / c)
+        finite = np.isfinite(new).all(axis=(1, 2))
+        size = np.abs(new).sum(axis=1).max(axis=1)
+        update = np.abs(new - za).sum(axis=1).max(axis=1)
+        z[active] = new
+        done = finite & (update <= _SIGN_TOL * size)
+        converged[active[done]] = True
+        active = active[finite & ~done]
+    p = np.full((k, n, n), np.nan)
+    idx = np.flatnonzero(converged)
+    w = z[idx]
+    eye = np.eye(n)
+    lhs = np.concatenate([w[:, :n, n:], w[:, n:, n:] + eye], axis=1)
+    rhs = -np.concatenate([w[:, :n, :n] + eye, w[:, n:, :n]], axis=1)
+    q_f, r_f = np.linalg.qr(lhs)
+    regular = 1.0 / np.linalg.cond(r_f) >= np.finfo(float).eps
+    idx, q_f, r_f, rhs = idx[regular], q_f[regular], r_f[regular], rhs[regular]
+    x = np.linalg.solve(r_f, q_f.transpose(0, 2, 1) @ rhs)
+    p[idx] = 0.5 * (x + x.transpose(0, 2, 1))
+    ok = np.isfinite(p).all(axis=(1, 2))
+    p[~ok] = np.nan
+    return p, ok
 
 
 def kernel_basis(m: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:

@@ -448,6 +448,78 @@ def _newton_starts(ev, rg, f0s):
     return np.array(z0)
 
 
+def _starting_points_oracle(rg, opts):
+    """The start recipe with one scipy CARE per regulator problem, its
+    seeded draws in their per-k order (g, wr, gain scale, raw); assumes
+    every regulator problem has a solution."""
+    def lqr(b, wq, wr):
+        p = sla.solve_continuous_are(rg.j, b, wq, np.diag(wr))
+        return -np.linalg.solve(np.diag(wr), b.T @ p)
+
+    r, m = rg.r, rg.m
+    starts = [("joint-lqr", lqr(rg.b1_stacked, np.eye(r), np.ones(m))),
+              ("per-player-lqr", np.vstack([lqr(b, np.eye(r), np.ones(b.shape[1]))
+                                            for b in rg.b1]))]
+    rng = np.random.default_rng(opts.seed)
+    for k in range(opts.n_starts):
+        g = rng.standard_normal((r, r))
+        wr = np.exp(rng.uniform(-2.0, 2.0, size=m))
+        gain_scale = 10.0 ** rng.uniform(-0.5, 1.5)
+        starts.append((f"seeded-{k}", lqr(rg.b1_stacked, g @ g.T + 0.1 * np.eye(r), wr)))
+        starts.append((f"seeded-raw-{k}", rng.standard_normal((m, r)) * gain_scale))
+    return starts
+
+
+@pytest.mark.parametrize("case", ["lane-id", "three-players"])
+def test_starts_match_the_scipy_recipe(case):
+    # the regulator gains agree with one scipy CARE each to 1e-10
+    # relative, and the raw draws are the recipe's bit for bit
+    rg, _ = RESIDUAL_CASES[case]()
+    opts = SolveOptions(n_starts=12, seed=3)
+    got, want = _starting_points(rg, opts), _starting_points_oracle(rg, opts)
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, f), (_, f_want) in zip(got, want):
+        if name.startswith("seeded-raw-"):
+            assert _same_bytes(f, f_want)
+        else:
+            assert np.abs(f - f_want).max() <= 1e-10 * np.abs(f_want).max()
+
+
+def test_jordan_block_game_keeps_per_player_lqr():
+    # J = -I + superdiagonal with B1 = e3 and B2 = e1: each player's
+    # Hamiltonian has one defective eigenvalue pair, which an eigenvector
+    # basis of H cannot split but the sign function does
+    j = -np.eye(3) + np.diag([1.0, 1.0], 1)
+    e = np.eye(3)
+    rg = reduce_game(DescriptorGame(np.eye(3), j, (e[:, 2:3], e[:, 0:1])))
+    starts = dict(_starting_points(rg, SolveOptions(n_starts=2)))
+    assert list(starts)[:2] == ["joint-lqr", "per-player-lqr"]
+    rows = [-b.T @ sla.solve_continuous_are(rg.j, b, np.eye(3), np.eye(1)) for b in rg.b1]
+    want = np.vstack(rows)
+    assert np.abs(starts["per-player-lqr"] - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_a_dropped_seeded_start_keeps_the_later_draws(monkeypatch):
+    # a seeded regulator problem without a solution drops seeded-k and
+    # seeded-raw-k; every later start keeps its draw
+    rg = reduce_game(lane_game())
+    opts = SolveOptions(n_starts=4)
+    want = _starting_points(rg, opts)
+    solve = forward.solve_riccati_stack
+
+    def fail_seeded_1(a, s, q):
+        p, ok = solve(a, s, q)
+        ok[rg.n_players + 2] = False
+        return p, ok
+
+    monkeypatch.setattr(forward, "solve_riccati_stack", fail_seeded_1)
+    got = _starting_points(rg, opts)
+    assert [name for name, _ in got] == [name for name, _ in want
+                                         if name not in ("seeded-1", "seeded-raw-1")]
+    kept = dict(want)
+    assert all(_same_bytes(f, kept[name]) for name, f in got)
+
+
 @pytest.mark.parametrize("costs", ["costs_gt", "costs_id"])
 def test_root_polish_matches_oracle_on_lane_starts(lane, costs):
     # from every near-root point the damped policy iteration reaches, the

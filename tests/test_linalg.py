@@ -1,10 +1,11 @@
 """Vectorization calculus, Lyapunov solves, kernels and eigen queries."""
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from dgame import linalg
+from dgame import linalg, reduce_game
 from dgame.linalg import (
     duplication_matrix,
     eigvals,
@@ -16,11 +17,13 @@ from dgame.linalg import (
     min_eig_sym,
     solve_lyapunov,
     solve_lyapunov_stack,
+    solve_riccati_stack,
     sorted_spectrum,
     unvech,
     vec,
     vech,
 )
+from conftest import lane_game, random_game
 
 
 def test_kron_identity_factor():
@@ -300,3 +303,73 @@ def test_lyapunov_route_switches_between_orders_9_and_10(monkeypatch):
         solve_lyapunov_stack(_stable_loops(rng, 1, 9), _psd_stack(rng, (1,), 9))
     p, errors = solve_lyapunov_stack(_stable_loops(rng, 1, 10), _psd_stack(rng, (1,), 10))
     assert errors == [None] and np.isfinite(p).all()
+
+
+def _regulator_problems(rng, b, count):
+    """B R^-1 B', Q and R of the unit regulator problem and of ``count``
+    problems with the forward solver's seeded weights."""
+    r, m = b.shape
+    qs, rs = [np.eye(r)], [np.ones(m)]
+    for _ in range(count):
+        g = rng.standard_normal((r, r))
+        qs.append(g @ g.T + 0.1 * np.eye(r))
+        rs.append(np.exp(rng.uniform(-2.0, 2.0, size=m)))
+    return np.array([(b / w) @ b.T for w in rs]), np.array(qs), rs
+
+
+def _riccati_condition(a, s, q, p):
+    """Relative condition estimate of the Riccati equation at its solution
+    p: (|Q| + 2|A||P| + |S||P|^2) / (sep(A_c', -A_c) |P|), A_c = A - S P."""
+    sep = np.linalg.svd(lyapunov_operator(a - s @ p), compute_uv=False)[-1]
+    norm = lambda x: np.linalg.norm(x, 2)
+    return (norm(q) + 2 * norm(a) * norm(p) + norm(s) * norm(p) ** 2) / (sep * norm(p))
+
+
+@pytest.mark.parametrize("case", ["lane", "r3", "r6", "r9", "r12"])
+def test_riccati_stack_matches_scipy_care(case):
+    # scipy's ordered-QZ solver is the oracle: every item of one stacked
+    # sign iteration agrees with it to 1e-10 relative, or to a few
+    # rounding errors times the condition number where one input drives
+    # many states (|P| ~ 1e6 at r = 12; both solvers leave backward
+    # errors near 1e-16 there)
+    rng = np.random.default_rng(11)
+    if case == "lane":
+        rg = reduce_game(lane_game())
+    else:
+        r = int(case[1:])
+        rg = reduce_game(random_game(rng, r + 2, r, (1, 2)))
+    for b in (rg.b1_stacked, *rg.b1):
+        s, q, rs = _regulator_problems(rng, b, 16)
+        p, ok = solve_riccati_stack(rg.j, s, q)
+        assert ok.all()
+        for p_k, s_k, q_k, w in zip(p, s, q, rs):
+            want = sla.solve_continuous_are(rg.j, b, q_k, np.diag(w))
+            bound = max(1e-10, 16 * np.finfo(float).eps * _riccati_condition(rg.j, s_k, q_k, want))
+            assert np.abs(p_k - want).max() <= bound * np.abs(want).max()
+            assert p_k.tobytes() == p_k.T.tobytes()
+            assert is_stable(rg.j - s_k @ p_k)
+
+
+def test_riccati_stack_masks_an_unstabilizable_item_alone():
+    # S = 0 leaves the rotation's eigenvalues +-i on the imaginary axis:
+    # no stabilizing solution, and its neighbours keep their bits
+    rng = np.random.default_rng(12)
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    b = rng.standard_normal((2, 1))
+    s, q, _ = _regulator_problems(rng, b, 3)
+    alone, alone_ok = solve_riccati_stack(j, s, q)
+    assert alone_ok.all()
+    p, ok = solve_riccati_stack(j, np.insert(s, 2, 0.0, axis=0), np.insert(q, 2, np.eye(2), axis=0))
+    assert ok.tolist() == [True, True, False, True, True]
+    assert np.isnan(p[2]).all()
+    assert np.delete(p, 2, axis=0).tobytes() == alone.tobytes()
+
+
+def test_riccati_stack_masks_non_finite_items():
+    s = np.stack([np.eye(2)] * 3)
+    q = np.stack([np.eye(2)] * 3)
+    s[1, 0, 0] = np.nan
+    q[2, 1, 1] = np.inf
+    p, ok = solve_riccati_stack(-np.eye(2), s, q)
+    assert ok.tolist() == [True, False, False]
+    assert np.abs(p[0] - (np.sqrt(2.0) - 1.0) * np.eye(2)).max() <= 1e-14
