@@ -6,9 +6,11 @@ the player's input weights) form the intersection of
 
   * a linear kernel: M_i theta_i = 0, where M_i eliminates the value
     matrix from the coupled Riccati + stationarity equations through the
-    Lyapunov operator K = (I kron A_cl') + (A_cl' kron I), and
-  * an open cone: the effective own-input weight
-    R_ii + B2_i' X2' Q_i X2 B2_i must be positive definite.
+    loop's adjoint Lyapunov equation, one stacked solve for all players,
+  * and an open cone: the effective own-input weight
+    R_ii + B2_i' X2' Q_i X2 B2_i must be positive definite,
+
+both linear in theta through one fold, :meth:`ThetaLayout.dual`.
 
 The solution set is a per-player Cartesian product, convex, and closed
 under positive scaling, so identification can only ever return a
@@ -28,17 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feedback import ReducedFeedback, simulate
+from .feedback import ReducedFeedback, preimage_matrix, simulate
 from .game import CostParameters, ReducedGame
 from .linalg import (
     KERNEL_TOL,
-    duplication_matrix,
     is_stable,
     kernel_basis,
-    lyapunov_operator,
     min_eig_sym,
+    solve_lyapunov_stack,
     sorted_spectrum,
-    symmetrize,
     unvech,
     vech,
 )
@@ -102,11 +102,22 @@ class ThetaLayout:
         if theta.size != self.size:
             raise ValueError(f"theta must have length {self.size}, got {theta.size}")
         q = unvech(theta[: self.q_size], self.n)
-        r_row = []
-        for j, d in enumerate(self.input_dims):
-            o = self.r_offset(j)
-            r_row.append(unvech(theta[o:o + d * (d + 1) // 2], d))
-        return q, r_row
+        return q, [unvech(theta[self.r_offset(j):self.r_offset(j + 1)], d)
+                   for j, d in enumerate(self.input_dims)]
+
+    def dual(self, y_q: np.ndarray, y_r) -> np.ndarray:
+        """The adjoint of :meth:`unpack`: the theta-coefficients of
+        theta -> <Q, y_q> + sum_j <R_j, y_r[j]> (Frobenius products), for
+        stacks ``(..., n, n)`` and ``(..., m_j, m_j)`` of y; returns
+        ``(..., size)``.  Each block is y + y' with its diagonal halved,
+        read in :func:`vech` order."""
+        parts = []
+        for y in (y_q, *y_r):
+            y = np.asarray(y, dtype=float)
+            col, row = np.triu_indices(y.shape[-1])   # vech order of the lower triangle
+            folded = (y + np.swapaxes(y, -1, -2))[..., row, col]
+            parts.append(np.where(row == col, 0.5, 1.0) * folded)
+        return np.concatenate(parts, axis=-1)
 
     def theta_of(self, c: CostParameters, i: int) -> np.ndarray:
         return self.pack(c.q[i], c.r[i])
@@ -120,13 +131,7 @@ class ThetaLayout:
         return CostParameters(q=tuple(qs), r=tuple(rs))
 
     def q_diagonal_indices(self) -> list[int]:
-        idx, out = 0, []
-        for j in range(self.n):
-            for i in range(j, self.n):
-                if i == j:
-                    out.append(idx)
-                idx += 1
-        return out
+        return np.flatnonzero(vech(np.eye(self.n))).tolist()
 
 
 @dataclass(frozen=True)
@@ -160,38 +165,40 @@ class Constraints:
 def constraint_matrices(rg: ReducedGame, f_red: ReducedFeedback) -> list[np.ndarray]:
     """Per-player kernel-condition matrices M_i (shape r*m_i x L).
 
-    Built by vectorizing the coupled Riccati equation, solving it for the
-    value matrix through the (invertible, since the loop is stable)
-    Lyapunov operator, and substituting into the vectorized stationarity
-    condition; duplication matrices then fold the symmetric-weight
-    redundancy so that theta carries each weight entry once.
+    Row (a, b), in F order, is entry (a, b) of the stationarity residual
+    R_ii F_i - G' Q S + B1_i' P_i as a linear form of theta (S the
+    preimage matrix, G = X2 B2_i, A_cl' P_i + P_i A_cl + C_i = 0 with
+    C_i = S' Q S + sum_j F_j' R_ij F_j).  P_i leaves through the adjoint
+    identity <P_i, W> = <C_i, Z>, A_cl Z + Z A_cl' + W = 0 with
+    W = sym(B1 e_a e_b'): one Lyapunov stack over every input a and b < r
+    serves all players, and its first failing item's error is raised.
+    The row is ``layout.dual(S Z S' - G e_a e_b' S', [F_j Z F_j' +
+    delta_ij e_a e_b' F_i'])``.
     """
     f = f_red.matrix
     a_cl = rg.closed_loop(f)
     if not is_stable(a_cl):
         raise ValueError("observed reduced feedback must stabilize the game")
-    r, n = rg.r, rg.n
-    x1, x2 = rg.w.x1, rg.w.x2
-    k_inv = np.linalg.inv(lyapunov_operator(a_cl))
-    fb2x2 = f.T @ rg.b2_stacked.T @ x2.T          # r x n
-    m_q = (np.kron(x1.T, x1.T) - np.kron(fb2x2, x1.T) - np.kron(x1.T, fb2x2)
-           + np.kron(fb2x2, fb2x2))               # r^2 x n^2
-    d_n = duplication_matrix(n)
+    r, m = rg.r, rg.m
+    layout = ThetaLayout(n=rg.n, input_dims=rg.input_dims)
+    s = preimage_matrix(rg, f_red)
+    b1_ab = rg.b1_stacked.T[:, None, :, None] * np.eye(r)[None, :, None, :]   # B1 e_a e_b'
+    w = 0.5 * (b1_ab + np.swapaxes(b1_ab, -1, -2))
+    z, errors = solve_lyapunov_stack(a_cl.T[None], w.reshape(1, m * r, r, r))
+    for err in errors:
+        if err is not None:
+            raise err
+    z = z.reshape(m, r, r, r)
     out = []
-    for i in range(rg.n_players):
-        b2i_x2 = rg.b2[i].T @ x2.T                # m_i x n
-        n_q = np.kron(fb2x2, b2i_x2) - np.kron(x1.T, b2i_x2)
-        elim = np.kron(np.eye(r), rg.b1[i].T) @ k_inv
-        m_q_i = n_q - elim @ m_q
-        cols = [m_q_i @ d_n]
-        f_i = f[rg.input_slice(i)]
-        for j in range(rg.n_players):
-            f_j = f[rg.input_slice(j)]
-            m_r = -elim @ np.kron(f_j.T, f_j.T)
-            if i == j:
-                m_r = m_r + np.kron(f_i.T, np.eye(rg.input_dims[i]))
-            cols.append(m_r @ duplication_matrix(rg.input_dims[j]))
-        out.append(np.hstack(cols))
+    for i, d in enumerate(rg.input_dims):
+        si = rg.input_slice(i)
+        z_i = z[si].transpose(1, 0, 2, 3)         # rows (b, a): F order
+        g = rg.w.x2 @ rg.b2[i]
+        y_q = s @ z_i @ s.T - g.T[None, :, :, None] * s.T[:, None, None, :]
+        y_r = [f[rg.input_slice(j)] @ z_i @ f[rg.input_slice(j)].T
+               for j in range(rg.n_players)]
+        y_r[i] += np.eye(d)[None, :, :, None] * f[si].T[:, None, None, :]
+        out.append(layout.dual(y_q, y_r).reshape(r * d, layout.size))
     return out
 
 
@@ -200,16 +207,22 @@ def residual(m_i: np.ndarray, theta: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m_i) @ np.asarray(theta, dtype=float)))
 
 
-def _own_weight(rg: ReducedGame, layout: ThetaLayout, i: int, theta: np.ndarray) -> np.ndarray:
-    q, r_row = layout.unpack(theta)
-    x2 = rg.w.x2
-    return symmetrize(r_row[i] + rg.b2[i].T @ x2.T @ q @ x2 @ rg.b2[i])
+def _own_weight_map(rg: ReducedGame, layout: ThetaLayout, i: int) -> np.ndarray:
+    """The (m_i, m_i, L) map whose product with theta is player i's
+    effective own-input weight R_ii + G' Q G, G = X2 B2_i: entry (c, d)
+    is ``layout.dual(G e_c e_d' G', [delta_ij e_c e_d'])``."""
+    g = rg.w.x2 @ rg.b2[i]
+    eye = np.eye(rg.input_dims[i])
+    unit = eye[:, None, :, None] * eye[None, :, None, :]       # e_c e_d'
+    y_r = [np.zeros(unit.shape[:2] + (d, d)) for d in rg.input_dims]
+    y_r[i] = unit
+    return layout.dual(g @ unit @ g.T, y_r)
 
 
 def pd_margin(rg: ReducedGame, layout: ThetaLayout, i: int, theta: np.ndarray) -> float:
     """Smallest eigenvalue of the effective own-input weight at theta;
     positive margin is the open-cone half of solution-set membership."""
-    return min_eig_sym(_own_weight(rg, layout, i, theta))
+    return min_eig_sym(_own_weight_map(rg, layout, i) @ np.asarray(theta, dtype=float))
 
 
 def scale_theta(theta: np.ndarray, kappa: float) -> np.ndarray:
@@ -254,11 +267,8 @@ class InverseCertificate:
 
 
 def _margin_map(rg, layout, i, basis_full):
-    """Symmetric matrices A_k with own_weight(sum z_k b_k) = sum z_k A_k."""
-    mats = []
-    for col in range(basis_full.shape[1]):
-        mats.append(_own_weight(rg, layout, i, basis_full[:, col]))
-    return mats
+    """The stack of symmetric A_k with own_weight(sum z_k b_k) = sum z_k A_k."""
+    return np.moveaxis(_own_weight_map(rg, layout, i) @ basis_full, -1, 0)
 
 
 def _simplex_projection(v):
@@ -374,17 +384,15 @@ def identify(rg: ReducedGame, f_red: ReducedFeedback,
 def dimension_report(cert: InverseCertificate, rg: ReducedGame) -> list[dict]:
     """Kernel dimensions against the rank-nullity lower bound
     ``dim >= L - r m_i`` (which exceeds the full-rank-E bound L - n m_i
-    whenever r < n: descriptor dynamics enlarge the solution set)."""
+    whenever r < n: descriptor dynamics enlarge the solution set).  M_i
+    has r m_i rows, so an unconstrained kernel always meets the bound; a
+    support constraint drops columns and can take it below."""
     out = []
     big_l = cert.layout.size
     for i, pc in enumerate(cert.players):
         dim = pc.kernel.shape[1]
         r_mi = rg.r * rg.input_dims[i]
         n_mi = rg.n * rg.input_dims[i]
-        constrained = len(pc.kept_indices) < big_l
-        bound_ok = True
-        if not constrained and dim < big_l - r_mi:
-            bound_ok = False
         out.append({
             "player": i,
             "kernel_dim": dim,
@@ -392,13 +400,7 @@ def dimension_report(cert: InverseCertificate, rg: ReducedGame) -> list[dict]:
             "r_mi": r_mi,
             "n_mi": n_mi,
             "bound": big_l - r_mi,
-            "bound_ok": bound_ok,
         })
-        if not bound_ok:
-            raise AssertionError(
-                f"kernel dimension {dim} violates the rank-nullity bound "
-                f"{big_l - r_mi}; numerical rank decision is suspect"
-            )
     return out
 
 

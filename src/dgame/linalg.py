@@ -1,25 +1,21 @@
-"""Dense linear-algebra substrate: Kronecker/vectorization calculus and
-small-matrix solves.
+"""Dense linear-algebra substrate: Lyapunov and Riccati solves, kernels
+and eigenvalue queries on plain numpy arrays at desk scale (n up to a few
+tens; no sparse or large-scale paths).
 
-Implements the identities the rest of the toolkit is built on:
-
-    vec(X Y Z) = (Z' kron X) vec(Y)
-    vec(A)     = D_n vech(A)        for symmetric A
-
-together with Lyapunov solves ``A' P + P A + Q = 0`` for one matrix or a
-stack of them (one failing item never spoils the others).  Below order
-n = 10 each item is the Kronecker system
-
-    K = (I kron A') + (A' kron I),      K vec(P) = -vec(Q);
-
-from n = 10 on, each loop is factored once as A' = U T U' (real Schur
-form) for all its right-hand sides, each a triangular Sylvester solve
-T Y + Y T' = -U' Q U with P = U Y U' (Bartels-Stewart).  Stabilizing
-solutions of a stack of continuous-time algebraic Riccati equations
-come from one stacked Newton iteration for the matrix sign function of
-their Hamiltonians (:func:`solve_riccati_stack`).  Also numerical
-kernel bases and eigenvalue/definiteness queries, on plain numpy arrays
-at desk scale (n up to a few tens); no sparse or large-scale paths.
+Lyapunov solves ``A' P + P A + Q = 0`` give the forward model its value
+matrices and the inverse side its adjoint solves, for one matrix or a
+stack (one failing item never spoils the others).  Below order n = 10
+each item is the Kronecker system K vec(P) = -vec(Q),
+K = (I kron A') + (A' kron I); from n = 10 on, each loop is factored
+once as A' = U T U' (real Schur form) for all its right-hand sides, each
+a triangular Sylvester solve T Y + Y T' = -U' Q U, P = U Y U'
+(Bartels-Stewart).  An item is accepted by its normwise backward error:
+residual max-norm at most 1e-10 (2 max|A| max|P| + max|Q|) (Higham 2002,
+ch. 16).  ``vec``, ``kron``, ``vech`` and the duplication matrix
+(vec(A) = D_n vech(A)) serve the Kronecker route and vech-packed
+parameters.  Stabilizing solutions of a stack of continuous-time
+algebraic Riccati equations come from one stacked Newton iteration for
+the matrix sign function of their Hamiltonians (:func:`solve_riccati_stack`).
 """
 from __future__ import annotations
 
@@ -105,8 +101,8 @@ def vech(a: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if not is_symmetric(a, tol):
         raise ValueError("vech requires a symmetric matrix")
-    n = a.shape[0]
-    return np.concatenate([a[j:, j] for j in range(n)]) if n else np.zeros(0)
+    col, row = np.triu_indices(a.shape[0])    # the lower triangle, column by column
+    return a[row, col]
 
 
 def unvech(v: np.ndarray, n: int) -> np.ndarray:
@@ -114,13 +110,9 @@ def unvech(v: np.ndarray, n: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.size != n * (n + 1) // 2:
         raise ValueError(f"vech vector of length {v.size} does not match n={n}")
+    col, row = np.triu_indices(n)
     m = np.zeros((n, n))
-    k = 0
-    for j in range(n):
-        rows = n - j
-        m[j:, j] = v[k:k + rows]
-        m[j, j:] = v[k:k + rows]
-        k += rows
+    m[row, col] = m[col, row] = v
     return m
 
 
@@ -171,6 +163,8 @@ def solve_lyapunov_stack(a_cl: np.ndarray, q: np.ndarray):
     singular; for n >= 10 each loop gets one real Schur form
     ``a_cl[s]' = U T U'`` and each right-hand side one ``dtrsyl`` solve
     ``T Y + Y T' = -U' q U`` (Bartels & Stewart 1972), ``P = U Y U'``.
+    An item whose residual's max-norm exceeds
+    ``1e-10 (2 max|a_cl| max|P| + max|q|)`` is rejected.
     """
     a_cl = np.asarray(a_cl, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -192,7 +186,8 @@ def solve_lyapunov_stack(a_cl: np.ndarray, q: np.ndarray):
     else:
         _lyapunov_schur(a_cl, qs, symmetric.reshape(qs.shape[:2]), p, errors)
     resid = np.abs(a.transpose(0, 2, 1) @ p + p @ a + q).max(axis=(1, 2), initial=0.0)
-    bound = 1e-10 * q_scale * np.maximum(1.0, np.abs(p).max(axis=(1, 2), initial=0.0))
+    a_size, p_size, q_size = (np.abs(x).max(axis=(1, 2), initial=0.0) for x in (a, p, q))
+    bound = 1e-10 * (2.0 * a_size * p_size + q_size)
     for k in np.flatnonzero(~np.isfinite(resid) | (resid > bound)):
         if errors[k] is None:
             errors[k] = ValueError(
@@ -261,7 +256,8 @@ def solve_lyapunov(a_cl: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     Raises ``numpy.linalg.LinAlgError`` when the equation has no unique
     solution, and ``ValueError`` when q is not symmetric or the
-    residual's max-norm exceeds ``1e-10 (1 + max|q|) max(1, max|P|)``.
+    residual's max-norm exceeds ``1e-10 (2 max|a_cl| max|P| + max|q|)``,
+    a normwise backward error above 1e-10.
     """
     a_cl = np.asarray(a_cl, dtype=float)
     q = np.asarray(q, dtype=float)

@@ -305,6 +305,29 @@ def test_lyapunov_route_switches_between_orders_9_and_10(monkeypatch):
     assert errors == [None] and np.isfinite(p).all()
 
 
+@pytest.mark.parametrize("n", [4, 12])
+def test_lyapunov_accepts_backward_stable_solve_on_large_non_normal_loop(n):
+    # a = U T U' with T = -diag(d) + 1e7 e_1 e_n' has entries in the
+    # millions, yet q = U diag(0, 1, ..., 1) U' gives the order-one
+    # solution U diag(0, 1 / 2 d_2, ...) U'.  Rounding in a' P + P a leaves
+    # a residual above 1e-10 (1 + max|q|) max(1, max|P|), but at rounding
+    # level relative to 2 max|a| max|P| + max|q|: the normwise backward
+    # error is tiny, so the solve must be accepted on both routes
+    rng = np.random.default_rng(0)
+    d = rng.uniform(1.0, 2.0, n)
+    t = -np.diag(d)
+    t[0, -1] = 1e7
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = u @ t @ u.T
+    q = (u * np.r_[0.0, np.ones(n - 1)]) @ u.T
+    p, errors = solve_lyapunov_stack(a[None], q[None])
+    assert errors == [None]
+    resid = np.abs(a.T @ p[0] + p[0] @ a + q).max()
+    a_size, p_size, q_size = np.abs(a).max(), np.abs(p).max(), np.abs(q).max()
+    assert a_size >= 1e5 and resid > 1e-10 * (1.0 + q_size) * max(1.0, p_size)
+    assert resid <= 1e-14 * (2.0 * a_size * p_size + q_size)
+
+
 def _regulator_problems(rng, b, count):
     """B R^-1 B', Q and R of the unit regulator problem and of ``count``
     problems with the forward solver's seeded weights."""
