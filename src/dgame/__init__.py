@@ -37,6 +37,7 @@ from .game import (
     CostParameters,
     DescriptorGame,
     ReducedGame,
+    StaticGameError,
     UnstabilizableError,
     m_matrix,
     reduce_game,

@@ -13,10 +13,12 @@ cost set (``costs``), named alternates (``cost_sets``, selected with
 Reports are JSON with floats at 17 significant digits, written atomically
 and schema-validated, so identical inputs and seeds give byte-identical
 output.  Exit codes: 0 success, 1 usage/malformed input (including a
-malformed command line and a file that cannot be read or written), 2 model
-assumption violated (including an effective input weight that is not
-positive definite), 3 no equilibrium found, 4 solution set empty,
-5 unstable closed loop.
+malformed command line, a file that cannot be read or written, a ragged
+or non-finite matrix and an out-of-range or empty ``support``), 2 model
+assumption violated (including a pencil singular to working precision, a
+game without dynamic state (r = 0) and an effective input weight that is
+not positive definite), 3 no equilibrium found, 4 solution set empty,
+5 unstable closed loop.  Each failure prints one line on standard error.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ from .feedback import (
 from .game import (
     CostParameters,
     DescriptorGame,
+    StaticGameError,
     UnstabilizableError,
     reduce_game,
 )
@@ -250,9 +253,23 @@ class Problem:
     constraints: Constraints
 
 
-def _parse_costs(raw, n: int, input_dims) -> CostParameters:
-    qs = [np.asarray(qi, dtype=float) for qi in raw["Q"]]
-    rs = [[np.asarray(rij, dtype=float) for rij in row] for row in raw["R"]]
+def _matrix(raw, field: str) -> np.ndarray:
+    """A matrix of the problem file (a list of rows of numbers, as the
+    schema checks); ragged rows or a NaN or infinite entry are a usage
+    error naming ``field``."""
+    try:
+        m = np.array(raw, dtype=float)
+    except ValueError:
+        raise UsageError(f"{field} is ragged: its rows differ in length") from None
+    if not np.isfinite(m).all():
+        raise UsageError(f"{field} has a NaN or infinite entry")
+    return m
+
+
+def _parse_costs(raw, n: int, input_dims, where: str) -> CostParameters:
+    qs = [_matrix(qi, f"{where} Q[{i}]") for i, qi in enumerate(raw["Q"])]
+    rs = [[_matrix(rij, f"{where} R[{i}][{j}]") for j, rij in enumerate(row)]
+          for i, row in enumerate(raw["R"])]
     n_players = len(input_dims)
     if len(qs) != n_players or len(rs) != n_players:
         raise UsageError("costs must supply one Q and one R row per player")
@@ -284,9 +301,8 @@ def load_problem(path: str) -> Problem:
         _validate(_PROBLEM_VALIDATOR, raw)
     except jsonschema.ValidationError as exc:
         raise UsageError(f"problem file schema violation: {exc.message}") from exc
-    e = np.asarray(raw["E"], dtype=float)
-    a = np.asarray(raw["A"], dtype=float)
-    bs = tuple(np.asarray(bi, dtype=float) for bi in raw["B"])
+    e, a = _matrix(raw["E"], "E"), _matrix(raw["A"], "A")
+    bs = tuple(_matrix(bi, f"B[{i}]") for i, bi in enumerate(raw["B"]))
     n = e.shape[0]
     if e.shape != (n, n) or a.shape != (n, n):
         raise UsageError("E and A must be square matrices of equal size")
@@ -295,14 +311,14 @@ def load_problem(path: str) -> Problem:
             raise UsageError(f"B[{i}] must have {n} rows")
     game = DescriptorGame(e, a, bs)  # assumption violations propagate
     input_dims = game.input_dims
-    costs = _parse_costs(raw["costs"], n, input_dims) if "costs" in raw else None
+    costs = _parse_costs(raw["costs"], n, input_dims, "costs") if "costs" in raw else None
     cost_sets = {
-        name: _parse_costs(body, n, input_dims)
+        name: _parse_costs(body, n, input_dims, f"cost set {name!r}")
         for name, body in raw.get("cost_sets", {}).items()
     }
     f_observed = None
     if "F" in raw:
-        fs = [np.asarray(fi, dtype=float) for fi in raw["F"]]
+        fs = [_matrix(fi, f"F[{i}]") for i, fi in enumerate(raw["F"])]
         if len(fs) != len(bs):
             raise UsageError("F must supply one gain block per player")
         for i, fi in enumerate(fs):
@@ -314,6 +330,10 @@ def load_problem(path: str) -> Problem:
         diagonal_q=bool(craw.get("diagonal_q", False)),
         support=tuple(craw["support"]) if "support" in craw else None,
     )
+    try:
+        constraints.kept_indices(ThetaLayout(n=n, input_dims=input_dims))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return Problem(game=game, costs=costs, cost_sets=cost_sets,
                    f_observed=f_observed, constraints=constraints)
 
@@ -739,8 +759,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IrregularPencilError, ImpulsiveModesError, UnstabilizableError,
-            IndefiniteInputWeightError) as exc:
+    except (IrregularPencilError, ImpulsiveModesError, StaticGameError,
+            UnstabilizableError, IndefiniteInputWeightError) as exc:
         print(f"assumption violated: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
     except UnstableLoopError as exc:

@@ -16,10 +16,11 @@ whose per-player cost matrix is the congruence
 
 with blocks named q_bar (state weight), v_bar (state/input coupling),
 r_bar (effective input weights) and s_bar (cross-input couplings).  This
-module owns the data types, the construction-time validation of the two
-standing assumptions (impulse-free pencil, per-player stabilizability)
-and M_i itself (:func:`m_matrix`; consumers, the forward solver's
-stationarity operator G among them, slice their blocks out of it).
+module owns the data types, the construction-time validation of the
+standing assumptions (impulse-free pencil, r >= 1, per-player
+stabilizability) and M_i itself (:func:`m_matrix`; consumers, the
+forward solver's stationarity operator G among them, slice their blocks
+out of it).
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from .pencil import ImpulsiveModesError, Pencil, WeierstrassData, weierstrass
 
 __all__ = [
     "UnstabilizableError",
+    "StaticGameError",
     "DescriptorGame",
     "CostParameters",
     "ReducedGame",
@@ -45,6 +47,10 @@ HAUTUS_TOL = 1e-9
 
 class UnstabilizableError(ValueError):
     """Some player cannot stabilize the finite dynamics on their own."""
+
+
+class StaticGameError(ValueError):
+    """rank E = 0: the game has no dynamic state (r = 0) to steer."""
 
 
 def _check_stabilizable(j: np.ndarray, b1: np.ndarray, label: str) -> None:
@@ -65,9 +71,10 @@ def _check_stabilizable(j: np.ndarray, b1: np.ndarray, label: str) -> None:
 class DescriptorGame:
     """Game dynamics (E, A, {B_i}); validated on construction.
 
-    Construction checks that (E, A) is regular with index <= 1 and that
-    each player individually stabilizes the reduced dynamics (Hautus rank
-    test on every unstable eigenvalue of J).
+    Construction checks that (E, A) is regular with index <= 1, that the
+    reduced dynamics have at least one state (r >= 1) and that each player
+    individually stabilizes them (Hautus rank test on every unstable
+    eigenvalue of J).
     """
 
     e: np.ndarray
@@ -88,6 +95,8 @@ class DescriptorGame:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", bs)
         w = weierstrass(Pencil(e, a))  # raises on irregular / index >= 2
+        if w.r == 0:
+            raise StaticGameError("rank E = 0 leaves the game no dynamic state (r = 0)")
         for i, bi in enumerate(bs):
             b1_i = (w.y.T @ bi)[: w.r]
             _check_stabilizable(w.j, b1_i, str(i))

@@ -4,18 +4,18 @@ tens; no sparse or large-scale paths).
 
 Lyapunov solves ``A' P + P A + Q = 0`` give the forward model its value
 matrices and the inverse side its adjoint solves, for one matrix or a
-stack (one failing item never spoils the others).  Below order n = 10
-each item is the Kronecker system K vec(P) = -vec(Q),
-K = (I kron A') + (A' kron I); from n = 10 on, each loop is factored
-once as A' = U T U' (real Schur form) for all its right-hand sides, each
-a triangular Sylvester solve T Y + Y T' = -U' Q U, P = U Y U'
-(Bartels-Stewart).  An item is accepted by its normwise backward error:
-residual max-norm at most 1e-10 (2 max|A| max|P| + max|Q|) (Higham 2002,
-ch. 16).  ``vec``, ``kron``, ``vech`` and the duplication matrix
-(vec(A) = D_n vech(A)) serve the Kronecker route and vech-packed
-parameters.  Stabilizing solutions of a stack of continuous-time
-algebraic Riccati equations come from one stacked Newton iteration for
-the matrix sign function of their Hamiltonians (:func:`solve_riccati_stack`).
+stack (one failing item never spoils the others).  Each loop is factored
+once as A' = U T U' (real Schur form, LAPACK ``dgees``) for all its
+right-hand sides, each a triangular Sylvester solve T Y + Y T' = -U' Q U,
+P = U Y U' (Bartels-Stewart).  An item is accepted by its normwise
+backward error: residual max-norm at most
+1e-10 (2 max|A| max|P| + max|Q|) (Higham 2002, ch. 16).  ``vec``,
+``kron``, ``vech``, the duplication matrix (vec(A) = D_n vech(A)) and the
+Kronecker form of the Lyapunov operator give the vectorization calculus
+and vech-packed parameters.  Stabilizing solutions of a stack of
+continuous-time algebraic Riccati equations come from one stacked Newton
+iteration for the matrix sign function of their Hamiltonians
+(:func:`solve_riccati_stack`).
 """
 from __future__ import annotations
 
@@ -47,14 +47,6 @@ SYM_TOL = 1e-12
 
 #: default relative singular-value cutoff for numerical rank decisions
 KERNEL_TOL = 1e-9
-
-#: memory budget for the Kronecker operators of one group of stacked
-#: Lyapunov solves; a group holds at least one item
-_LYAPUNOV_GROUP_BYTES = 256 << 10
-
-#: smallest order n whose Lyapunov solves go through the real Schur form
-#: rather than the Kronecker operator
-_SCHUR_MIN_ORDER = 10
 
 #: the sign iteration's stop rule: an item has converged once its Newton
 #: update is at most _SIGN_TOL relative to the iterate (1-norm); the
@@ -158,11 +150,10 @@ def solve_lyapunov_stack(a_cl: np.ndarray, q: np.ndarray):
     ``(p, errors)``: ``p`` shaped like ``q``, and per item of ``q`` in C
     order ``None`` or the exception :func:`solve_lyapunov` raises for it
     alone (its ``p`` is then NaN).  One failing item never affects
-    another.  For n < 10 the items are Kronecker systems, solved in
-    groups within a fixed memory budget and one by one when a group is
-    singular; for n >= 10 each loop gets one real Schur form
-    ``a_cl[s]' = U T U'`` and each right-hand side one ``dtrsyl`` solve
-    ``T Y + Y T' = -U' q U`` (Bartels & Stewart 1972), ``P = U Y U'``.
+    another.  Each loop gets one real Schur form ``a_cl[s]' = U T U'``
+    (``dgees``, unsorted) and each right-hand side one ``dtrsyl`` solve
+    ``T Y + Y T' = -U' q U`` (Bartels & Stewart 1972), ``P = U Y U'``; a
+    loop that is not finite or has no Schur form leaves its items NaN.
     An item whose residual's max-norm exceeds
     ``1e-10 (2 max|a_cl| max|P| + max|q|)`` is rejected.
     """
@@ -181,10 +172,19 @@ def solve_lyapunov_stack(a_cl: np.ndarray, q: np.ndarray):
     symmetric = np.abs(q - q.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) <= 1e-10 * q_scale
     for k in np.flatnonzero(~symmetric):
         errors[k] = ValueError("solve_lyapunov requires symmetric q")
-    if n < _SCHUR_MIN_ORDER:
-        _lyapunov_kronecker(a, q, np.flatnonzero(symmetric), p, errors)
-    else:
-        _lyapunov_schur(a_cl, qs, symmetric.reshape(qs.shape[:2]), p, errors)
+    todo = symmetric.reshape(qs.shape[:2])
+    for s in np.flatnonzero(todo.any(axis=1) & np.isfinite(a_cl).all(axis=(1, 2))):
+        t, _, _, _, u, _, info = sla.lapack.dgees(lambda wr, wi: 0, a_cl[s].T)
+        if info:
+            continue
+        rows = np.flatnonzero(todo[s])
+        for j, f_j in zip(rows, u.T @ -qs[s, rows] @ u):
+            y, scale, info = sla.lapack.dtrsyl(t, t, f_j, tranb="T")
+            if info == 1:
+                errors[s * qs.shape[1] + j] = np.linalg.LinAlgError(_PAIRING)
+                continue
+            y = u @ (y / scale) @ u.T
+            p[s * qs.shape[1] + j] = 0.5 * (y + y.T)
     resid = np.abs(a.transpose(0, 2, 1) @ p + p @ a + q).max(axis=(1, 2), initial=0.0)
     a_size, p_size, q_size = (np.abs(x).max(axis=(1, 2), initial=0.0) for x in (a, p, q))
     bound = 1e-10 * (2.0 * a_size * p_size + q_size)
@@ -198,59 +198,11 @@ def solve_lyapunov_stack(a_cl: np.ndarray, q: np.ndarray):
     return p.reshape(shape), errors
 
 
-def _lyapunov_kronecker(a, q, todo, p, errors):
-    """Fill the items ``todo`` of the flat stack ``p`` from stacked
-    Kronecker systems ``K vec(P) = -vec(q)``."""
-    n = a.shape[-1]
-    group = max(1, _LYAPUNOV_GROUP_BYTES // max(1, 8 * n ** 4))
-    for lo in range(0, todo.size, group):
-        idx = todo[lo:lo + group]
-        k_op = lyapunov_operator(a[idx])
-        rhs = -q[idx].transpose(0, 2, 1).reshape(idx.size, n * n, 1)   # -vec(q)
-        try:
-            x = np.linalg.solve(k_op, rhs)
-        except np.linalg.LinAlgError:
-            x = np.empty_like(rhs)
-            for j in range(idx.size):
-                try:
-                    x[j] = np.linalg.solve(k_op[j], rhs[j])
-                except np.linalg.LinAlgError as exc:
-                    err = np.linalg.LinAlgError(_PAIRING)
-                    err.__cause__ = exc
-                    errors[idx[j]] = err
-                    x[j] = np.nan
-        u = x.reshape(idx.size, n, n).transpose(0, 2, 1)                  # inverse of vec
-        p[idx] = 0.5 * (u + u.transpose(0, 2, 1))
-
-
-def _lyapunov_schur(a_cl, q, todo, p, errors):
-    """Fill the items of the flat stack ``p`` that the (S, K) mask
-    ``todo`` marks, from one real Schur form per loop and one ``dtrsyl``
-    solve per right-hand side; a loop that is not finite or has no Schur
-    form leaves its items NaN."""
-    k = q.shape[1]
-    finite = np.isfinite(a_cl).all(axis=(1, 2))
-    for s in np.flatnonzero(todo.any(axis=1) & finite):
-        try:
-            t, u = sla.schur(a_cl[s].T, output="real", check_finite=False)
-        except np.linalg.LinAlgError:
-            continue
-        rows = np.flatnonzero(todo[s])
-        f = u.T @ -q[s, rows] @ u
-        for j, f_j in zip(rows, f):
-            y, scale, info = sla.lapack.dtrsyl(t, t, f_j, tranb="T")
-            if info == 1:
-                errors[s * k + j] = np.linalg.LinAlgError(_PAIRING)
-                continue
-            y = u @ (y / scale) @ u.T
-            p[s * k + j] = 0.5 * (y + y.T)
-
-
 def solve_lyapunov(a_cl: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve ``a_cl' P + P a_cl + q = 0`` for symmetric P.
 
-    The one-item case of :func:`solve_lyapunov_stack` (Kronecker system
-    for n < 10, real Schur form for n >= 10); the solution is unique
+    The one-item case of :func:`solve_lyapunov_stack` (one real Schur
+    form and one ``dtrsyl`` solve); the solution is unique
     exactly when no two eigenvalues of ``a_cl`` sum to zero (always true
     for stable ``a_cl``).
 

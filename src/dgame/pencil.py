@@ -114,30 +114,37 @@ def _singular_at(e: np.ndarray, a: np.ndarray, lam: float) -> bool:
     return bool(s[-1] <= 1e-12 * m.shape[0] * s[0])
 
 
+def _normalized(p: Pencil):
+    """``(E / max|E|, A / max|A|)``, a zero matrix left as it is.
+
+    det(lam E - A) vanishes identically exactly when the normalized
+    pencil's determinant does (at mu = lam |E| / |A|), and with both
+    matrices at unit size its samples mu = 1, 2, ... neither overflow nor
+    underflow.
+    """
+    return tuple(m / s if (s := np.abs(m).max(initial=0.0)) > 0 else m for m in (p.e, p.a))
+
+
 def is_regular(p: Pencil) -> bool:
     """True iff det(lambda E - A) is not identically zero.
 
-    Samples the determinant at n + 1 deterministic points (scaled by
-    ``|A| / |E|`` so the sweep covers the pencil's natural range), falling
-    back to extra seeded samples before declaring irregularity: a degree
-    <= n polynomial vanishing at n + 1 distinct points is identically zero,
-    so any nonsingular sample certifies regularity.
+    Samples the determinant of the normalized pencil (:func:`_normalized`)
+    at n + 1 deterministic points, falling back to extra seeded samples
+    before declaring irregularity: a degree <= n polynomial vanishing at
+    n + 1 distinct points is identically zero, so any nonsingular sample
+    certifies regularity.
     """
-    e, a, n = p.e, p.a, p.n
-    norm_e = np.abs(e).max(initial=0.0)
-    norm_a = np.abs(a).max(initial=0.0)
-    if norm_e == 0.0 and norm_a == 0.0:
+    (e, a), n = _normalized(p), p.n
+    if not (e.any() or a.any()):
         return False
-    scale = norm_a / norm_e if norm_e > 0 else 1.0
-    scale = max(scale, 1e-6)
     for k in range(1, n + 2):
-        if not _singular_at(e, a, k * scale):
+        if not _singular_at(e, a, k):
             return True
     # fallback sweep at seeded pseudo-random points, in case the
     # deterministic grid happened to hit eigenvalues
     rng = np.random.default_rng(0)
     for lam in rng.uniform(-10.0, 10.0, size=2 * n + 2):
-        if not _singular_at(e, a, lam * scale):
+        if not _singular_at(e, a, lam):
             return True
     return False
 
@@ -175,18 +182,13 @@ def index_of(p: Pencil) -> int:
         return 0
     if _a22_invertible(at, r):
         return 1
-    # index >= 2: rank chain of E_hat = (lam0 E - A)^{-1} E
-    norm_e = np.abs(p.e).max(initial=0.0)
-    norm_a = max(np.abs(p.a).max(initial=0.0), 1e-300)
-    scale = norm_a / norm_e if norm_e > 0 else 1.0
-    lam0 = None
-    for k in range(1, 4 * n + 2):
-        if not _singular_at(p.e, p.a, k * scale):
-            lam0 = k * scale
-            break
+    # index >= 2: rank chain of E_hat = (lam0 E - A)^{-1} E, on the
+    # normalized pencil (a scalar multiple of the same E_hat)
+    e, a = _normalized(p)
+    lam0 = next((k for k in range(1, 4 * n + 2) if not _singular_at(e, a, k)), None)
     if lam0 is None:
         raise IrregularPencilError("could not locate a regular point of the pencil")
-    e_hat = np.linalg.solve(lam0 * p.e - p.a, p.e)
+    e_hat = np.linalg.solve(lam0 * e - a, e)
 
     def num_rank(m):
         s = np.linalg.svd(m, compute_uv=False)

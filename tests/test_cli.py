@@ -1,13 +1,20 @@
 """End-to-end command-line workflows over JSON problem files."""
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
+import hypothesis.strategies as st
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from dgame.cli import PROBLEM_SCHEMA, REPORT_SCHEMA, main
 from conftest import F_GT, LANE_A, LANE_B, LANE_E, Q_GT, R_GT, THETA_MIS
@@ -371,6 +378,40 @@ def test_malformed_problem_files(tmp_path, capsys):
     prob = lane_problem_dict()
     prob["B"] = [[[1.0], [0.0]]]
     assert stderr_of(json.dumps(prob)) == "error: B[0] must have 3 rows\n"
+    # ragged or non-finite matrices (json reads NaN and Infinity), and
+    # supports that keep no parameter or name one that does not exist
+    nan, inf = float("nan"), float("inf")
+    for path_, value, message in [
+        (("E",), [[1, 0, 0], [0, 1], [0, 0, 0]], "E is ragged: its rows differ in length"),
+        (("B", 0), [[0], [0, 1], [1]], "B[0] is ragged: its rows differ in length"),
+        (("costs", "Q", 1), [[1, 0, 0], [0, 1], [0, 0, 1]],
+         "costs Q[1] is ragged: its rows differ in length"),
+        (("F", 0), [[1, 0, 0], [0, 1]], "F[0] is ragged: its rows differ in length"),
+        (("A",), [[nan, 20, 0], [0, 0, 7.4], [0, 0, -10]], "A has a NaN or infinite entry"),
+        (("F", 1), [[nan, -1.8117, 3.8449]], "F[1] has a NaN or infinite entry"),
+        (("costs", "Q", 0), [[inf, 0, 0], [0, 0.5, 0], [0, 0, 0.1]],
+         "costs Q[0] has a NaN or infinite entry"),
+        (("constraints",), {"support": [-1]}, "support indices out of range: [-1]"),
+        (("constraints",), {"support": []}, "constraints remove every parameter"),
+    ]:
+        prob = lane_problem_dict()
+        parent = prob
+        for key in path_[:-1]:
+            parent = parent[key]
+        parent[path_[-1]] = value
+        assert stderr_of(json.dumps(prob)) == f"error: {message}\n"
+
+
+def test_game_without_dynamic_state_exits_2(tmp_path, capsys):
+    # E = 0 reduces to r = 0: no state for the feedback to act on
+    path = tmp_path / "static.json"
+    path.write_text(json.dumps(lane_problem_dict(E=np.zeros((3, 3)).tolist(),
+                                                 A=np.eye(3).tolist())))
+    for argv in (["reduce"], ["forward", "--starts", 2], ["inverse", "--starts", 0]):
+        capsys.readouterr()
+        assert run([argv[0], path, *argv[1:], "--out", tmp_path / "rep.json"]) == 2
+        assert one_line_message(capsys, "assumption violated: rank E = 0")
+    assert not (tmp_path / "rep.json").exists()
 
 
 def _traj_text(times):
@@ -486,3 +527,77 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# (path of a matrix in the lane problem dict, its shape)
+_FUZZ_MATRICES = [(("E",), (3, 3)), (("A",), (3, 3)), (("B", 0), (3, 1)), (("B", 1), (3, 1)),
+                  (("costs", "Q", 0), (3, 3)), (("costs", "Q", 1), (3, 3)),
+                  (("costs", "R", 0, 1), (1, 1)), (("F", 0), (1, 3)), (("F", 1), (1, 3))]
+_FUZZ_ENTRIES = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 1e-308, 0.0]),
+    st.sampled_from(["x", None, True, [1.0]]),
+)
+
+
+def _lookup(prob, path):
+    for key in path:
+        prob = prob[key]
+    return prob
+
+
+def _set_entry(field, i, j, value):
+    (path, (rows, cols)) = field
+    return lambda prob: _lookup(prob, path)[i % rows].__setitem__(j % cols, value)
+
+
+def _drop_last_entry(field, i):
+    (path, (rows, _)) = field
+    return lambda prob: _lookup(prob, path)[i % rows].pop()
+
+
+def _replace(path, value):
+    # a copy: later mutations must not edit the strategy's own value
+    return lambda prob: _lookup(prob, path[:-1]).__setitem__(path[-1], copy.deepcopy(value))
+
+
+_FUZZ_MUTATIONS = st.one_of(
+    st.builds(_set_entry, st.sampled_from(_FUZZ_MATRICES), st.integers(0, 2), st.integers(0, 2),
+              _FUZZ_ENTRIES),
+    st.builds(_drop_last_entry, st.sampled_from(_FUZZ_MATRICES), st.integers(0, 2)),
+    st.builds(_replace, st.sampled_from([path for path, _ in _FUZZ_MATRICES]),
+              st.sampled_from([[], [[]], "x", [[1.0]], [[0.0] * 3] * 3, [[1e308] * 3] * 3])),
+    st.builds(lambda key: lambda prob: prob.pop(key),
+              st.sampled_from(["E", "A", "B", "costs", "F"])),
+    st.builds(_replace, st.just(("constraints",)),
+              st.fixed_dictionaries({"support": st.lists(st.integers(-2, 10), max_size=3)},
+                                    optional={"diagonal_q": st.booleans()})),
+)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_FUZZ_MUTATIONS, min_size=1, max_size=3))
+# known cases: E = 0 (r = 0), and a sample of lambda E - A that once
+# overflowed in the regularity test
+@example([_replace(("E",), [[0.0] * 3] * 3), _replace(("A",), np.eye(3).tolist())])
+@example([_replace(("A",), np.diag([1e308, 1.0, 1.0]).tolist())])
+def test_cli_fuzz_malformed_problem_files_exit_with_one_line(mutations):
+    # every command ends with a documented exit code and one stderr
+    # line, whatever the problem file holds; warnings count as lines
+    prob = lane_problem_dict()
+    for mutate in mutations:
+        with contextlib.suppress(KeyError, IndexError, TypeError, AttributeError):
+            mutate(prob)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "prob.json")
+        with open(path, "w") as fh:
+            json.dump(prob, fh)
+        for argv in (["reduce"], ["forward", "--starts", "2"], ["inverse", "--starts", "0"]):
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main([argv[0], path, *argv[1:], "--out", os.path.join(tmp, "rep.json")])
+            lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+            assert code in range(6) and len(lines) == 1, (argv, code, lines)
+            assert "Traceback" not in lines[0]

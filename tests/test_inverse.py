@@ -76,10 +76,10 @@ def _stationarity_terms(rg, f, layout, theta, i):
 
 def _oracle_draws():
     """(reduced game, stabilizing gain, theta, normwise tolerance): six
-    small draws on the Kronecker Lyapunov route, then the size sweep's
-    two single-input players with r = 3n/4 on the Schur route, n = 16 to
-    32 and the n = 48 draw whose loop has entries near 1e6 (n = 40 is
-    drawn to keep the stream, not checked)."""
+    small draws (n = 2 to 5), then the size sweep's two single-input
+    players with r = 3n/4, n = 16 to 32 and the n = 48 draw whose loop
+    has entries near 1e6 (n = 40 is drawn to keep the stream, not
+    checked)."""
     rng = np.random.default_rng(0)
     for _ in range(6):
         n = int(rng.integers(2, 6))
@@ -618,8 +618,8 @@ def test_planted_n24_inverse_matches_observed_behavior(tmp_path):
     # the second game of the planted draw: with the identified costs, the
     # solve from the observed feedback alone (no extra starts) must find
     # the observed behavior, in process and in a fresh interpreter with
-    # BLAS pinned to one thread (where the Kronecker Lyapunov route once
-    # made it miss)
+    # BLAS pinned to one thread (where Lyapunov solves through the
+    # n^2 x n^2 Kronecker system once made it miss)
     path, out = _planted_file(tmp_path, 24), tmp_path / "inverse.json"
     prob = load_problem(str(path))
     rg = reduce_game(prob.game)
@@ -641,8 +641,9 @@ def test_planted_n24_inverse_matches_observed_behavior(tmp_path):
 def test_planted_n32_identified_costs_are_stationary_and_nash(tmp_path):
     # the third game of the planted draw: an independent Lyapunov solve
     # must find the identified costs stationary at the observed feedback
-    # to rounding level (M_i built through the inverse of the Kronecker
-    # operator left 5e-7 here), and the local Nash check must pass
+    # to rounding level (M_i built by inverting the n^2 x n^2 Kronecker
+    # Lyapunov operator once left 5e-7 here), and the local Nash check
+    # must pass
     prob = load_problem(str(_planted_file(tmp_path, 32)))
     rg = reduce_game(prob.game)
     f_red = reduce_feedback(rg, prob.f_observed)

@@ -26,6 +26,20 @@ def test_regularity_basics():
     assert not is_regular(Pencil(e, a))
 
 
+def test_regularity_and_index_are_scale_free():
+    # the samples of lambda E - A are taken on the normalized pencil, so
+    # scaling E and A apart never overflows or moves a verdict
+    for c_e, c_a in [(1.0, 1.0), (1e-300, 1.0), (1.0, 1e300), (1e300, 1e-300)]:
+        p = Pencil(c_e * LANE_E, c_a * LANE_A)
+        assert is_regular(p) and index_of(p) == 1
+        p = Pencil(c_e * np.array([[0.0, 1.0], [0.0, 0.0]]), c_a * np.eye(2))
+        assert is_regular(p) and index_of(p) == 2
+    # |A| = 1e308 against unit E: every lambda E - A lies within rounding
+    # of |A| of a singular matrix, so the pencil is singular to working
+    # precision (the unscaled sample overflowed to inf here)
+    assert not is_regular(Pencil(LANE_E, np.diag([1e308, 1.0, 1.0])))
+
+
 def test_lane_pencil_is_index1():
     p = Pencil(LANE_E, LANE_A)
     assert is_regular(p)
