@@ -173,18 +173,26 @@ def solve_lyapunov_stack(a_cl: np.ndarray, q: np.ndarray):
     for k in np.flatnonzero(~symmetric):
         errors[k] = ValueError("solve_lyapunov requires symmetric q")
     todo = symmetric.reshape(qs.shape[:2])
+    # U' and Y' are stored row-major: each U and Y item then keeps the
+    # column-major layout dgees and dtrsyl return, so the stacked products
+    # round exactly as products on that output would
+    t, u_t = np.empty(a_cl.shape), np.empty(a_cl.shape)
+    factored = np.zeros(len(a_cl), dtype=bool)
     for s in np.flatnonzero(todo.any(axis=1) & np.isfinite(a_cl).all(axis=(1, 2))):
-        t, _, _, _, u, _, info = sla.lapack.dgees(lambda wr, wi: 0, a_cl[s].T)
-        if info:
-            continue
-        rows = np.flatnonzero(todo[s])
-        for j, f_j in zip(rows, u.T @ -qs[s, rows] @ u):
-            y, scale, info = sla.lapack.dtrsyl(t, t, f_j, tranb="T")
-            if info == 1:
-                errors[s * qs.shape[1] + j] = np.linalg.LinAlgError(_PAIRING)
-                continue
-            y = u @ (y / scale) @ u.T
-            p[s * qs.shape[1] + j] = 0.5 * (y + y.T)
+        t[s], _, _, _, u, _, info = sla.lapack.dgees(lambda wr, wi: 0, a_cl[s].T)
+        u_t[s], factored[s] = u.T, info == 0
+    items = np.flatnonzero(todo & factored[:, None])
+    u_t = u_t[items // qs.shape[1]]
+    y_t = np.full((len(items), n, n), np.nan)
+    for i, (k, f_k) in enumerate(zip(items, u_t @ -q[items] @ u_t.transpose(0, 2, 1))):
+        t_k = t[k // qs.shape[1]]
+        y, scale, info = sla.lapack.dtrsyl(t_k, t_k, f_k, tranb="T")
+        if info == 1:
+            errors[k] = np.linalg.LinAlgError(_PAIRING)
+        else:
+            y_t[i] = (y / scale).T
+    y = u_t.transpose(0, 2, 1) @ y_t.transpose(0, 2, 1) @ u_t
+    p[items] = 0.5 * (y + y.transpose(0, 2, 1))
     resid = np.abs(a.transpose(0, 2, 1) @ p + p @ a + q).max(axis=(1, 2), initial=0.0)
     a_size, p_size, q_size = (np.abs(x).max(axis=(1, 2), initial=0.0) for x in (a, p, q))
     bound = 1e-10 * (2.0 * a_size * p_size + q_size)
