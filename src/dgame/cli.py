@@ -9,16 +9,17 @@
 
 Problem files carry the dynamics (``E``, ``A``, ``B``), optionally one
 cost set (``costs``), named alternates (``cost_sets``, selected with
-``--costs``), an observed feedback (``F``) and identification constraints.
-Reports are JSON with floats at 17 significant digits, written atomically
-and schema-validated, so identical inputs and seeds give byte-identical
-output.  Exit codes: 0 success, 1 usage/malformed input (including a
-malformed command line, a file that cannot be read or written, a ragged
-or non-finite matrix and an out-of-range or empty ``support``), 2 model
-assumption violated (including a pencil singular to working precision, a
-game without dynamic state (r = 0) and an effective input weight that is
-not positive definite), 3 no equilibrium found, 4 solution set empty,
-5 unstable closed loop.  Each failure prints one line on standard error.
+``--costs``), an observed feedback (``F``) and identification constraints;
+:func:`load_problem` is their only check.  Reports are JSON with floats at
+17 significant digits, written atomically, so identical inputs and seeds
+give byte-identical output.  Exit codes: 0 success, 1 usage/malformed input
+(including a malformed command line, a file that cannot be read or written,
+a missing key or a wrong JSON type, a ragged or non-finite matrix and an
+out-of-range or empty ``support``), 2 model assumption violated (including
+a pencil singular to working precision, a game without dynamic state
+(r = 0) and an effective input weight that is not positive definite), 3 no
+equilibrium found, 4 solution set empty, 5 unstable closed loop.  Each
+failure prints one line on standard error.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-import jsonschema
 
 from . import __version__
 from .feedback import (
@@ -87,94 +87,6 @@ class UsageError(ValueError):
     """Malformed problem content or missing inputs for the command."""
 
 
-_MATRIX = {
-    "type": "array",
-    "minItems": 1,
-    "items": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-}
-_COSTS = {
-    "type": "object",
-    "required": ["Q", "R"],
-    "properties": {
-        "Q": {"type": "array", "items": _MATRIX, "minItems": 1},
-        "R": {"type": "array", "items": {"type": "array", "items": _MATRIX}},
-    },
-}
-PROBLEM_SCHEMA = {
-    "type": "object",
-    "required": ["E", "A", "B"],
-    "properties": {
-        "E": _MATRIX,
-        "A": _MATRIX,
-        "B": {"type": "array", "items": _MATRIX, "minItems": 1},
-        "costs": _COSTS,
-        "cost_sets": {"type": "object", "additionalProperties": _COSTS},
-        "F": {"type": "array", "items": _MATRIX, "minItems": 1},
-        "constraints": {
-            "type": "object",
-            "properties": {
-                "diagonal_q": {"type": "boolean"},
-                "support": {"type": "array", "items": {"type": "integer"}},
-            },
-        },
-    },
-}
-
-_NUMBER_PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
-_SPECTRUM = {"type": "array", "items": _NUMBER_PAIR}
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["meta"],
-    "properties": {
-        "meta": {
-            "type": "object",
-            "required": ["version", "command", "seed", "tol", "starts", "eps_pd"],
-        },
-        "pencil": {
-            "type": "object",
-            "required": ["regular", "index", "r", "finite_spectrum"],
-            "properties": {
-                "regular": {"type": "boolean"},
-                "index": {"type": "integer"},
-                "r": {"type": "integer"},
-                "finite_spectrum": _SPECTRUM,
-            },
-        },
-        "reduced": {"type": "object"},
-        "forward": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["f_star", "p", "spectrum", "residual_max", "iterations"],
-            },
-        },
-        "inverse": {
-            "type": "object",
-            "required": ["players", "feasible"],
-        },
-        "behaviors": {
-            "type": "object",
-            "required": ["count", "matching", "matches"],
-        },
-        "misspecify": {"type": "object"},
-        "verify": {"type": "object"},
-    },
-}
-
-
-# one validator per constant schema; jsonschema.validate would re-check
-# the schema itself on every call (tests/test_cli.py checks both schemas)
-_PROBLEM_VALIDATOR = jsonschema.validators.validator_for(PROBLEM_SCHEMA)(PROBLEM_SCHEMA)
-_REPORT_VALIDATOR = jsonschema.validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
-
-
-def _validate(validator, instance) -> None:
-    """Raise the error that ``jsonschema.validate`` would raise, if any."""
-    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
-    if error is not None:
-        raise error
-
-
 def _fmt_json(obj, indent=0) -> str:
     """JSON with floats rendered at 17 significant digits (lossless for
     doubles and byte-stable across runs)."""
@@ -228,7 +140,6 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _emit_report(report: dict, out_path: str | None) -> None:
-    _validate(_REPORT_VALIDATOR, report)
     text = _fmt_json(report) + "\n"
     if out_path:
         _write_atomic(out_path, text)
@@ -253,22 +164,82 @@ class Problem:
     constraints: Constraints
 
 
-def _matrix(raw, field: str) -> np.ndarray:
-    """A matrix of the problem file (a list of rows of numbers, as the
-    schema checks); ragged rows or a NaN or infinite entry are a usage
-    error naming ``field``."""
+_ARRAY_KINDS = {1: "vector (a non-empty list of numbers)",
+                2: "matrix (a non-empty list of non-empty lists of numbers)",
+                3: "matrix list (a non-empty list of matrices, each a non-empty list "
+                   "of non-empty lists of numbers)"}
+_JSON_TYPES = {list: "array", dict: "object", bool: "boolean"}
+
+
+def _check_numbers(raw, field: str, depth: int = 2) -> None:
+    """Check that ``raw`` nests non-empty lists ``depth`` deep around ints
+    or floats (booleans, strings and null are not numbers); ragged rows
+    pass here and fail in :func:`_array`."""
+    level = [raw]
+    for _ in range(depth):
+        if not all(type(v) is list and v for v in level):
+            break
+        level = [x for v in level for x in v]
+    else:
+        if all(type(x) in (int, float) for x in level):
+            return
+    raise UsageError(f"{field} is not a numeric {_ARRAY_KINDS[depth]}")
+
+
+def _array(raw, field: str) -> np.ndarray:
+    """The floats of an array that :func:`_check_numbers` passed; ragged
+    rows, a NaN or infinite entry or an integer too large for a double
+    are a usage error naming ``field``."""
     try:
         m = np.array(raw, dtype=float)
     except ValueError:
         raise UsageError(f"{field} is ragged: its rows differ in length") from None
+    except OverflowError:
+        raise UsageError(f"{field} has an integer too large for a double") from None
     if not np.isfinite(m).all():
         raise UsageError(f"{field} has a NaN or infinite entry")
     return m
 
 
+def _check_type(raw, kind: type, field: str, required=()):
+    """``raw`` if it has the JSON type ``kind`` and the ``required`` keys."""
+    if type(raw) is not kind:
+        raise UsageError(f"{field} must be a JSON {_JSON_TYPES[kind]}")
+    for key in required:
+        if key not in raw:
+            raise UsageError(f"{field} has no {key!r}")
+    return raw
+
+
+def _check_costs(raw, where: str) -> None:
+    raw = _check_type(raw, dict, where, ("Q", "R"))
+    _check_numbers(raw["Q"], f"{where} Q", depth=3)
+    for i, row in enumerate(_check_type(raw["R"], list, f"{where} R")):
+        for j, rij in enumerate(_check_type(row, list, f"{where} R[{i}]")):
+            _check_numbers(rij, f"{where} R[{i}][{j}]")
+
+
+def _check_problem(raw) -> None:
+    """Check the keys and JSON types of the whole problem file (the README
+    gives its format) before any of it is used; unknown keys pass."""
+    raw = _check_type(raw, dict, "problem file", ("E", "A", "B"))
+    for key, depth in (("E", 2), ("A", 2), ("B", 3), ("F", 3)):
+        if key in raw:
+            _check_numbers(raw[key], key, depth)
+    if "costs" in raw:
+        _check_costs(raw["costs"], "costs")
+    for name, body in _check_type(raw.get("cost_sets", {}), dict, "cost_sets").items():
+        _check_costs(body, f"cost set {name!r}")
+    craw = _check_type(raw.get("constraints", {}), dict, "constraints")
+    _check_type(craw.get("diagonal_q", False), bool, "constraints diagonal_q")
+    for k in _check_type(craw.get("support", []), list, "constraints support"):
+        if not (type(k) is int or type(k) is float and k.is_integer()):
+            raise UsageError("constraints support must hold integer indices")
+
+
 def _parse_costs(raw, n: int, input_dims, where: str) -> CostParameters:
-    qs = [_matrix(qi, f"{where} Q[{i}]") for i, qi in enumerate(raw["Q"])]
-    rs = [[_matrix(rij, f"{where} R[{i}][{j}]") for j, rij in enumerate(row)]
+    qs = [_array(qi, f"{where} Q[{i}]") for i, qi in enumerate(raw["Q"])]
+    rs = [[_array(rij, f"{where} R[{i}][{j}]") for j, rij in enumerate(row)]
           for i, row in enumerate(raw["R"])]
     n_players = len(input_dims)
     if len(qs) != n_players or len(rs) != n_players:
@@ -279,8 +250,7 @@ def _parse_costs(raw, n: int, input_dims, where: str) -> CostParameters:
     for i, row in enumerate(rs):
         if len(row) != n_players:
             raise UsageError(f"R[{i}] must have one block per player")
-        for j, rij in enumerate(row):
-            mj = input_dims[j]
+        for j, (rij, mj) in enumerate(zip(row, input_dims)):
             if rij.shape != (mj, mj):
                 raise UsageError(f"R[{i}][{j}] must be {mj}x{mj}")
     try:
@@ -297,12 +267,9 @@ def load_problem(path: str) -> Problem:
         raise UsageError(f"cannot read problem file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"problem file is not valid JSON: {exc}") from exc
-    try:
-        _validate(_PROBLEM_VALIDATOR, raw)
-    except jsonschema.ValidationError as exc:
-        raise UsageError(f"problem file schema violation: {exc.message}") from exc
-    e, a = _matrix(raw["E"], "E"), _matrix(raw["A"], "A")
-    bs = tuple(_matrix(bi, f"B[{i}]") for i, bi in enumerate(raw["B"]))
+    _check_problem(raw)
+    e, a = _array(raw["E"], "E"), _array(raw["A"], "A")
+    bs = tuple(_array(bi, f"B[{i}]") for i, bi in enumerate(raw["B"]))
     n = e.shape[0]
     if e.shape != (n, n) or a.shape != (n, n):
         raise UsageError("E and A must be square matrices of equal size")
@@ -318,7 +285,7 @@ def load_problem(path: str) -> Problem:
     }
     f_observed = None
     if "F" in raw:
-        fs = [_matrix(fi, f"F[{i}]") for i, fi in enumerate(raw["F"])]
+        fs = [_array(fi, f"F[{i}]") for i, fi in enumerate(raw["F"])]
         if len(fs) != len(bs):
             raise UsageError("F must supply one gain block per player")
         for i, fi in enumerate(fs):
@@ -327,7 +294,7 @@ def load_problem(path: str) -> Problem:
         f_observed = FeedbackProfile(tuple(fs))
     craw = raw.get("constraints", {})
     constraints = Constraints(
-        diagonal_q=bool(craw.get("diagonal_q", False)),
+        diagonal_q=craw.get("diagonal_q", False),
         support=tuple(craw["support"]) if "support" in craw else None,
     )
     try:
@@ -397,13 +364,7 @@ def _observed_profile(problem: Problem, rg, args) -> FeedbackProfile:
     return problem.f_observed
 
 
-def _observed_reduced(problem: Problem, rg, args):
-    return reduce_feedback(rg, _observed_profile(problem, rg, args))
-
-
-def cmd_reduce(args) -> int:
-    problem = load_problem(args.problem)
-    rg = reduce_game(problem.game)
+def cmd_reduce(args, problem: Problem, rg) -> int:
     report = {
         "meta": _meta(args),
         "pencil": _pencil_section(rg),
@@ -426,11 +387,8 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def cmd_forward(args) -> int:
-    problem = load_problem(args.problem)
-    costs = _select_costs(problem, args)
-    rg = reduce_game(problem.game)
-    sols = solve_fbne(rg, costs, _solve_opts(args))
+def cmd_forward(args, problem: Problem, rg) -> int:
+    sols = solve_fbne(rg, _select_costs(problem, args), _solve_opts(args))
     report = {
         "meta": _meta(args),
         "pencil": _pencil_section(rg),
@@ -468,10 +426,8 @@ def _inverse_section(rg, cert) -> dict:
     return {"players": players, "feasible": cert.feasible}
 
 
-def cmd_inverse(args) -> int:
-    problem = load_problem(args.problem)
-    rg = reduce_game(problem.game)
-    f_red = _observed_reduced(problem, rg, args)
+def cmd_inverse(args, problem: Problem, rg) -> int:
+    f_red = reduce_feedback(rg, _observed_profile(problem, rg, args))
     cert = identify(rg, f_red, problem.constraints, args.eps_pd)
     report = {
         "meta": _meta(args),
@@ -493,10 +449,8 @@ def cmd_inverse(args) -> int:
     return EXIT_OK if cert.feasible else EXIT_INFEASIBLE
 
 
-def cmd_misspecify(args) -> int:
-    problem = load_problem(args.problem)
+def cmd_misspecify(args, problem: Problem, rg) -> int:
     game = problem.game
-    rg = reduce_game(game)
     f_obs = _observed_profile(problem, rg, args)
     f_red_true = reduce_feedback(rg, f_obs)
     already_ode = bool(np.allclose(game.e, np.eye(game.n)))
@@ -581,10 +535,8 @@ def _error_trajectories_csv(rg, f_red_obs, sols) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_verify(args) -> int:
-    problem = load_problem(args.problem)
-    rg = reduce_game(problem.game)
-    f_red = _observed_reduced(problem, rg, args)
+def cmd_verify(args, problem: Problem, rg) -> int:
+    f_red = reduce_feedback(rg, _observed_profile(problem, rg, args))
     layout = ThetaLayout(n=rg.n, input_dims=rg.input_dims)
     try:
         with open(args.theta) as fh:
@@ -596,16 +548,10 @@ def cmd_verify(args) -> int:
         raise UsageError(f"theta file must hold one vector per player ({rg.n_players})")
     thetas = []
     for i, tvec in enumerate(thetas_raw):
-        try:
-            tvec = np.asarray(tvec, dtype=float).reshape(-1)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"theta[{i}] is not a numeric vector: {exc}") from exc
-        if not np.isfinite(tvec).all():
-            raise UsageError(f"theta[{i}] has a null or non-finite entry")
+        _check_numbers(tvec, f"theta[{i}]", depth=1)
+        tvec = _array(tvec, f"theta[{i}]")
         if tvec.size != layout.size:
-            raise UsageError(
-                f"theta[{i}] has length {tvec.size}, expected L={layout.size}"
-            )
+            raise UsageError(f"theta[{i}] has length {tvec.size}, expected L={layout.size}")
         thetas.append(tvec)
     ms = constraint_matrices(rg, f_red)
     eps = float(args.eps_pd)
@@ -642,9 +588,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    problem = load_problem(args.problem)
-    rg = reduce_game(problem.game)
+def cmd_simulate(args, problem: Problem, rg) -> int:
     if problem.f_observed is None:
         raise UsageError("simulate needs a feedback 'F' in the problem file")
     try:
@@ -755,7 +699,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_options(args)
-        return args.func(args)
+        problem = load_problem(args.problem)
+        return args.func(args, problem, reduce_game(problem.game))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import is_symmetric, symmetrize
-from .pencil import ImpulsiveModesError, Pencil, WeierstrassData, weierstrass
+from .pencil import Pencil, WeierstrassData, weierstrass
 
 __all__ = [
     "UnstabilizableError",
@@ -74,12 +74,14 @@ class DescriptorGame:
     Construction checks that (E, A) is regular with index <= 1, that the
     reduced dynamics have at least one state (r >= 1) and that each player
     individually stabilizes them (Hautus rank test on every unstable
-    eigenvalue of J).
+    eigenvalue of J).  ``decomposition`` keeps the Weierstrass data that
+    check was made on, for :func:`reduce_game`.
     """
 
     e: np.ndarray
     a: np.ndarray
     b: tuple[np.ndarray, ...]
+    decomposition: WeierstrassData = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         e = np.atleast_2d(np.asarray(self.e, dtype=float))
@@ -98,8 +100,8 @@ class DescriptorGame:
         if w.r == 0:
             raise StaticGameError("rank E = 0 leaves the game no dynamic state (r = 0)")
         for i, bi in enumerate(bs):
-            b1_i = (w.y.T @ bi)[: w.r]
-            _check_stabilizable(w.j, b1_i, str(i))
+            _check_stabilizable(w.j, (w.y.T @ bi)[: w.r], str(i))
+        object.__setattr__(self, "decomposition", w)
 
     @property
     def n(self) -> int:
@@ -206,21 +208,16 @@ class ReducedGame:
 def reduce_game(g: DescriptorGame, decomposition: WeierstrassData | None = None) -> ReducedGame:
     """Split the descriptor game into its dynamic and algebraic parts.
 
-    ``decomposition`` overrides the canonical Weierstrass construction,
-    which is how gauge-dependence of reduced-coordinate quantities can be
-    probed; it must decompose the same pencil.
+    ``decomposition`` overrides the game's own (canonical) Weierstrass
+    data, which is how gauge-dependence of reduced-coordinate quantities
+    can be probed; it must decompose the same pencil.  The game's
+    construction already checked each player's stabilizability, which
+    such a gauge (J' = T1^-1 J T1, B1' = T1^-1 B1) leaves unchanged.
     """
-    w = decomposition if decomposition is not None else weierstrass(Pencil(g.e, g.a))
-    if w.index > 1:
-        raise ImpulsiveModesError("impulsive modes present (index >= 2)")
-    b1, b2 = [], []
-    for bi in g.b:
-        yb = w.y.T @ bi
-        b1.append(yb[: w.r])
-        b2.append(yb[w.r:])
-    for i, b1_i in enumerate(b1):
-        _check_stabilizable(w.j, b1_i, str(i))
-    return ReducedGame(j=w.j, b1=tuple(b1), b2=tuple(b2), w=w, input_dims=g.input_dims)
+    w = decomposition if decomposition is not None else g.decomposition
+    yb = [w.y.T @ bi for bi in g.b]
+    return ReducedGame(j=w.j, b1=tuple(y[: w.r] for y in yb), b2=tuple(y[w.r:] for y in yb),
+                       w=w, input_dims=g.input_dims)
 
 
 def m_matrix(rg: ReducedGame, c: CostParameters, i: int) -> np.ndarray:

@@ -16,10 +16,87 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from dgame.cli import PROBLEM_SCHEMA, REPORT_SCHEMA, main
+from dgame.cli import main
 from conftest import F_GT, LANE_A, LANE_B, LANE_E, Q_GT, R_GT, THETA_MIS
 
 REPO_FIXTURE = Path(__file__).resolve().parent.parent / "problems" / "lane_keeping.json"
+
+# Oracles for the files the CLI reads and writes; the CLI itself checks
+# problem files in dgame.cli.load_problem and does not need jsonschema.
+_MATRIX = {
+    "type": "array",
+    "minItems": 1,
+    "items": {"type": "array", "minItems": 1, "items": {"type": "number"}},
+}
+_COSTS = {
+    "type": "object",
+    "required": ["Q", "R"],
+    "properties": {
+        "Q": {"type": "array", "items": _MATRIX, "minItems": 1},
+        "R": {"type": "array", "items": {"type": "array", "items": _MATRIX}},
+    },
+}
+PROBLEM_SCHEMA = {
+    "type": "object",
+    "required": ["E", "A", "B"],
+    "properties": {
+        "E": _MATRIX,
+        "A": _MATRIX,
+        "B": {"type": "array", "items": _MATRIX, "minItems": 1},
+        "costs": _COSTS,
+        "cost_sets": {"type": "object", "additionalProperties": _COSTS},
+        "F": {"type": "array", "items": _MATRIX, "minItems": 1},
+        "constraints": {
+            "type": "object",
+            "properties": {
+                "diagonal_q": {"type": "boolean"},
+                "support": {"type": "array", "items": {"type": "integer"}},
+            },
+        },
+    },
+}
+
+_NUMBER_PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
+_SPECTRUM = {"type": "array", "items": _NUMBER_PAIR}
+REPORT_SCHEMA = {
+    "type": "object",
+    "required": ["meta"],
+    "properties": {
+        "meta": {
+            "type": "object",
+            "required": ["version", "command", "seed", "tol", "starts", "eps_pd"],
+        },
+        "pencil": {
+            "type": "object",
+            "required": ["regular", "index", "r", "finite_spectrum"],
+            "properties": {
+                "regular": {"type": "boolean"},
+                "index": {"type": "integer"},
+                "r": {"type": "integer"},
+                "finite_spectrum": _SPECTRUM,
+            },
+        },
+        "reduced": {"type": "object"},
+        "forward": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["f_star", "p", "spectrum", "residual_max", "iterations"],
+            },
+        },
+        "inverse": {
+            "type": "object",
+            "required": ["players", "feasible"],
+        },
+        "behaviors": {
+            "type": "object",
+            "required": ["count", "matching", "matches"],
+        },
+        "misspecify": {"type": "object"},
+        "verify": {"type": "object"},
+    },
+}
+_PROBLEM_VALIDATOR = jsonschema.validators.validator_for(PROBLEM_SCHEMA)(PROBLEM_SCHEMA)
 
 
 def lane_problem_dict(with_costs=True, with_f=True, **extra):
@@ -365,15 +442,29 @@ def test_malformed_problem_files(tmp_path, capsys):
     assert stderr_of("{not json") == (
         "error: problem file is not valid JSON: Expecting property name enclosed in "
         "double quotes: line 1 column 2 (char 1)\n")
-    assert stderr_of(json.dumps({"E": [[1.0]]})) == (
-        "error: problem file schema violation: 'A' is a required property\n")
-    # several violations: the message names the best match
-    assert stderr_of(json.dumps({"E": "x", "B": []})) == (
-        "error: problem file schema violation: 'A' is a required property\n")
+    assert stderr_of(json.dumps({"E": [[1.0]]})) == "error: problem file has no 'A'\n"
+    # several faults: the message names the first one checked
+    assert stderr_of(json.dumps({"E": "x", "B": []})) == "error: problem file has no 'A'\n"
+    assert stderr_of("[1, 2]") == "error: problem file must be a JSON object\n"
+    matrix = "a non-empty list of non-empty lists of numbers"
+    matrix_list = f"a non-empty list of matrices, each {matrix}"
     prob = lane_problem_dict()
     prob["costs"]["Q"] = [[["a"]]]
     assert stderr_of(json.dumps(prob)) == (
-        "error: problem file schema violation: 'a' is not of type 'number'\n")
+        f"error: costs Q is not a numeric matrix list ({matrix_list})\n")
+    for key, value, message in [
+        ("E", [[1, 0, 0], [0, 1, 0], [0, 0, False]], f"E is not a numeric matrix ({matrix})"),
+        ("B", [], f"B is not a numeric matrix list ({matrix_list})"),
+        ("F", [[[0.0, 1.0, 2.0]], [[]]], f"F is not a numeric matrix list ({matrix_list})"),
+        ("costs", {"Q": [[[1.0]]]}, "costs has no 'R'"),
+        ("costs", {"Q": [[[1.0]]], "R": [[[[1.0]], None]]},
+         f"costs R[0][1] is not a numeric matrix ({matrix})"),
+        ("cost_sets", [], "cost_sets must be a JSON object"),
+        ("constraints", {"diagonal_q": 1}, "constraints diagonal_q must be a JSON boolean"),
+        ("constraints", {"support": [1.5]}, "constraints support must hold integer indices"),
+        ("constraints", {"support": [True]}, "constraints support must hold integer indices"),
+    ]:
+        assert stderr_of(json.dumps(lane_problem_dict(**{key: value}))) == f"error: {message}\n"
     # dimension mismatch caught by validation
     prob = lane_problem_dict()
     prob["B"] = [[[1.0], [0.0]]]
@@ -393,6 +484,8 @@ def test_malformed_problem_files(tmp_path, capsys):
          "costs Q[0] has a NaN or infinite entry"),
         (("constraints",), {"support": [-1]}, "support indices out of range: [-1]"),
         (("constraints",), {"support": []}, "constraints remove every parameter"),
+        # an integer too large for a double; json reads 1e400 as infinity
+        (("A", 0, 0), 10 ** 400, "A has an integer too large for a double"),
     ]:
         prob = lane_problem_dict()
         parent = prob
@@ -457,7 +550,16 @@ FILE_FAULTS = {
                          "error: cannot read problem file"),
     "theta-null-entry": (["verify", REPO_FIXTURE, "--theta", "theta.json"],
                          {"theta.json": json.dumps({"theta": [[None] + [1.0] * 7, [1.0] * 8]})},
-                         "error: theta[0] has a null or non-finite entry"),
+                         "error: theta[0] is not a numeric vector"),
+    "theta-boolean": (["verify", REPO_FIXTURE, "--theta", "theta.json"],
+                      {"theta.json": json.dumps({"theta": [[True] + [1.0] * 7, [1.0] * 8]})},
+                      "error: theta[0] is not a numeric vector"),
+    "theta-nan-entry": (["verify", REPO_FIXTURE, "--theta", "theta.json"],
+                        {"theta.json": json.dumps({"theta": [[1.0] * 8, [float("nan")] * 8]})},
+                        "error: theta[1] has a NaN or infinite entry"),
+    "theta-huge-integer": (["verify", REPO_FIXTURE, "--theta", "theta.json"],
+                           {"theta.json": json.dumps({"theta": [[10 ** 400] + [1] * 7, [1] * 8]})},
+                           "error: theta[0] has an integer too large for a double"),
     "theta-non-numeric": (["verify", REPO_FIXTURE, "--theta", "theta.json"],
                           {"theta.json": json.dumps({"theta": [["x", 1.0], [1.0, 2.0]]})},
                           "error: theta[0] is not a numeric vector"),
@@ -517,16 +619,33 @@ def test_schemas_are_valid(schema):
     jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs about 0.1 s of every CLI start-up
+@pytest.mark.parametrize("argv", [["reduce"], ["forward", "--starts", 4],
+                                  ["inverse", "--starts", 4], ["misspecify", "--starts", 8],
+                                  ["verify", "--theta", "theta.json"]])
+def test_reports_match_report_schema(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    theta_file(tmp_path, THETA_MIS)
+    assert run([argv[0], REPO_FIXTURE, *argv[1:], "--out", "rep.json"]) == 0
+    jsonschema.validate(json.loads((tmp_path / "rep.json").read_text()), REPORT_SCHEMA)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # scipy.optimize costs about 0.1 s of every CLI start-up; jsonschema
+    # is a test dependency only, so the CLI must also run where importing
+    # it fails (a None entry in sys.modules makes the import raise)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_FIXTURE.parent.parent / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, dgame.cli; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    argv = ["reduce", str(REPO_FIXTURE), "--out", str(tmp_path / "rep.json")]
+    for block_jsonschema in (False, True):
+        script = (f"import sys\nif {block_jsonschema}: sys.modules['jsonschema'] = None\n"
+                  "import dgame.cli\nprint('scipy.optimize' in sys.modules)\n"
+                  f"print(dgame.cli.main({argv!r}))\n"
+                  "print(sys.modules.get('jsonschema') is not None)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "0", "False"], (block_jsonschema, proc.stdout)
 
 
 # (path of a matrix in the lane problem dict, its shape)
@@ -570,25 +689,31 @@ _FUZZ_MUTATIONS = st.one_of(
     st.builds(lambda key: lambda prob: prob.pop(key),
               st.sampled_from(["E", "A", "B", "costs", "F"])),
     st.builds(_replace, st.just(("constraints",)),
-              st.fixed_dictionaries({"support": st.lists(st.integers(-2, 10), max_size=3)},
-                                    optional={"diagonal_q": st.booleans()})),
+              st.fixed_dictionaries(
+                  {"support": st.lists(st.one_of(st.integers(-2, 10),
+                                                 st.sampled_from([1.0, 2.5, True, None])),
+                                       max_size=3)},
+                  optional={"diagonal_q": st.one_of(st.booleans(), st.just(1))})),
 )
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(_FUZZ_MUTATIONS, min_size=1, max_size=3))
-# known cases: E = 0 (r = 0), and a sample of lambda E - A that once
-# overflowed in the regularity test
+# known cases: E = 0 (r = 0), a sample of lambda E - A that once
+# overflowed in the regularity test, and an integer too large for a double
 @example([_replace(("E",), [[0.0] * 3] * 3), _replace(("A",), np.eye(3).tolist())])
 @example([_replace(("A",), np.diag([1e308, 1.0, 1.0]).tolist())])
+@example([_set_entry(_FUZZ_MATRICES[1], 0, 0, 10 ** 400)])
 def test_cli_fuzz_malformed_problem_files_exit_with_one_line(mutations):
     # every command ends with a documented exit code and one stderr
-    # line, whatever the problem file holds; warnings count as lines
+    # line, whatever the problem file holds; warnings count as lines.
+    # A file the problem schema rejects is a usage error (exit 1).
     prob = lane_problem_dict()
     for mutate in mutations:
         with contextlib.suppress(KeyError, IndexError, TypeError, AttributeError):
             mutate(prob)
+    malformed = not _PROBLEM_VALIDATOR.is_valid(prob)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "prob.json")
         with open(path, "w") as fh:
@@ -601,3 +726,4 @@ def test_cli_fuzz_malformed_problem_files_exit_with_one_line(mutations):
             lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
             assert code in range(6) and len(lines) == 1, (argv, code, lines)
             assert "Traceback" not in lines[0]
+            assert code == 1 or not malformed, (argv, code, lines)
