@@ -51,8 +51,6 @@ from .game import (
     reduce_game,
 )
 from .inverse import (
-    MATCH_DT,
-    MATCH_HORIZON,
     Constraints,
     ThetaLayout,
     constraint_matrices,
@@ -81,6 +79,9 @@ EXIT_ASSUMPTION = 2
 EXIT_NO_SOLUTION = 3
 EXIT_INFEASIBLE = 4
 EXIT_UNSTABLE = 5
+
+#: horizon and step of the error trajectories of ``misspecify --traj-out``
+_ERROR_HORIZON, _ERROR_DT = 6.0, 0.01
 
 
 class UsageError(ValueError):
@@ -243,20 +244,20 @@ def _parse_costs(raw, n: int, input_dims, where: str) -> CostParameters:
           for i, row in enumerate(raw["R"])]
     n_players = len(input_dims)
     if len(qs) != n_players or len(rs) != n_players:
-        raise UsageError("costs must supply one Q and one R row per player")
+        raise UsageError(f"{where} must supply one Q and one R row per player")
     for i, qi in enumerate(qs):
         if qi.shape != (n, n):
-            raise UsageError(f"Q[{i}] must be {n}x{n}")
+            raise UsageError(f"{where} Q[{i}] must be {n}x{n}")
     for i, row in enumerate(rs):
         if len(row) != n_players:
-            raise UsageError(f"R[{i}] must have one block per player")
+            raise UsageError(f"{where} R[{i}] must have one block per player")
         for j, (rij, mj) in enumerate(zip(row, input_dims)):
             if rij.shape != (mj, mj):
-                raise UsageError(f"R[{i}][{j}] must be {mj}x{mj}")
+                raise UsageError(f"{where} R[{i}][{j}] must be {mj}x{mj}")
     try:
         return CostParameters(q=tuple(qs), r=tuple(tuple(row) for row in rs))
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"{where} {exc}") from exc
 
 
 def load_problem(path: str) -> Problem:
@@ -426,6 +427,17 @@ def _inverse_section(rg, cert) -> dict:
     return {"players": players, "feasible": cert.feasible}
 
 
+def _behaviors_section(sols, matches) -> dict:
+    """The equilibria ``sols`` and which of them reproduce the observed
+    behavior."""
+    return {
+        "count": len(sols),
+        "matching": int(sum(matches)),
+        "matches": [bool(m) for m in matches],
+        "spectra": [_spec_pairs(s.spectrum) for s in sols],
+    }
+
+
 def cmd_inverse(args, problem: Problem, rg) -> int:
     f_red = reduce_feedback(rg, _observed_profile(problem, rg, args))
     cert = identify(rg, f_red, problem.constraints, args.eps_pd)
@@ -436,12 +448,7 @@ def cmd_inverse(args, problem: Problem, rg) -> int:
     }
     if cert.feasible:
         rep = rationalized_behaviors(rg, cert, _solve_opts(args))
-        report["behaviors"] = {
-            "count": int(rep.n_behaviors),
-            "matching": int(rep.n_matching),
-            "matches": [bool(m) for m in rep.matches],
-            "spectra": [_spec_pairs(s) for s in rep.spectra],
-        }
+        report["behaviors"] = _behaviors_section(rep.solutions, rep.matches)
     _emit_report(report, args.out)
     verdict = "feasible" if cert.feasible else "solution set empty"
     print(f"inverse: {verdict}; residuals "
@@ -489,42 +496,31 @@ def cmd_misspecify(args, problem: Problem, rg) -> int:
         "pencil": _pencil_section(rg),
         "misspecify": section,
     }
-    behaviors_ok = False
-    error_csv = None
+    # the ODE-identified costs can leave a descriptor input weight
+    # indefinite, and the forward game is then not posed
+    failure = ""
     try:
-        costs_mis = cert_ode.costs()
-        sols = solve_fbne(rg, costs_mis, _solve_opts(args))
-        matches = match_behaviors(rg, f_red_true, sols)
-        report["behaviors"] = {
-            "count": len(sols),
-            "matching": int(sum(matches)),
-            "matches": [bool(m) for m in matches],
-            "spectra": [_spec_pairs(s.spectrum) for s in sols],
-        }
-        behaviors_ok = True
-        if args.traj_out and sols:
-            error_csv = _error_trajectories_csv(rg, f_red_true, sols)
-    except ValueError:
-        report["behaviors"] = {"count": 0, "matching": 0, "matches": []}
-    if error_csv is not None:
-        _write_atomic(args.traj_out, error_csv)
+        sols = solve_fbne(rg, cert_ode.costs(), _solve_opts(args))
+    except IndefiniteInputWeightError as exc:
+        sols, failure = [], f" (forward solve on misspecified costs failed: {exc})"
+    report["behaviors"] = _behaviors_section(sols, match_behaviors(f_red_true, sols))
+    if args.traj_out and sols:
+        _write_atomic(args.traj_out, _error_trajectories_csv(rg, f_red_true, sols))
     _emit_report(report, args.out)
     print("misspecify: descriptor residuals "
-          + ", ".join(f"{v:.4f}" for v in desc_res)
-          + ("" if behaviors_ok else " (forward solve on misspecified costs failed)"),
-          file=sys.stderr)
+          + ", ".join(f"{v:.4f}" for v in desc_res) + failure, file=sys.stderr)
     return EXIT_OK if cert_ode.feasible else EXIT_INFEASIBLE
 
 
 def _error_trajectories_csv(rg, f_red_obs, sols) -> str:
     """CSV of state/control error norms of each misspecified equilibrium
     loop against the observed loop, from the shared reduced initial state,
-    over behavior matching's horizon and step."""
+    over ``_ERROR_HORIZON`` in steps of ``_ERROR_DT``."""
     x1_0 = np.ones(rg.r)
-    obs = simulate(rg, f_red_obs, x1_0, MATCH_HORIZON, MATCH_DT)
+    obs = simulate(rg, f_red_obs, x1_0, _ERROR_HORIZON, _ERROR_DT)
     cols = {"t": obs.times}
     for k, s in enumerate(sols):
-        traj = simulate(rg, s.f_star, x1_0, MATCH_HORIZON, MATCH_DT)
+        traj = simulate(rg, s.f_star, x1_0, _ERROR_HORIZON, _ERROR_DT)
         cols[f"xerr{k+1}"] = np.linalg.norm(traj.x - obs.x, axis=1)
         cols[f"uerr{k+1}"] = np.linalg.norm(traj.u - obs.u, axis=1)
     header = list(cols)

@@ -54,6 +54,7 @@ __all__ = [
     "CareResiduals",
     "EquilibriumSolution",
     "IndefiniteInputWeightError",
+    "same_behavior",
     "solution_at",
     "solve_fbne",
     "equilibrium_cost",
@@ -62,6 +63,7 @@ __all__ = [
 
 
 #: relative max-entry distance under which two feedbacks are one solution
+#: and one behavior (:func:`same_behavior`)
 DEDUP_TOL = 1e-5
 
 #: Newton steps per start in :func:`root`
@@ -82,6 +84,14 @@ _STEP_TOL = 1e-13
 #: memory budget for the Jacobians of one group of starts in a Newton
 #: step; a group holds at least one start
 _NEWTON_GROUP_BYTES = 256 << 10
+
+
+def same_behavior(f: np.ndarray, g: np.ndarray) -> bool:
+    """Whether the reduced gains ``f`` and ``g`` are one behavior: from
+    every reduced initial state the input is u = F x1, so two gains give
+    one behavior exactly when they agree, here to within
+    ``DEDUP_TOL (1 + max|f|)`` in the max-entry norm."""
+    return bool(np.abs(f - g).max(initial=0.0) <= DEDUP_TOL * (1.0 + np.abs(f).max(initial=0.0)))
 
 
 class IndefiniteInputWeightError(ValueError):
@@ -428,9 +438,9 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
     one call of :func:`root`, Newton steps with the exact Jacobian of the
     coupled system, runs from all of them at once.  In start order, a
     start's point counts when its loop is stable, its residual is within
-    ``opts.tol`` times the data scale and no earlier solution lies within
-    ``DEDUP_TOL``; the solution carries the start's name and its Newton
-    step count as ``iterations``.
+    ``opts.tol`` times the data scale and no earlier solution is the same
+    behavior (:func:`same_behavior`); the solution carries the start's
+    name and its Newton step count as ``iterations``.
     Requires every effective own-input weight r_bar[i][i] to be positive
     definite (raises :class:`IndefiniteInputWeightError`).  Returns the
     deduplicated solutions in a canonical order (lexicographic by rounded
@@ -452,10 +462,8 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
             return
         if res.max_norm > opts.tol * ev.scale:
             return
-        for sol in solutions:
-            gap = np.abs(sol.f_star.matrix - f).max(initial=0.0)
-            if gap <= DEDUP_TOL * (1.0 + np.abs(f).max(initial=0.0)):
-                return
+        if any(same_behavior(f, sol.f_star.matrix) for sol in solutions):
+            return
         solutions.append(EquilibriumSolution(
             f_star=ReducedFeedback(f, rg.input_dims),
             p=tuple(p_list),

@@ -18,7 +18,10 @@ normalized representative.  This module assembles M_i, computes kernels
 and definiteness margins, identifies a maximal-margin representative
 (with optional support constraints such as diagonal state weights),
 samples the solution set, and reports which closed-loop behaviors an
-identified cost tuple rationalizes.  The margin is concave on the
+identified cost tuple rationalizes: an equilibrium reproduces the
+observed behavior when its reduced gain is the observed one, by the rule
+that deduplicates the forward solver's solutions
+(:func:`dgame.forward.same_behavior`).  The margin is concave on the
 kernel, so its maximum comes from one deterministic solve of the convex
 dual over the spectraplex, with a duality gap as its stopping rule; the
 same solve diagnoses an empty solution set.  Only
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feedback import ReducedFeedback, preimage_matrix, simulate
+from .feedback import ReducedFeedback, preimage_matrix
 from .game import CostParameters, ReducedGame
 from .linalg import (
     KERNEL_TOL,
@@ -38,11 +41,10 @@ from .linalg import (
     kernel_basis,
     min_eig_sym,
     solve_lyapunov_stack,
-    sorted_spectrum,
     unvech,
     vech,
 )
-from .forward import EquilibriumSolution, SolveOptions, solve_fbne
+from .forward import EquilibriumSolution, SolveOptions, same_behavior, solve_fbne
 
 __all__ = [
     "ThetaLayout",
@@ -63,10 +65,6 @@ __all__ = [
 
 #: iteration cap of the margin optimizer's dual solve
 DUAL_ITERS = 10000
-
-#: behaviors are compared on closed-loop inputs over this horizon and step
-#: and match within this sup-norm distance
-MATCH_HORIZON, MATCH_DT, MATCH_TOL = 6.0, 0.01, 1e-5
 
 
 @dataclass(frozen=True)
@@ -437,32 +435,19 @@ class BehaviorReport:
     matches: tuple[bool, ...]
     n_behaviors: int
     n_matching: int
-    observed_spectrum: np.ndarray
 
 
-def match_behaviors(rg: ReducedGame, f_obs: ReducedFeedback, sols) -> tuple[bool, ...]:
-    """Which equilibria of ``sols`` reproduce the observed behavior.
-
-    Behaviors are compared through closed-loop input trajectories from a
-    shared set of reduced initial states (the canonical basis); matching
-    means sup-norm distance at most ``MATCH_TOL`` for all of them.
-    Distinct reduced feedbacks give distinct behaviors.
-    """
-    observed = [simulate(rg, f_obs, e, MATCH_HORIZON, MATCH_DT) for e in np.eye(rg.r)]
-    matches = []
-    for sol in sols:
-        dist = 0.0
-        for k, e in enumerate(np.eye(rg.r)):
-            traj = simulate(rg, sol.f_star, e, MATCH_HORIZON, MATCH_DT)
-            dist = max(dist, float(np.abs(traj.u - observed[k].u).max(initial=0.0)))
-        matches.append(dist <= MATCH_TOL)
-    return tuple(matches)
+def match_behaviors(f_obs: ReducedFeedback, sols) -> tuple[bool, ...]:
+    """Which equilibria of ``sols`` reproduce the observed behavior: those
+    whose reduced gain is the observed one (:func:`same_behavior`)."""
+    return tuple(same_behavior(f_obs.matrix, sol.f_star.matrix) for sol in sols)
 
 
 def rationalized_behaviors(rg: ReducedGame, cert: InverseCertificate,
                            solve_opts: SolveOptions | None = None) -> BehaviorReport:
-    """Solve the forward game with the certificate's costs and compare
-    each equilibrium behavior with the observed one (:func:`match_behaviors`).
+    """Solve the forward game with the certificate's costs and mark each
+    equilibrium whose reduced gain is the observed one
+    (:func:`match_behaviors`).
 
     A feasible certificate makes the observed feedback an equilibrium of
     its costs, but the observed gain is not one of the solver's starts:
@@ -473,13 +458,11 @@ def rationalized_behaviors(rg: ReducedGame, cert: InverseCertificate,
     if not cert.feasible:
         raise ValueError("certificate is infeasible: no rationalizing costs to solve")
     sols = solve_fbne(rg, cert.costs(), solve_opts or SolveOptions())
-    matches = match_behaviors(rg, cert.f_red, sols)
-    a_obs = rg.closed_loop(cert.f_red.matrix)
+    matches = match_behaviors(cert.f_red, sols)
     return BehaviorReport(
         solutions=tuple(sols),
         spectra=tuple(sol.spectrum for sol in sols),
         matches=matches,
         n_behaviors=len(sols),
         n_matching=int(sum(matches)),
-        observed_spectrum=sorted_spectrum(np.linalg.eigvals(a_obs)),
     )

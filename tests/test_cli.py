@@ -90,7 +90,7 @@ REPORT_SCHEMA = {
         },
         "behaviors": {
             "type": "object",
-            "required": ["count", "matching", "matches"],
+            "required": ["count", "matching", "matches", "spectra"],
         },
         "misspecify": {"type": "object"},
         "verify": {"type": "object"},
@@ -120,6 +120,18 @@ def write_problem(tmp_path, name="prob.json", **kwargs):
     path = tmp_path / name
     path.write_text(json.dumps(lane_problem_dict(**kwargs)))
     return str(path)
+
+
+def lane_costs_dict(q0=None, r01=None):
+    """The lane game's ground-truth cost block, with Q[0] or R[0][1]
+    replaced when given."""
+    qs = [q.tolist() for q in Q_GT]
+    rs = [[r.tolist() for r in row] for row in R_GT]
+    if q0 is not None:
+        qs[0] = q0
+    if r01 is not None:
+        rs[0][1] = r01
+    return {"Q": qs, "R": rs}
 
 
 def run(args):
@@ -299,6 +311,29 @@ def test_misspecify_reports_nonzero_descriptor_residuals(tmp_path):
     assert np.abs(data[:, 1:]).max() > 1e-3
 
 
+def test_misspecify_reports_an_indefinite_descriptor_input_weight(tmp_path, capsys):
+    # under E = I this observed feedback is rationalized by costs whose
+    # player-1 input weight, read through the descriptor game's algebraic
+    # state, is indefinite: the forward game is not posed, the behaviors
+    # section is empty and the exit code is identification's
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps(lane_problem_dict(
+        with_costs=False, F=[[[0.0, -0.28, 0.26]], [[-0.14, -2.27, 5.75]]])))
+    out, err_csv = tmp_path / "rep.json", tmp_path / "err.csv"
+    capsys.readouterr()
+    code = run(["misspecify", path, "--starts", 8, "--out", out, "--traj-out", err_csv])
+    rep = json.loads(out.read_text())
+    feasible = all(p["feasible"] for p in rep["misspecify"]["ode_players"])
+    assert code == (0 if feasible else 4)
+    assert rep["misspecify"]["descriptor_margins"][1] < 0
+    assert rep["behaviors"] == {"count": 0, "matching": 0, "matches": [], "spectra": []}
+    assert not err_csv.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("misspecify: descriptor residuals ") and err.count("\n") == 1
+    assert err.endswith("(forward solve on misspecified costs failed: effective input "
+                        "weight of player 1 is not positive definite)\n")
+
+
 def test_misspecify_is_noop_for_state_space_model(tmp_path):
     rng = np.random.default_rng(1)
     a = (rng.standard_normal((2, 2)) - 2 * np.eye(2))
@@ -463,6 +498,16 @@ def test_malformed_problem_files(tmp_path, capsys):
         ("constraints", {"diagonal_q": 1}, "constraints diagonal_q must be a JSON boolean"),
         ("constraints", {"support": [1.5]}, "constraints support must hold integer indices"),
         ("constraints", {"support": [True]}, "constraints support must hold integer indices"),
+        # shape, count and symmetry faults name their cost block, also in a
+        # cost set that the command does not use
+        ("cost_sets", {"alt": lane_costs_dict(q0=[[1.0]])}, "cost set 'alt' Q[0] must be 3x3"),
+        ("cost_sets", {"alt": lane_costs_dict(q0=[[1, 2, 0], [0, 1, 0], [0, 0, 1]])},
+         "cost set 'alt' Q[0] must be symmetric"),
+        ("costs", lane_costs_dict(r01=[[1.0, 0.0], [0.0, 1.0]]), "costs R[0][1] must be 1x1"),
+        ("costs", dict(lane_costs_dict(), R=[[[[1.0]], [[1.0]]]]),
+         "costs must supply one Q and one R row per player"),
+        ("costs", dict(lane_costs_dict(), R=[[[[1.0]]], [[[1.0]], [[1.0]]]]),
+         "costs R[0] must have one block per player"),
     ]:
         assert stderr_of(json.dumps(lane_problem_dict(**{key: value}))) == f"error: {message}\n"
     # dimension mismatch caught by validation

@@ -17,10 +17,12 @@ from dgame import (
 )
 from dgame import forward
 from dgame.forward import (
+    DEDUP_TOL,
     _NEWTON_ITERS,
     _Evaluator,
     _starting_points,
     root as newton_root,
+    same_behavior,
     solution_at,
 )
 from dgame.game import m_matrix
@@ -567,6 +569,32 @@ def test_solutions_carry_their_start_and_newton_steps(lane, costs, monkeypatch):
         k = names.index(sol.start)
         assert sol.iterations == steps[k] <= _NEWTON_ITERS
         assert _same_bytes(sol.f_star.matrix, ev.unpack(z[k])[0])
+
+
+def test_solve_fbne_keeps_one_solution_per_behavior(lane, monkeypatch):
+    # the starts end at the lane equilibrium, two of them with their gain
+    # moved by 0.5 and 10 DEDUP_TOL relative: the first is the same
+    # behavior and is dropped, the second is a solution of its own (a
+    # loose tol admits its residual)
+    rg, c = lane["rg"], lane["costs_gt"]
+    (sol,) = solve_fbne(rg, c, FAST)
+    ev = _Evaluator(rg, c)
+    offsets = np.array([0.0, 0.5, 10.0, 0.0]) * DEDUP_TOL
+
+    def at_solution(ev, z0):
+        z = np.repeat(ev.pack(sol.f_star.matrix, np.array(sol.p))[None], len(z0), axis=0)
+        z[:len(offsets), :rg.m * rg.r] *= 1.0 + offsets[:, None]
+        return z, np.zeros(len(z0), dtype=int)
+
+    monkeypatch.setattr(forward, "root", at_solution)
+    opts = SolveOptions(n_starts=1, tol=1e-2)
+    names = [name for name, _ in _starting_points(rg, opts)]
+    assert len(names) == len(offsets)
+    sols = solve_fbne(rg, c, opts)
+    assert sorted(s.start for s in sols) == sorted([names[0], names[2]])
+    f = sol.f_star.matrix
+    assert same_behavior(f, f * (1.0 + offsets[1]))
+    assert not same_behavior(f, f * (1.0 + offsets[2]))
 
 
 @pytest.mark.parametrize("case", ["lane-id", "lane-mis", "three-players"])

@@ -12,12 +12,14 @@ import scipy.linalg as sla
 from dgame import (
     Constraints,
     DescriptorGame,
+    FeedbackProfile,
     ReducedFeedback,
     SolveOptions,
     ThetaLayout,
     constraint_matrices,
     dimension_report,
     identify,
+    match_behaviors,
     pd_margin,
     rationalized_behaviors,
     reduce_feedback,
@@ -505,6 +507,20 @@ def test_rationalized_behaviors_observed_always_matches(lane_setup):
     assert rep.n_behaviors >= 1
     matched = [s for s, m in zip(rep.solutions, rep.matches) if m]
     np.testing.assert_allclose(matched[0].f_star.matrix, f_obs.matrix, atol=1e-6)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6])
+def test_match_behaviors_compares_reduced_gains(scale):
+    # an equilibrium reproduces the observation when its reduced gain is
+    # the observed one, relative to the gain's size: with every B_i scaled
+    # by 1e-6 the gain grows by 1e6 and the verdicts stay the same
+    g = lane_game()
+    rg = reduce_game(DescriptorGame(g.e, g.a, tuple(b * scale for b in g.b)))
+    f_obs = reduce_feedback(rg, FeedbackProfile(tuple(f / scale for f in lane_profile_gt().f)))
+    sols = [solution_at(rg, lane_costs_gt(),
+                        ReducedFeedback(f_obs.matrix * (1.0 + d), rg.input_dims))
+            for d in (0.0, 1e-10, 1e-3)]
+    assert match_behaviors(f_obs, sols) == (True, True, False)
 
 
 def test_rectangularity_mix_and_match(lane_setup):
