@@ -504,7 +504,7 @@ def cmd_misspecify(args, problem: Problem, rg) -> int:
     except IndefiniteInputWeightError as exc:
         sols, failure = [], f" (forward solve on misspecified costs failed: {exc})"
     report["behaviors"] = _behaviors_section(sols, match_behaviors(f_red_true, sols))
-    if args.traj_out and sols:
+    if args.traj_out:
         _write_atomic(args.traj_out, _error_trajectories_csv(rg, f_red_true, sols))
     _emit_report(report, args.out)
     print("misspecify: descriptor residuals "

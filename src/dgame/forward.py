@@ -22,10 +22,15 @@ all starts), and runs one damped Newton solve over all of them
 (:func:`root`): the exact Jacobian
 of the evaluator's packed residual (the Frechet derivative of the
 coupled system in F and the P_i), an Armijo backtracking search on the
-residual's 2-norm, and every start moving in lockstep until its step
-falls below ``_STEP_TOL`` relative to the point, its step is singular or
-not finite, backtracking reaches ``_BACKTRACK_FLOOR`` or ``_NEWTON_ITERS``
-steps are spent.
+residual's 2-norm whose step lengths (1, 1/2, ... down to
+``_BACKTRACK_FLOOR``) are all tried in one stacked evaluation per group
+of starts that fits ``_NEWTON_GROUP_BYTES``, and every start moving in
+lockstep until its step falls below ``_STEP_TOL`` relative to the point,
+its step is singular or not finite, no step length decreases the
+residual enough or ``_NEWTON_ITERS`` steps are spent.  The end points
+are checked in one stacked evaluation too (loop stability and
+residuals), and :func:`verify_nash_local` solves each player's random
+deviations as one stack.
 Coupled Riccati systems can have several stabilizing solutions, so
 enumeration is heuristic multistart and completeness is only ever
 validated at test scale.  G and V' are read out of the players' reduced
@@ -82,7 +87,8 @@ _BACKTRACK_FLOOR = 2.0 ** -12
 _STEP_TOL = 1e-13
 
 #: memory budget for the Jacobians of one group of starts in a Newton
-#: step; a group holds at least one start
+#: step, and for the trial points of one group in its step-length search;
+#: a group holds at least one start
 _NEWTON_GROUP_BYTES = 256 << 10
 
 
@@ -231,7 +237,11 @@ class _Evaluator:
         f are given."""
         if a_cl is None:
             a_cl, costs = self.closed_loop(f), self.costs(f)
-        stat, care = self.residual_matrices(f, np.asarray(p), a_cl, costs)
+        return self.care_residuals(*self.residual_matrices(f, np.asarray(p), a_cl, costs))
+
+    def care_residuals(self, stat, care) -> CareResiduals:
+        """The residual matrices ``(stat, care)`` of one point, with their
+        max-norms and the data scale."""
         return CareResiduals(
             care=tuple(care),
             stationarity=stat,
@@ -347,19 +357,26 @@ def root(ev: _Evaluator, z) -> tuple[np.ndarray, np.ndarray]:
 
     All starts step in lockstep, each with its own Armijo backtracking
     search on the residual's 2-norm: a step of length t (1, 1/2, 1/4,
-    ...) is taken once it shrinks that norm by the factor
-    1 - ``_ARMIJO`` t.  A start retires once its full step is at most
-    ``_STEP_TOL`` (1 + |z|), which it still takes, or when its step is
-    singular or not finite, its search falls below ``_BACKTRACK_FLOOR``
-    or it has taken ``_NEWTON_ITERS`` steps.  Returns ``(z, steps)``: the
-    final points, one row per start, and the number of steps each start
-    took; each row is what that start gives on its own.
+    ... down to ``_BACKTRACK_FLOOR``) is acceptable once it shrinks that
+    norm by the factor 1 - ``_ARMIJO`` t, and the start takes the longest
+    acceptable one.  After each Newton step every length of every
+    searching start is tried at once, one :meth:`_Evaluator.vector` call
+    per group of starts whose trial points fit ``_NEWTON_GROUP_BYTES``;
+    the point taken has the bits a halving loop would reach.  A start
+    retires once its full step is at most ``_STEP_TOL`` (1 + |z|), which
+    it still takes, or when its step is singular or not finite, no length
+    is acceptable or it has taken ``_NEWTON_ITERS`` steps.  Returns
+    ``(z, steps)``: the final points, one row per start, and the number of
+    steps each start took; each row is what that start gives on its own.
     """
     z = np.array(z, dtype=float)
     res = ev.vector(z)
     norm = np.linalg.norm(res, axis=-1)
     active = np.arange(len(z))
     steps = np.zeros(len(z), dtype=int)
+    lengths = 2.0 ** -np.arange(1 + round(-np.log2(_BACKTRACK_FLOOR)))
+    decrease = 1.0 - _ARMIJO * lengths
+    group = max(1, _NEWTON_GROUP_BYTES // (8 * z.shape[-1] * lengths.size))
     for _ in range(_NEWTON_ITERS):
         if not active.size:
             break
@@ -370,19 +387,19 @@ def root(ev: _Evaluator, z) -> tuple[np.ndarray, np.ndarray]:
                           <= _STEP_TOL * (1.0 + np.linalg.norm(za, axis=-1)))
         z[active[small]] = za[small] + step[small]
         moved = np.zeros(active.size, dtype=bool)
-        t = np.ones(active.size)
         search = np.flatnonzero(finite & ~small)
-        while search.size:
-            trial = za[search] + t[search, None] * step[search]
-            res_t = ev.vector(trial)
+        for lo in range(0, search.size, group):
+            rows = search[lo:lo + group]
+            trial = za[rows, None] + lengths[:, None] * step[rows, None]
+            res_t = ev.vector(trial.reshape(-1, z.shape[-1])).reshape(trial.shape)
             norm_t = np.linalg.norm(res_t, axis=-1)
-            ok = norm_t <= (1.0 - _ARMIJO * t[search]) * norm[active[search]]
-            took = active[search[ok]]
-            z[took], res[took], norm[took] = trial[ok], res_t[ok], norm_t[ok]
-            moved[search[ok]] = True
-            search = search[~ok]
-            t[search] /= 2.0
-            search = search[t[search] >= _BACKTRACK_FLOOR]
+            ok = norm_t <= decrease * norm[active[rows], None]
+            hit = np.flatnonzero(ok.any(axis=-1))
+            first = ok[hit].argmax(axis=-1)
+            took = active[rows[hit]]
+            z[took], res[took], norm[took] = (trial[hit, first], res_t[hit, first],
+                                              norm_t[hit, first])
+            moved[rows[hit]] = True
         steps[active[small | moved]] += 1
         active = active[moved]
     return z, steps
@@ -436,8 +453,9 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
     Every start is packed as its initial gain with that gain's Lyapunov
     value matrices (zero if the loop is unstable or a solve fails), and
     one call of :func:`root`, Newton steps with the exact Jacobian of the
-    coupled system, runs from all of them at once.  In start order, a
-    start's point counts when its loop is stable, its residual is within
+    coupled system, runs from all of them at once.  Every end point's loop
+    and residuals are evaluated as one stack; in start order, a start's
+    point counts when its loop is stable, its residual is within
     ``opts.tol`` times the data scale and no earlier solution is the same
     behavior (:func:`same_behavior`); the solution carries the start's
     name and its Newton step count as ``iterations``.
@@ -454,26 +472,6 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
             raise IndefiniteInputWeightError(
                 f"effective input weight of player {i} is not positive definite"
             )
-    solutions: list[EquilibriumSolution] = []
-
-    def try_add(f, p_list, res, iters, label):
-        a_cl = ev.closed_loop(f)
-        if not is_stable(a_cl):
-            return
-        if res.max_norm > opts.tol * ev.scale:
-            return
-        if any(same_behavior(f, sol.f_star.matrix) for sol in solutions):
-            return
-        solutions.append(EquilibriumSolution(
-            f_star=ReducedFeedback(f, rg.input_dims),
-            p=tuple(p_list),
-            a_cl=a_cl,
-            spectrum=sorted_spectrum(np.linalg.eigvals(a_cl)),
-            residuals=res,
-            iterations=iters,
-            start=label,
-        ))
-
     starts = _starting_points(rg, opts)
     f0 = np.array([f for _, f in starts]).reshape(-1, rg.m, rg.r)
     a_cl = ev.closed_loop(f0)
@@ -484,9 +482,24 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
         stable.size, rg.n_players).all(axis=1)
     p0[stable[solved]] = p[solved]
     z, steps = root(ev, ev.pack(f0, p0))
-    for (label, _), z_k, steps_k in zip(starts, z, steps):
-        f, p = ev.unpack(z_k)
-        try_add(f, p, ev.residuals(f, p), int(steps_k), label)
+    f, p = ev.unpack(z)
+    a_cl = ev.closed_loop(f)
+    stat, care = ev.residual_matrices(f, p, a_cl, ev.costs(f))
+    within = np.maximum(np.abs(stat).max(axis=(-2, -1), initial=0.0),
+                        np.abs(care).max(axis=(-3, -2, -1), initial=0.0)) <= opts.tol * ev.scale
+    solutions: list[EquilibriumSolution] = []
+    for k in np.flatnonzero(is_stable(a_cl) & within):
+        if any(same_behavior(f[k], sol.f_star.matrix) for sol in solutions):
+            continue
+        solutions.append(EquilibriumSolution(
+            f_star=ReducedFeedback(f[k], rg.input_dims),
+            p=tuple(p[k]),
+            a_cl=a_cl[k],
+            spectrum=sorted_spectrum(np.linalg.eigvals(a_cl[k])),
+            residuals=ev.care_residuals(stat[k], care[k]),
+            iterations=int(steps[k]),
+            start=starts[k][0],
+        ))
 
     solutions.sort(key=lambda s: tuple(np.round(s.f_star.matrix, 8).reshape(-1)))
     return solutions
@@ -503,30 +516,34 @@ def verify_nash_local(rg: ReducedGame, c: CostParameters, sol: EquilibriumSoluti
                       seed: int = 0):
     """Spot-check the equilibrium property with random unilateral deviations.
 
-    For each player and trial, perturbs only that player's reduced gain;
-    deviations that destabilize the loop are skipped (they have infinite
-    cost).  The deviated value matrix comes from an exact Lyapunov solve,
-    and the check requires it to dominate the equilibrium value matrix up
-    to ``1e-8`` times the data scale (equivalently: no initial state
-    benefits).  Returns ``(ok, counterexample)`` with the violating
-    deviation when found.
+    For each player, perturbs only that player's reduced gain, ``n_trials``
+    times; deviations that destabilize the loop are skipped (they have
+    infinite cost).  The deviated value matrices come from one stacked
+    Lyapunov solve per player, and the check requires each to dominate
+    the equilibrium value matrix up to ``1e-8`` times the data scale
+    (equivalently: no initial state benefits).  Returns
+    ``(ok, counterexample)`` with the first violating deviation, in player
+    then trial order, when found.
     """
     ev = _Evaluator(rg, c)
     rng = np.random.default_rng(seed)
     f_star = sol.f_star.matrix
     for i, si in enumerate(ev.rows):
-        for _ in range(n_trials):
-            delta = rng.standard_normal((rg.input_dims[i], rg.r))
+        deltas = np.empty((n_trials, rg.input_dims[i], rg.r))
+        for k in range(n_trials):
+            delta = rng.standard_normal(deltas.shape[1:])
             delta *= radius * rng.uniform(0.05, 1.0) / max(np.abs(delta).max(), 1e-12)
-            f_dev = f_star.copy()
-            f_dev[si] += delta
-            a_dev = ev.closed_loop(f_dev)
-            if not is_stable(a_dev):
-                continue
-            p_dev, errors = ev.values(a_dev, ev.costs(f_dev)[i:i + 1])
-            if errors[0] is not None:
-                continue
-            gap = np.linalg.eigvalsh(symmetrize(p_dev[0] - sol.p[i]))[0]
-            if gap < -1e-8 * sol.residuals.scale:
-                return False, {"player": i, "delta": delta, "min_eig_gap": float(gap)}
+            deltas[k] = delta
+        f_dev = np.repeat(f_star[None], n_trials, axis=0)
+        f_dev[:, si] += deltas
+        a_dev = ev.closed_loop(f_dev)
+        stable = np.flatnonzero(is_stable(a_dev))
+        p_dev, errors = ev.values(a_dev[stable], ev.costs(f_dev[stable])[:, i:i + 1])
+        solved = np.array([err is None for err in errors], dtype=bool)
+        d = p_dev[solved, 0] - sol.p[i]
+        gaps = np.linalg.eigvalsh(0.5 * (d + d.swapaxes(-1, -2)))[:, 0]
+        bad = np.flatnonzero(gaps < -1e-8 * sol.residuals.scale)
+        if bad.size:
+            k = stable[solved][bad[0]]
+            return False, {"player": i, "delta": deltas[k], "min_eig_gap": float(gaps[bad[0]])}
     return True, None

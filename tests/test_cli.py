@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
+from dgame import cli
 from dgame.cli import main
 from conftest import F_GT, LANE_A, LANE_B, LANE_E, Q_GT, R_GT, THETA_MIS
 
@@ -327,7 +328,10 @@ def test_misspecify_reports_an_indefinite_descriptor_input_weight(tmp_path, caps
     assert code == (0 if feasible else 4)
     assert rep["misspecify"]["descriptor_margins"][1] < 0
     assert rep["behaviors"] == {"count": 0, "matching": 0, "matches": [], "spectra": []}
-    assert not err_csv.exists()
+    # the error CSV is still written: its time column alone
+    lines = err_csv.read_text().splitlines()
+    assert lines[0] == "t"
+    assert len(lines) == 2 + round(cli._ERROR_HORIZON / cli._ERROR_DT)
     err = capsys.readouterr().err
     assert err.startswith("misspecify: descriptor residuals ") and err.count("\n") == 1
     assert err.endswith("(forward solve on misspecified costs failed: effective input "

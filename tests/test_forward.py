@@ -635,3 +635,118 @@ def test_root_retires_a_singular_start_alone(lane):
     assert _same_bytes(got[3], marked) and steps[3] == 0
     assert _same_bytes(np.vstack([got[:3], got[4:]]), want)
     assert _same_bytes(np.concatenate([steps[:3], steps[4:]]), want_steps)
+
+
+def _root_halving_reference(ev, z):
+    """Reference: the Armijo search as a halving loop, one residual
+    evaluation per halving of the starts still searching (the search
+    :func:`dgame.forward.root` stacks)."""
+    z = np.array(z, dtype=float)
+    res = ev.vector(z)
+    norm = np.linalg.norm(res, axis=-1)
+    active = np.arange(len(z))
+    steps = np.zeros(len(z), dtype=int)
+    for _ in range(_NEWTON_ITERS):
+        if not active.size:
+            break
+        za = z[active]
+        step = forward._newton_steps(ev, za, res[active])
+        finite = np.isfinite(step).all(axis=-1)
+        small = finite & (np.linalg.norm(step, axis=-1)
+                          <= forward._STEP_TOL * (1.0 + np.linalg.norm(za, axis=-1)))
+        z[active[small]] = za[small] + step[small]
+        moved = np.zeros(active.size, dtype=bool)
+        t = np.ones(active.size)
+        search = np.flatnonzero(finite & ~small)
+        while search.size:
+            trial = za[search] + t[search, None] * step[search]
+            res_t = ev.vector(trial)
+            norm_t = np.linalg.norm(res_t, axis=-1)
+            ok = norm_t <= (1.0 - forward._ARMIJO * t[search]) * norm[active[search]]
+            took = active[search[ok]]
+            z[took], res[took], norm[took] = trial[ok], res_t[ok], norm_t[ok]
+            moved[search[ok]] = True
+            search = search[~ok]
+            t[search] /= 2.0
+            search = search[t[search] >= forward._BACKTRACK_FLOOR]
+        steps[active[small | moved]] += 1
+        active = active[moved]
+    return z, steps
+
+
+@pytest.mark.parametrize("case", ["lane-gt", "lane-id", "lane-mis", "planted-r12"])
+def test_stacked_search_matches_the_halving_loop(case):
+    # every step length tried in one evaluation takes the point, bit for
+    # bit, and the step count the halving loop reaches
+    rg, c = RESIDUAL_CASES[case]()
+    ev = _Evaluator(rg, c)
+    z0 = _newton_starts(ev, rg, [f0 for _, f0 in _starting_points(rg, FAST)])
+    got, got_steps = newton_root(ev, z0)
+    want, want_steps = _root_halving_reference(ev, z0)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_steps, want_steps)
+
+
+def _verify_nash_reference(rg, c, sol, n_trials, radius, seed=0):
+    """Reference: one deviation, one stability test and one Lyapunov solve
+    at a time, in player then trial order, returning at the first
+    violation."""
+    ev = _Evaluator(rg, c)
+    rng = np.random.default_rng(seed)
+    f_star = sol.f_star.matrix
+    for i, si in enumerate(ev.rows):
+        for _ in range(n_trials):
+            delta = rng.standard_normal((rg.input_dims[i], rg.r))
+            delta *= radius * rng.uniform(0.05, 1.0) / max(np.abs(delta).max(), 1e-12)
+            f_dev = f_star.copy()
+            f_dev[si] += delta
+            a_dev = ev.closed_loop(f_dev)
+            if not is_stable(a_dev):
+                continue
+            try:
+                p_dev = solve_lyapunov(a_dev, ev.costs(f_dev)[i])
+            except (np.linalg.LinAlgError, ValueError):
+                continue
+            gap = np.linalg.eigvalsh(symmetrize(p_dev - sol.p[i]))[0]
+            if gap < -1e-8 * sol.residuals.scale:
+                return False, {"player": i, "delta": delta, "min_eig_gap": float(gap)}
+    return True, None
+
+
+def test_stacked_nash_check_matches_the_trial_loop(lane):
+    # the perturbed gain of test_verify_nash_rejects_perturbed_gain: the
+    # stacked check returns the loop's first counterexample, bit for bit
+    rg, c = lane["rg"], lane["costs_gt"]
+    (sol,) = solve_fbne(rg, c, FAST)
+    f_fake = sol.f_star.matrix + np.array([[0.4, 0.0], [0.0, 0.0]])
+    fake = solution_at(rg, c, ReducedFeedback(f_fake, rg.input_dims))
+    ok, counter = verify_nash_local(rg, c, fake, n_trials=200, radius=0.5)
+    want_ok, want = _verify_nash_reference(rg, c, fake, n_trials=200, radius=0.5)
+    assert not ok and not want_ok
+    assert counter["player"] == want["player"]
+    assert np.array_equal(counter["delta"], want["delta"])
+    assert counter["min_eig_gap"] == want["min_eig_gap"]
+    assert verify_nash_local(rg, c, sol, n_trials=0) == (True, None)
+
+
+def test_root_evaluates_once_per_newton_step(lane, monkeypatch):
+    # every step length of every searching start in one residual
+    # evaluation: on lane all starts fit one group, so a solve makes at
+    # most one evaluation per Newton step, plus the one at the starts
+    counts = {"vector": 0, "newton": 0}
+    vector, newton_steps = _Evaluator.vector, forward._newton_steps
+
+    def counted_vector(ev, z):
+        counts["vector"] += 1
+        return vector(ev, z)
+
+    def counted_newton_steps(ev, z, res):
+        counts["newton"] += 1
+        return newton_steps(ev, z, res)
+
+    monkeypatch.setattr(_Evaluator, "vector", counted_vector)
+    monkeypatch.setattr(forward, "_newton_steps", counted_newton_steps)
+    for costs in ("costs_gt", "costs_id", "costs_mis"):
+        counts.update(vector=0, newton=0)
+        assert solve_fbne(lane["rg"], lane[costs], SolveOptions())
+        assert 0 < counts["vector"] <= counts["newton"] + 1
