@@ -15,22 +15,15 @@ residual families, for one gain or a stack of them.
 The starts are regulator gains (the joint regulator, each player's own
 regulator, and regulators with seeded random weights), all from one
 stacked Riccati solve (:func:`dgame.linalg.solve_riccati_stack`), and
-seeded random gains whose loops are mostly unstable.  The solver packs
-every start, an initial gain with its Lyapunov value matrices (zero
-when its loop is unstable or a solve fails; one stacked evaluation for
-all starts), and runs one damped Newton solve over all of them
-(:func:`root`): the exact Jacobian
-of the evaluator's packed residual (the Frechet derivative of the
-coupled system in F and the P_i), an Armijo backtracking search on the
-residual's 2-norm whose step lengths (1, 1/2, ... down to
-``_BACKTRACK_FLOOR``) are all tried in one stacked evaluation per group
-of starts that fits ``_NEWTON_GROUP_BYTES``, and every start moving in
-lockstep until its step falls below ``_STEP_TOL`` relative to the point,
-its step is singular or not finite, no step length decreases the
-residual enough or ``_NEWTON_ITERS`` steps are spent.  The end points
-are checked in one stacked evaluation too (loop stability and
-residuals), and :func:`verify_nash_local` solves each player's random
-deviations as one stack.
+seeded random gains whose loops are mostly unstable.  Each start is
+packed as its gain with its Lyapunov value matrices (zero when its loop
+is unstable or a solve fails), and one damped Newton solve runs over
+all of them (:func:`root`).  Its steps use the exact Jacobian of the
+packed residual, eliminated through the packed Lyapunov operator of
+A_cl that every player's block shares (:func:`_newton_steps`); its
+Armijo search tries every step length in one stacked evaluation.  The
+end points are checked as one stack too, and :func:`verify_nash_local`
+solves each player's random deviations as one stack.
 Coupled Riccati systems can have several stabilizing solutions, so
 enumeration is heuristic multistart and completeness is only ever
 validated at test scale.  G and V' are read out of the players' reduced
@@ -46,25 +39,11 @@ import numpy as np
 
 from .feedback import ReducedFeedback
 from .game import CostParameters, ReducedGame, m_matrix
-from .linalg import (
-    is_stable,
-    solve_lyapunov_stack,
-    solve_riccati_stack,
-    sorted_spectrum,
-    symmetrize,
-)
+from .linalg import (is_stable, solve_lyapunov_stack, solve_riccati_stack, sorted_spectrum,
+                     symmetrize)
 
-__all__ = [
-    "SolveOptions",
-    "CareResiduals",
-    "EquilibriumSolution",
-    "IndefiniteInputWeightError",
-    "same_behavior",
-    "solution_at",
-    "solve_fbne",
-    "equilibrium_cost",
-    "verify_nash_local",
-]
+__all__ = ["SolveOptions", "CareResiduals", "EquilibriumSolution", "IndefiniteInputWeightError",
+           "same_behavior", "solution_at", "solve_fbne", "equilibrium_cost", "verify_nash_local"]
 
 
 #: relative max-entry distance under which two feedbacks are one solution
@@ -86,9 +65,9 @@ _BACKTRACK_FLOOR = 2.0 ** -12
 #: in the 2-norm
 _STEP_TOL = 1e-13
 
-#: memory budget for the Jacobians of one group of starts in a Newton
-#: step, and for the trial points of one group in its step-length search;
-#: a group holds at least one start
+#: memory budget for one group of starts: their blocks L and D_k and the
+#: L solve's right-hand sides in a Newton step, their trial points in the
+#: step-length search; a group holds at least one start
 _NEWTON_GROUP_BYTES = 256 << 10
 
 
@@ -154,13 +133,13 @@ class _Evaluator:
     and as the m x r stack V' of the own couplings v_bar[i][i]' (columns
     :r), the game's A_cl map (:meth:`ReducedGame.closed_loop`), the
     B1_i' blocks, the identity block of [I; F], the data scale, the
-    index maps and unit directions of the packed Newton point and the
-    Jacobian's fixed stationarity rows.  Each method takes one gain F
-    of shape (m, r) or a stack (S, m, r), or one packed point of shape
-    (nz,) or a stack (S, nz); per-player results carry a
-    player axis before the matrix axes, and every product keeps the 2-D
-    shape and operand order of the module docstring's formulas per item,
-    so a stacked evaluation reads the same bits as one gain at a time.
+    index maps of the packed Newton point, the Jacobian's constant blocks
+    and the maps of its varying ones.  Each method takes one gain F of
+    shape (m, r) or a stack (S, m, r), or one packed point of shape (nz,)
+    or a stack (S, nz); per-player results carry a player axis before
+    the matrix axes, and every product keeps the 2-D shape and operand
+    order of the module docstring's formulas per item, so a stacked
+    evaluation reads the same bits as one gain at a time.
     """
 
     def __init__(self, rg: ReducedGame, c: CostParameters):
@@ -185,19 +164,28 @@ class _Evaluator:
         mirror = np.empty((r, r), dtype=np.intp)
         mirror[iu] = mirror[iu[::-1]] = np.arange(nn)
         self.mirror = mirror + nn * np.arange(n_players)[:, None, None]
-        # unit directions of the packed point: each entry of F, and each
-        # packed entry of a P_i as the symmetric matrix it unpacks to
+        # the Jacobian's constant stationarity blocks: kron(G, I) against
+        # vec F, and (B1_k' U)[a, b] = B1_k'[a, x] against the unit U of
+        # P_k at {x, b}, zero-padded over the players to (m r, nn N)
         mr = m * r
-        self.f_units = np.eye(mr).reshape(mr, m, r)
-        self.p_units = np.eye(nn).take(mirror, axis=-1)
-        self.b1_stacked_t = rg.b1_stacked.T
-        # the Jacobian's stationarity rows, G dF + B1_i' dP_i, hold at
-        # every point
-        self.jac0 = np.zeros((mr + n_players * nn,) * 2)
-        self.jac0[:mr, :mr] = np.kron(self.gbar, self.eye)
-        for k, (b_t, s) in enumerate(zip(self.b1_t, self.rows)):
-            self.jac0[r * s.start:r * s.stop, mr + k * nn:mr + (k + 1) * nn] = \
-                (b_t @ self.p_units).reshape(nn, -1).T
+        self.stat_f = np.kron(self.gbar, self.eye)
+        a, b, x = np.arange(m)[:, None, None], np.arange(r)[:, None], np.arange(r)
+        self.stat_p = np.zeros((mr, nn, n_players))
+        self.stat_p[a * r + b, mirror[x, b], np.repeat(np.arange(n_players), rg.input_dims)[
+            :, None, None]] = rg.b1_stacked.T[a, x]
+        self.stat_p = self.stat_p.reshape(mr, -1)
+        # maps of the varying blocks at Riccati row (c, d): (A' U)[c, d] is
+        # A[x, c] at the unit U of P at {x, d}, (U A)[c, d] is A[x, d] at
+        # {c, x}; (E' H)[c, d] is H[a, d] at the unit E of F at (a, c),
+        # (H' E)[c, d] is H[a, c] at (a, d), and H's zero row m gives 0
+        t, x, c, d = np.arange(nn)[:, None], np.arange(r), iu[0][:, None], iu[1][:, None]
+        self.l_at = ((t * nn + mirror[x, d]).ravel(), (t * nn + mirror[c, x]).ravel())
+        self.l_from = ((x * r + c).ravel(), (x * r + d).ravel())
+        self.h_b1_t = np.vstack([rg.b1_stacked.T, np.zeros((1, r))])
+        self.h_ms = np.concatenate([self.ms[:, r:, :], np.zeros((n_players, 1, r + m))], axis=1)
+        h_at = (np.arange(n_players)[:, None, None] * (m + 1) + np.arange(m)[:, None]) * r
+        self.d_from = tuple(np.where(np.arange(r) == u[..., None, None], h_at + v[..., None, None],
+                                     mr).reshape(nn, n_players, mr) for u, v in ((c, d), (d, c)))
 
     def lift(self, f):
         """[I; F] of one gain or a stack."""
@@ -269,37 +257,27 @@ class _Evaluator:
         """The packed residual at z: vec of the stationarity residual, then
         the upper triangle of each Riccati residual."""
         f, p = self.unpack(z)
-        stat, care = self.residual_matrices(f, p, self.closed_loop(f), self.costs(f))
-        lead = z.shape[:-1]
-        return np.concatenate([stat.reshape(lead + (self.m * self.r,)),
-                               care.reshape(lead + (self.n_players * self.r ** 2,)).take(
-                                   self.tri_flat, axis=-1)], axis=-1)
+        return self.pack(*self.residual_matrices(f, p, self.closed_loop(f), self.costs(f)))
 
-    def jacobian(self, f, p, a_cl) -> np.ndarray:
-        """The Jacobian of :meth:`vector` in the packed point, (..., nz, nz).
+    def jacobian(self, f, p, a_cl):
+        """The blocks of :meth:`vector`'s Jacobian that move with the point.
 
-        Column j is the derivative along the j-th unit direction of z.  The
-        stationarity rows are G dF + B1_i' dP_i; player i's Riccati rows
-        are A_cl' dP_i + dP_i A_cl + dF' H_i + H_i' dF with
-        H_i = B1' P_i + M_i[r:, :] [I; F], at the gain f, value matrices
-        p and loop a_cl = A_cl(f).
+        It is [[K, B_k], [D_k, L]]: the stationarity rows G dF + B1_k' dP_k
+        hold the constants K (``stat_f``) and B_k (``stat_p``); player k's
+        Riccati rows A_cl' dP_k + dP_k A_cl + dF' H_k + H_k' dF, with
+        H_k = B1' P_k + M_k[r:, :] [I; F], hold D_k and the Lyapunov
+        operator L that every player shares.  At the gain f, value
+        matrices p and loop a_cl = A_cl(f), returns every D_k as d_f,
+        (..., nn, N, m r), and L as d_p, (..., nn, nn).
         """
-        r, mr, nn = self.r, self.m * self.r, self.iu_flat.size
-        lead = f.shape[:-2]
-        h = self.b1_stacked_t @ p + self.ms[:, r:, :] @ self.lift(f)[..., None, :, :]
-        d_f = self.f_units.swapaxes(-1, -2) @ h[..., None, :, :]
-        d_f = (d_f + d_f.swapaxes(-1, -2)).reshape(lead + (self.n_players, mr, r * r))
-        d_p = (a_cl.swapaxes(-1, -2)[..., None, :, :] @ self.p_units
-               + self.p_units @ a_cl[..., None, :, :]).reshape(lead + (nn, r * r))
-        d_p = d_p.take(self.iu_flat, axis=-1).swapaxes(-1, -2)
-        jac = np.empty(lead + self.jac0.shape)
-        jac[...] = self.jac0
-        jac[..., mr:, :mr] = d_f.take(self.iu_flat, axis=-1).swapaxes(-1, -2).reshape(
-            lead + (self.n_players * nn, mr))
-        for k in range(self.n_players):
-            block = slice(mr + k * nn, mr + (k + 1) * nn)
-            jac[..., block, block] = d_p
-        return jac
+        r, nn, lead = self.r, self.iu_flat.size, f.shape[:-2]
+        h = (self.h_b1_t @ p + self.h_ms @ self.lift(f)[..., None, :, :]).reshape(lead + (-1,))
+        d_f = h.take(self.d_from[0], axis=-1) + h.take(self.d_from[1], axis=-1)
+        a_cl = a_cl.reshape(lead + (r * r,))
+        d_p = np.zeros(lead + (nn * nn,))
+        d_p[..., self.l_at[0]] = a_cl[..., self.l_from[0]]
+        d_p[..., self.l_at[1]] += a_cl[..., self.l_from[1]]
+        return d_f, d_p.reshape(lead + (nn, nn))
 
 
 def solution_at(rg: ReducedGame, c: CostParameters,
@@ -330,26 +308,46 @@ def solution_at(rg: ReducedGame, c: CostParameters,
     )
 
 
+def _solve_each(a, b):
+    """``np.linalg.solve`` over a stack, NaN for an item whose matrix is
+    singular."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full(b.shape, np.nan)
+        return np.concatenate([_solve_each(a[k:k + 1], b[k:k + 1]) for k in range(len(a))])
+
+
 def _newton_steps(ev: _Evaluator, z, res):
-    """The Newton step -J(z)^-1 res(z) of every row of the stack z, NaN for
-    a singular Jacobian; Jacobians are formed and solved in groups of at
-    most ``_NEWTON_GROUP_BYTES``."""
-    group = max(1, _NEWTON_GROUP_BYTES // (8 * z.shape[-1] ** 2))
-    rhs = -res[..., None]
-    step = np.empty_like(rhs)
+    """The Newton step -J(z)^-1 res(z) of every row of the stack z, NaN when
+    L or the Schur complement is singular (blocks as in
+    :meth:`_Evaluator.jacobian`).  One solve with L per start gives
+    L^-1 [D_k | -res_k] for every player k, the m r square Schur
+    complement K - sum_k B_k L^-1 D_k gives dF, and dP_k = L^-1 (-res_k -
+    D_k dF); no nz x nz matrix is formed.  Starts go in groups whose L,
+    D_k and right-hand sides fit ``_NEWTON_GROUP_BYTES``."""
+    mr, n_players, nn = ev.m * ev.r, ev.n_players, ev.iu_flat.size
+    per_start = 8 * (nn * nn + 3 * nn * n_players * (mr + 1) + mr * (mr + 1))
+    group = max(1, _NEWTON_GROUP_BYTES // per_start)
+    step = np.empty_like(z)
     for lo in range(0, len(z), group):
         sl = slice(lo, lo + group)
         f, p = ev.unpack(z[sl])
-        jac = ev.jacobian(f, p, ev.closed_loop(f))
-        try:
-            step[sl] = np.linalg.solve(jac, rhs[sl])
-        except np.linalg.LinAlgError:
-            for k in range(len(jac)):
-                try:
-                    step[lo + k] = np.linalg.solve(jac[k], rhs[lo + k])
-                except np.linalg.LinAlgError:
-                    step[lo + k] = np.nan
-    return step[..., 0]
+        d_f, d_p = ev.jacobian(f, p, ev.closed_loop(f))
+        res_p = res[sl, mr:].reshape(-1, n_players, nn).swapaxes(-1, -2)
+        # y[..., k, :] = L^-1 [D_k | -res_k], one column block per player
+        y = _solve_each(d_p, np.concatenate([d_f, -res_p[..., None]], axis=-1).reshape(
+            len(d_p), nn, -1)).reshape(d_f.shape[:-1] + (mr + 1,))
+        # [S | b] = [K | -res_F] - sum_k B_k y_k
+        schur = -(ev.stat_p @ y.reshape(len(d_p), -1, mr + 1))
+        schur[..., :mr] += ev.stat_f
+        schur[..., mr] -= res[sl, :mr]
+        d_f = _solve_each(schur[..., :mr], schur[..., mr:])
+        step[sl, :mr] = d_f[..., 0]
+        d_p = y[..., mr] - (y[..., :mr].reshape(len(d_p), -1, mr) @ d_f).reshape(res_p.shape)
+        step[sl, mr:] = d_p.swapaxes(-1, -2).reshape(len(d_p), -1)
+    return step
 
 
 def root(ev: _Evaluator, z) -> tuple[np.ndarray, np.ndarray]:

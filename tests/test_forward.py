@@ -415,6 +415,23 @@ def test_residual_system_matches_oracle_bytes(case):
         assert all(_same_bytes(cares[k, i], care[i]) for i in range(rg.n_players))
 
 
+def _dense_jacobian(ev, f, p):
+    """The full Jacobian of ``ev.vector``, (..., nz, nz), assembled from
+    the evaluator's constant stationarity blocks and the blocks
+    ``ev.jacobian`` returns."""
+    mr, nn = ev.m * ev.r, ev.r * (ev.r + 1) // 2
+    d_f, d_p = ev.jacobian(f, p, ev.closed_loop(f))
+    jac = np.zeros(f.shape[:-2] + (mr + ev.n_players * nn,) * 2)
+    jac[..., :mr, :mr] = ev.stat_f
+    stat_p = ev.stat_p.reshape(mr, nn, ev.n_players)
+    for k in range(ev.n_players):
+        block = slice(mr + k * nn, mr + (k + 1) * nn)
+        jac[..., :mr, block] = stat_p[:, :, k]
+        jac[..., block, :mr] = d_f[..., :, k, :]
+        jac[..., block, block] = d_p
+    return jac
+
+
 @pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
 def test_jacobian_matches_central_differences(case):
     rg, c = RESIDUAL_CASES[case]()
@@ -423,13 +440,15 @@ def test_jacobian_matches_central_differences(case):
     size = rg.m * rg.r + rg.n_players * rg.r * (rg.r + 1) // 2
     zs = rng.standard_normal((4, size))
     fs, ps = ev.unpack(zs)
-    jacs = ev.jacobian(fs, ps, ev.closed_loop(fs))
+    jacs = _dense_jacobian(ev, fs, ps)
     assert jacs.shape == (len(zs), size, size)
+    blocks = ev.jacobian(fs, ps, ev.closed_loop(fs))
     h = 1e-6
-    for z, jac in zip(zs, jacs):
+    for k, (z, jac) in enumerate(zip(zs, jacs)):
         f, p = ev.unpack(z)
         # the stack reads the bits of one point at a time
-        assert _same_bytes(ev.jacobian(f, p, ev.closed_loop(f)), jac)
+        assert all(_same_bytes(one, many[k])
+                   for one, many in zip(ev.jacobian(f, p, ev.closed_loop(f)), blocks))
         fd = np.empty_like(jac)
         for j, e in enumerate(np.eye(size)):
             fd[:, j] = (ev.vector(z + h * e) - ev.vector(z - h * e)) / (2.0 * h)
@@ -448,6 +467,25 @@ def _newton_starts(ev, rg, f0s):
         else:
             z0.append(pack(f0, [np.zeros((rg.r, rg.r))] * rg.n_players))
     return np.array(z0)
+
+
+@pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+def test_newton_step_matches_the_dense_solve(case):
+    # block elimination through the shared Lyapunov block gives the step
+    # the joint dense solve gives, at seeded points and, on lane's three
+    # cost sets, at every start of a 64-start solve
+    rg, c = RESIDUAL_CASES[case]()
+    ev = _Evaluator(rg, c)
+    size = rg.m * rg.r + rg.n_players * rg.r * (rg.r + 1) // 2
+    zs = np.random.default_rng(1).standard_normal((4, size))
+    if case.startswith("lane-"):
+        starts = [f0 for _, f0 in _starting_points(rg, SolveOptions())]
+        zs = np.vstack([zs, _newton_starts(ev, rg, starts)])
+    res = ev.vector(zs)
+    step = forward._newton_steps(ev, zs, res)
+    fs, ps = ev.unpack(zs)
+    want = np.linalg.solve(_dense_jacobian(ev, fs, ps), -res[..., None])[..., 0]
+    assert np.all(np.abs(step - want).max(axis=-1) <= 1e-10 * np.abs(want).max(axis=-1))
 
 
 def _starting_points_oracle(rg, opts):
@@ -615,22 +653,19 @@ def test_root_start_is_independent_of_its_batch(case, monkeypatch):
 
 
 def test_root_retires_a_singular_start_alone(lane):
-    # a start whose Jacobian is singular keeps its point and leaves the
-    # others' bits alone, although it sits in their solve
+    # lane's reduced J has a zero second column, so a gain with a zero
+    # second column leaves A_cl an eigenvalue at 0 and the Lyapunov block
+    # L an exactly zero row: that start retires on its NaN step with its
+    # point, and leaves the others' bits alone, although it sits in their
+    # solve
     rg, c = lane["rg"], lane["costs_id"]
+    assert not rg.j[:, 1].any()
     ev = _Evaluator(rg, c)
     z0 = _newton_starts(ev, rg, [f0 for _, f0 in _starting_points(rg, SolveOptions(n_starts=4))])
     want, want_steps = newton_root(ev, z0)
     marked = np.zeros_like(z0[0])
-    marked[:rg.m * rg.r] = 7.0
-    jacobian = ev.jacobian
-
-    def singular_at_marked(f, p, a_cl):
-        jac = jacobian(f, p, a_cl)
-        jac[(f == 7.0).all(axis=(-2, -1))] = 0.0
-        return jac
-
-    ev.jacobian = singular_at_marked
+    marked[:rg.m * rg.r] = np.array([[7.0, 0.0], [-3.0, 0.0]]).reshape(-1)
+    assert np.isnan(forward._newton_steps(ev, marked[None], ev.vector(marked[None]))).all()
     got, steps = newton_root(ev, np.vstack([z0[:3], marked, z0[3:]]))
     assert _same_bytes(got[3], marked) and steps[3] == 0
     assert _same_bytes(np.vstack([got[:3], got[4:]]), want)
