@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import sys
@@ -37,6 +38,7 @@ from . import __version__
 from .feedback import (
     FeedbackProfile,
     UnstableLoopError,
+    _format_rows,
     fit_feedback,
     read_trajectory_csv,
     reduce_feedback,
@@ -523,12 +525,10 @@ def _error_trajectories_csv(rg, f_red_obs, sols) -> str:
         traj = simulate(rg, s.f_star, x1_0, _ERROR_HORIZON, _ERROR_DT)
         cols[f"xerr{k+1}"] = np.linalg.norm(traj.x - obs.x, axis=1)
         cols[f"uerr{k+1}"] = np.linalg.norm(traj.u - obs.u, axis=1)
-    header = list(cols)
-    rows = np.column_stack([cols[h] for h in header])
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    out.write(",".join(cols) + "\n")
+    _format_rows(list(cols.values()), out, "\n")
+    return out.getvalue()
 
 
 def cmd_verify(args, problem: Problem, rg) -> int:

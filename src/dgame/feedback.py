@@ -10,11 +10,12 @@ and conversely every F with ``F S = F_red``, ``S = X1 - X2 B2 F_red``,
 produces the same closed-loop trajectories and costs: full-state
 equilibria are informationally non-unique.  This module implements the
 admissibility test, the reduction and its preimage (membership test and
-seeded sampling), exact closed-loop simulation, least-squares recovery of
-feedback matrices from trajectories, and the trajectory CSV format.
+seeded sampling), exact closed-loop simulation in blocks of steps, feedback
+recovery from trajectories, and the trajectory CSV (exact ``%.17g``, CRLF).
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +42,10 @@ __all__ = [
     "write_trajectory_csv",
     "read_trajectory_csv",
 ]
+
+# rows per formatted write, which bounds the formatter's working arrays
+# (about 0.5 kB per value), and closed-loop steps per propagation product
+_ROWS_PER_WRITE, _STEPS_PER_BLOCK = 256, 64
 
 
 class UnstableLoopError(ValueError):
@@ -247,8 +252,8 @@ def simulate(g: DescriptorGame | ReducedGame,
 
     The reduced state is propagated exactly with the matrix exponential
     over uniform steps (the loop is LTI, so there is no integration
-    error to tune); the full state follows as ``x = X1 x1 + X2 x2`` with
-    the algebraic part ``x2 = -B2 u``.
+    error to tune), by stacked powers of ``expm(A_cl dt)``, one product per
+    ``_STEPS_PER_BLOCK`` steps; then ``x = X1 x1 + X2 x2``, ``x2 = -B2 u``.
     """
     rg = g if isinstance(g, ReducedGame) else reduce_game(g)
     if isinstance(f, FeedbackProfile):
@@ -267,10 +272,15 @@ def simulate(g: DescriptorGame | ReducedGame,
     phi = sla.expm(a_cl * dt)
     s = preimage_matrix(rg, f_red)
     times = np.arange(steps + 1) * dt
+    powers = [phi]
+    while len(powers) < min(steps, _STEPS_PER_BLOCK):
+        powers.append(phi @ powers[-1])
+    powers = np.vstack(powers)
     x1 = np.empty((steps + 1, rg.r))
     x1[0] = x1_0
-    for k in range(steps):
-        x1[k + 1] = phi @ x1[k]
+    for k in range(0, steps, _STEPS_PER_BLOCK):
+        ahead = powers[:(steps - k) * rg.r] @ x1[k]
+        x1[k + 1:k + 1 + _STEPS_PER_BLOCK] = ahead.reshape(-1, rg.r)
     u = x1 @ f_red.matrix.T
     x = x1 @ s.T
     return Trajectory(times=times, x=x, u=u, input_dims=rg.input_dims)
@@ -317,20 +327,106 @@ def fit_feedback(traj: Trajectory, input_dims=None) -> FitResult:
     )
 
 
+@functools.cache
+def _tables() -> dict:
+    """The ``'%.17g'`` tables, built on first use: 10**p (p = -300..300)
+    as the double-double ``hi + lo`` and as the least double >= 10**p, the
+    ASCII "d.d.d.d." and last nonzero place of each 4-digit group, the
+    exponent bytes "sddd" of each decade, and the keep masks."""
+    hi, lo = [], []
+    for p in range(-300, 301):
+        num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+        hn, hd = (num / den).as_integer_ratio()
+        hi.append(num / den)
+        lo.append((num * hd - hn * den) / (den * hd))
+    hi, lo = np.array(hi), np.array(lo)
+    digits = np.arange(10000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10
+    digits = digits.astype(np.uint8)
+    pairs = np.stack([digits + 48, np.full_like(digits, 46)], -1)
+    dec = np.arange(-300, 301)[:, None]
+    exponent = np.hstack([np.where(dec < 0, 45, 43), np.abs(dec) // [100, 10, 1] % 10 + 48])
+    # keep[layout, digits - 1, negative, terminator bytes - 1, byte]; layout
+    # d + 4 prints decade d = -4..16 in fixed point, 21 (22) a 2 (3)-digit exponent
+    lay, nsig, i = np.ogrid[:23, 1:18, :17]
+    fixed, d = lay < 21, lay - 4
+    cols = [fixed & (d < 0), fixed & (d < 0), fixed & (np.arange(3) < -d - 1),
+            np.stack([(i < nsig) | (fixed & (i <= d)),
+                      np.where(fixed, (i == d) & (nsig > d + 1), (i == 0) & (nsig > 1))],
+                     -1).reshape(23, 17, 34), ~fixed, ~fixed, lay == 22, ~fixed, ~fixed]
+    keep = np.zeros((23, 17, 2, 2, 47), bool)
+    keep[..., 1:45] = np.concatenate(
+        [np.broadcast_to(c, (23, 17, c.shape[-1])) for c in cols], -1)[:, :, None, None]
+    keep[:, :, 1, :, 0] = keep[..., 45] = keep[:, :, :, 1, 46] = True
+    return dict(hi=hi, lo=lo, ceil=np.where(lo > 0, np.nextafter(hi, np.inf), hi),
+                pairs=pairs.reshape(10000, 8).view(np.uint64).ravel(),
+                last=np.max((digits > 0) * np.arange(1, 5, dtype=np.uint8), axis=1),
+                exponent=exponent.astype(np.uint8).view(np.uint32).ravel(),
+                keep=keep.reshape(-1, 47))
+
+
+def _format_rows(values, fh, line_end: str) -> None:
+    """Write the rows of ``values`` (float columns or column blocks of one
+    length, side by side) to the text stream ``fh``, each exactly as
+    ``",".join("%.17g" % v for v in row) + line_end``, in blocks of rows.
+    A value's digits are |x| 10**(16 - d) rounded, d its exact decade, from
+    a Dekker product with the double-double 10**(16 - d); its layout class's
+    keep mask selects its text from a superset row (sign, "0.000", 17 digits
+    each followed by ".", "e+ddd", terminator).  ``%`` itself prints zero,
+    non-finite and out-of-range values, near-ties and decade round-ups."""
+    # superset row bytes: 0 sign, 1-5 "0.000", 6 + 2i digit i and 7 + 2i
+    # its ".", 40-44 "e+ddd", 45-46 terminator; table row p + 300 is 10**p
+    t = _tables()
+    ncols = np.column_stack([v[:1] for v in values]).shape[1]
+    template = np.tile(np.frombuffer(b"-0.000" + b"0." * 17 + b"e+000,?", np.uint8), (ncols, 1))
+    template[-1, 45:45 + len(line_end)] = np.frombuffer(line_end.encode(), np.uint8)
+    tail = (np.arange(ncols) == ncols - 1) * (len(line_end) - 1)
+    fmt = ",".join(["%.17g"] * ncols)
+    for lo in range(0, len(values[0]), _ROWS_PER_WRITE):
+        block = np.column_stack([v[lo:lo + _ROWS_PER_WRITE] for v in values])
+        ok = (np.abs(block) >= 1e-280) & (np.abs(block) < 1e280)
+        a = np.where(ok, np.abs(block), 1.0)
+        dec = np.floor((np.frexp(a)[1] - 1) * np.log10(2.0)).astype(np.intp)
+        dec += a >= t["ceil"][dec + 301]
+        hi, dlo = t["hi"][316 - dec], t["lo"][316 - dec]
+        s, ca, ch = a * hi, 134217729.0 * a, 134217729.0 * hi
+        ah, hh = ca - (ca - a), ch - (ch - hi)
+        al, hl = a - ah, hi - hh
+        e = ((ah * hh - s) + ah * hl + al * hh) + al * hl + a * dlo  # a 10**p - s
+        big = s.astype(np.int64) + np.floor(e + 0.5).astype(np.int64)
+        bad = ~ok | (np.abs(e - np.floor(e) - 0.5) < 1e-9) | (big == 10 ** 17)
+        head = big // 10 ** 8
+        top = head // 10 ** 8
+        mid, low = head - top * 10 ** 8, big - head * 10 ** 8
+        g1, g3 = mid // 10 ** 4, low // 10 ** 4
+        g2, g4 = mid - g1 * 10 ** 4, low - g3 * 10 ** 4
+        nsig = np.where(low, 9 + np.where(g4, 4 + t["last"][g4], t["last"][g3]),
+                        1 + np.where(g2, 4 + t["last"][g2], t["last"][g1]))
+        lay = np.where((dec >= -4) & (dec <= 16), dec + 4, 21 + (np.abs(dec) >= 100))
+        keep = t["keep"].take(((lay * 17 + nsig - 1) * 2 + np.signbit(block)) * 2 + tail, axis=0)
+        buf = np.tile(template, (len(block), 1, 1))
+        buf[..., 6] = top + 48
+        buf[..., 8:40] = t["pairs"][np.stack([g1, g2, g3, g4], -1)].view(np.uint8).reshape(
+            block.shape + (32,))
+        buf[..., 41:45] = t["exponent"][dec + 300].view(np.uint8).reshape(block.shape + (4,))
+        del a, hi, dlo, s, ca, ch, ah, hh, al, hl, e, head, mid, low, g1, g2, g3, g4
+        text = np.compress(keep.ravel(), buf.ravel()).tobytes().decode("ascii")
+        if bad.any():  # a row's text, right or not, holds no line end
+            rows = text.split(line_end)
+            for k in np.flatnonzero(bad.any(axis=1)):
+                rows[k] = fmt % tuple(block[k].tolist())
+            text = line_end.join(rows)
+        fh.write(text)
+
+
 def write_trajectory_csv(traj: Trajectory, path_or_file) -> None:
-    """Write samples as ``t,x1..xn,u1..um`` rows, 17 significant digits,
-    and CRLF line ends (as ``csv.writer`` ends them)."""
+    """Write samples as ``t,x1..xn,u1..um`` rows, each value exactly as
+    ``'%.17g'`` prints it, and CRLF line ends (as ``csv.writer`` ends them)."""
     n, m = traj.x.shape[1], traj.u.shape[1]
     header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)]
-    row = ",".join(["%.17g"] * len(header)) + "\r\n"
 
     def emit(fh):
         fh.write(",".join(header) + "\r\n")
-        # a block of rows at a time bounds the Python floats alive at once
-        for lo in range(0, len(traj.times), 1024):
-            block = slice(lo, lo + 1024)
-            rows = np.column_stack([traj.times[block], traj.x[block], traj.u[block]])
-            fh.write("".join(row % tuple(r) for r in rows.tolist()))
+        _format_rows([traj.times, traj.x, traj.u], fh, "\r\n")
 
     if hasattr(path_or_file, "write"):
         emit(path_or_file)

@@ -16,9 +16,20 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from dgame import cli
+from dgame import ReducedFeedback, cli, reduce_feedback, reduce_game, simulate
 from dgame.cli import main
-from conftest import F_GT, LANE_A, LANE_B, LANE_E, Q_GT, R_GT, THETA_MIS
+from conftest import (
+    F_GT,
+    LANE_A,
+    LANE_B,
+    LANE_E,
+    Q_GT,
+    R_GT,
+    THETA_MIS,
+    lane_game,
+    lane_profile_gt,
+    stabilizing_reduced_gain,
+)
 
 REPO_FIXTURE = Path(__file__).resolve().parent.parent / "problems" / "lane_keeping.json"
 
@@ -310,6 +321,40 @@ def test_misspecify_reports_nonzero_descriptor_residuals(tmp_path):
     assert rows[0].startswith("t,xerr1,uerr1")
     data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
     assert np.abs(data[:, 1:]).max() > 1e-3
+
+
+def _error_trajectories_csv_oracle(rg, f_red_obs, sols):
+    """The per-value f-string loop that ``_format_rows`` replaced."""
+    x1_0 = np.ones(rg.r)
+    obs = simulate(rg, f_red_obs, x1_0, cli._ERROR_HORIZON, cli._ERROR_DT)
+    cols = {"t": obs.times}
+    for k, s in enumerate(sols):
+        traj = simulate(rg, s.f_star, x1_0, cli._ERROR_HORIZON, cli._ERROR_DT)
+        cols[f"xerr{k+1}"] = np.linalg.norm(traj.x - obs.x, axis=1)
+        cols[f"uerr{k+1}"] = np.linalg.norm(traj.u - obs.u, axis=1)
+    header = list(cols)
+    rows = np.column_stack([cols[h] for h in header])
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_error_trajectories_csv_matches_the_f_string_loop():
+    # the observed loop against itself gives all-zero error columns
+    from types import SimpleNamespace
+    rg = reduce_game(lane_game())
+    observed = reduce_feedback(rg, lane_profile_gt())
+    rng = np.random.default_rng(4)
+    sols = [SimpleNamespace(f_star=observed)] + [
+        SimpleNamespace(f_star=ReducedFeedback(stabilizing_reduced_gain(rng, rg), rg.input_dims))
+        for _ in range(2)]
+    for chosen in ([], sols):
+        got = cli._error_trajectories_csv(rg, observed, chosen).splitlines(True)
+        want = _error_trajectories_csv_oracle(rg, observed, chosen).splitlines(True)
+        assert len(got) == len(want)
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert g == w, f"row {k}"
 
 
 def test_misspecify_reports_an_indefinite_descriptor_input_weight(tmp_path, capsys):

@@ -1,6 +1,14 @@
 """Feedback reduction, preimage classes, simulation and feedback fitting."""
+import io
+import os
+import subprocess
+import sys
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
 
 from dgame import (
     FeedbackProfile,
@@ -20,6 +28,7 @@ from dgame import (
     solve_lyapunov,
     write_trajectory_csv,
 )
+from dgame.feedback import _format_rows
 from dgame.game import m_matrix
 from conftest import (
     F_GT,
@@ -175,6 +184,31 @@ def test_simulate_zero_initial_state(lane):
 def test_simulate_lane_decay(lane):
     traj = simulate(lane["rg"], lane["f_gt"], np.array([1.0, 0.5]), 10.0, 0.01)
     assert np.linalg.norm(traj.x[-1]) <= 1e-3 * np.linalg.norm(traj.x[0])
+
+
+def _simulate_cases():
+    lane_rg = reduce_game(lane_game())
+    rng = np.random.default_rng(5)
+    planted = reduce_game(random_game(rng, 16, 12, (1, 1)))
+    gain = ReducedFeedback(stabilizing_reduced_gain(rng, planted), planted.input_dims)
+    return {"lane": (lane_rg, reduce_feedback(lane_rg, lane_profile_gt()), np.array([1.0, 0.4])),
+            "planted-r12": (planted, gain, rng.uniform(-1.0, 1.0, 12))}
+
+
+@pytest.mark.parametrize("case", ["lane", "planted-r12"])
+@pytest.mark.parametrize("steps", [0, 1, 63, 64, 65, 129, 200])
+def test_simulate_blocks_match_the_exponential(case, steps):
+    # x1 at steps on both sides of each block edge, and at the last step,
+    # against expm(A_cl t_k) x1_0; horizons end inside a block and at 0
+    rg, f_red, x1_0 = _simulate_cases()[case]
+    dt = 0.01
+    traj = simulate(rg, f_red, x1_0, steps * dt, dt)
+    assert len(traj.times) == steps + 1
+    x1 = np.linalg.solve(rg.w.x, traj.x.T)[:rg.r].T
+    a_cl = rg.closed_loop(f_red.matrix)
+    for k in sorted({0, 63, 64, 65, 127, 128, steps} & set(range(steps + 1))):
+        want = sla.expm(a_cl * (k * dt)) @ x1_0
+        assert np.abs(x1[k] - want).max() <= 1e-10 * np.abs(x1).max()
 
 
 def test_simulate_rejects_unstable_loop(lane):
@@ -338,3 +372,92 @@ def test_trajectory_csv_without_samples_is_one_error(tmp_path, recwarn, text):
     with pytest.raises(ValueError, match="no samples in"):
         read_trajectory_csv(path)
     assert not recwarn.list
+
+
+def _percent_rows(values, line_end):
+    fmt = ",".join(["%.17g"] * values.shape[1]) + line_end
+    return "".join(fmt % tuple(row) for row in values.tolist())
+
+
+def _assert_same_rows(got, want):
+    # names the first differing row instead of diffing megabytes of text
+    for k, (g, w) in enumerate(zip(got.splitlines(True), want.splitlines(True))):
+        assert g == w, f"row {k}"
+    assert len(got) == len(want)
+
+
+def _assert_formats_as_percent(values, line_ends=("\r\n", "\n")):
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    for line_end in line_ends:
+        got = io.StringIO(newline="")
+        _format_rows([values], got, line_end)
+        _assert_same_rows(got.getvalue(), _percent_rows(values, line_end))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=24))
+def test_format_rows_matches_percent_on_any_float(xs):
+    _assert_formats_as_percent(np.array(xs))
+    _assert_formats_as_percent(np.array(xs)[:, None])
+
+
+def test_format_rows_matches_percent_on_random_bit_patterns():
+    rng = np.random.default_rng(18)
+    bits = rng.integers(0, 2 ** 64, size=(4000, 7), dtype=np.uint64).view(np.float64)
+    bits[0] = [5e-324, -2.2250738585072014e-308, 2.2250738585072009e-308, 1e308, -1e308,
+               1.7976931348623157e308, -4.9e-310]
+    _assert_formats_as_percent(bits)
+    scaled = rng.standard_normal((3000, 5)) * 10.0 ** rng.integers(-300, 300, size=(3000, 5))
+    _assert_formats_as_percent(scaled)
+
+
+def test_format_rows_matches_percent_on_exact_ties():
+    # m 2**-18 in [0.1, 1) with m odd has 18 significant digits ending in
+    # 5: its 17-digit rounding is an exact tie
+    ties = np.arange(26215, 262144, 2) * 2.0 ** -18
+    _assert_formats_as_percent(ties.reshape(-1, 5), ("\r\n",))
+    _assert_formats_as_percent(-ties[:20000].reshape(-1, 4), ("\n",))
+
+
+def test_format_rows_matches_percent_at_powers_of_ten():
+    p10 = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    around = np.stack([np.nextafter(p10, 0.0), p10, np.nextafter(p10, np.inf)], 1)
+    _assert_formats_as_percent(around)
+    _assert_formats_as_percent(-around)
+
+
+def test_format_rows_matches_percent_on_every_layout():
+    # every fixed-point decade -4..16 and the exponential ones around it,
+    # with 1..17 significant digits and both signs
+    values = np.array([float(("123456789" * 2)[:digits] + f"e{decade - digits + 1}")
+                       for decade in range(-7, 20) for digits in range(1, 18)])
+    _assert_formats_as_percent(np.stack([values, -values], 1))
+    _assert_formats_as_percent(np.stack([values * 7.0, -values / 3.0], 1))
+
+
+def test_format_rows_matches_percent_on_zeros_and_non_finite_values():
+    _assert_formats_as_percent([[0.0, -0.0, np.inf, -np.inf, np.nan, 1.5]])
+    _assert_formats_as_percent([[1.5, -0.0], [np.nan, 2.0], [3.0, 4.0]])
+
+
+def test_format_rows_spans_blocks_and_column_groups():
+    rng = np.random.default_rng(3)
+    k = 2600
+    times = np.arange(k) * 1e-3
+    x = rng.standard_normal((k, 5)) * np.exp(-times / 0.3)[:, None]
+    x[1500, 2] = np.nan
+    for line_end in ("\r\n", "\n"):
+        got = io.StringIO(newline="")
+        _format_rows([times, x, x[:, 0]], got, line_end)
+        _assert_same_rows(got.getvalue(),
+                          _percent_rows(np.column_stack([times, x, x[:, 0]]), line_end))
+    empty = io.StringIO()
+    _format_rows([np.zeros(0), np.zeros((0, 3))], empty, "\n")
+    assert empty.getvalue() == ""
+
+
+def test_importing_the_cli_builds_no_format_tables():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import dgame.cli, dgame.feedback as f; assert f._tables.cache_info().currsize == 0"
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
