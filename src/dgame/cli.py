@@ -632,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed of the forward solver's starts and of verify's "
                             "equilibrium spot check (default 0)")
         p.add_argument("--tol", type=float, default=1e-9,
-                       help="relative solver tolerance (default 1e-9)")
+                       help="solver tolerance, a normwise backward error (default 1e-9)")
         p.add_argument("--starts", type=int, default=64,
                        help="multistart count for the forward solver (default 64)")
         p.add_argument("--eps-pd", dest="eps_pd", type=float, default=1e-8,

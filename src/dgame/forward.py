@@ -21,7 +21,12 @@ is unstable or a solve fails), and one damped Newton solve runs over
 all of them (:func:`root`).  Its steps use the exact Jacobian of the
 packed residual, eliminated through the packed Lyapunov operator of
 A_cl that every player's block shares (:func:`_newton_steps`); its
-Armijo search tries every step length in one stacked evaluation.  The
+Armijo search tries every step length in one stacked evaluation.  Both
+the search's merit and the acceptance of an end point measure each
+residual family against its normwise backward-error denominator
+(:meth:`_Evaluator.denominators`): a point is accepted when both
+backward errors are at most the tolerance, and the merit scales down a
+family whose rounding floor lies above the tolerance in data units.  The
 end points are checked as one stack too, and :func:`verify_nash_local`
 solves each player's random deviations as one stack.
 Coupled Riccati systems can have several stabilizing solutions, so
@@ -86,8 +91,9 @@ class IndefiniteInputWeightError(ValueError):
 @dataclass(frozen=True)
 class SolveOptions:
     """Multistart solver options: the number of seeded starts, their seed
-    and the residual tolerance, relative to the data scale.  Each start
-    gets at most ``_NEWTON_ITERS`` Newton steps."""
+    and the tolerance, a normwise backward error that both residual
+    families of an accepted point must meet (:func:`solve_fbne`).  Each
+    start gets at most ``_NEWTON_ITERS`` Newton steps."""
 
     n_starts: int = 64
     seed: int = 0
@@ -127,14 +133,16 @@ class EquilibriumSolution:
 class _Evaluator:
     """The closed loop of one game and cost set, at one gain or a stack.
 
-    Built once per solve from ``(rg, c)``, it holds what no evaluation
-    changes: the stack of every M_i, player i's rows r + s_i of M_i read
-    as G (columns r:, the effective input weight and cross couplings)
-    and as the m x r stack V' of the own couplings v_bar[i][i]' (columns
-    :r), the game's A_cl map (:meth:`ReducedGame.closed_loop`), the
-    B1_i' blocks, the identity block of [I; F], the data scale, the
-    index maps of the packed Newton point, the Jacobian's constant blocks
-    and the maps of its varying ones.  Each method takes one gain F of
+    Built once per solve from ``(rg, c)`` and the solve's tolerance, it
+    holds what no evaluation changes: the stack of every M_i, player i's
+    rows r + s_i of M_i read as G (columns r:, the effective input weight
+    and cross couplings) and as the m x r stack V' of the own couplings
+    v_bar[i][i]' (columns :r), the game's A_cl map
+    (:meth:`ReducedGame.closed_loop`), the B1_i' blocks, the identity
+    block of [I; F], the data scale, the max-entries and the cut of the
+    backward-error denominators, the index maps of the packed Newton
+    point, the Jacobian's constant blocks and the maps of its varying
+    ones.  Each method takes one gain F of
     shape (m, r) or a stack (S, m, r), or one packed point of shape (nz,)
     or a stack (S, nz); per-player results carry a player axis before
     the matrix axes, and every product keeps the 2-D shape and operand
@@ -142,7 +150,7 @@ class _Evaluator:
     evaluation reads the same bits as one gain at a time.
     """
 
-    def __init__(self, rg: ReducedGame, c: CostParameters):
+    def __init__(self, rg: ReducedGame, c: CostParameters, tol: float = SolveOptions.tol):
         r, m, n_players = rg.r, rg.m, rg.n_players
         self.r, self.m, self.n_players = r, m, n_players
         self.ms = np.stack([m_matrix(rg, c, i) for i in range(n_players)])
@@ -155,6 +163,15 @@ class _Evaluator:
         # meaningful under the positive-scaling freedom of the costs
         self.scale = 1.0 + max(1.0, *(np.abs(a).max(initial=0.0)
                                       for a in (rg.j, rg.b1_stacked, self.ms)))
+        # max-entries of the denominators' constant factors: G, V', B1,
+        # J and every M_i
+        self.g_max, self.v_max, self.b1_max, self.j_max, self.m_max = (
+            float(np.abs(a).max(initial=0.0)) for a in (self.gbar, self.vbar_t, rg.b1_stacked,
+                                                        rg.j, self.ms))
+        # a row family whose backward-error denominator s exceeds the cut
+        # has a rounding floor eps s above the tolerance in data units,
+        # tol scale
+        self.cut = tol * self.scale / np.finfo(float).eps
         iu = np.triu_indices(r)
         nn = iu[0].size
         self.iu_flat = np.ravel_multi_index(iu, (r, r))
@@ -237,6 +254,44 @@ class _Evaluator:
             stationarity_norm=float(np.abs(stat).max(initial=0.0)),
             scale=self.scale,
         )
+
+    def denominators(self, f, p, a_cl, costs):
+        """``(stat, care)``: the normwise backward-error denominators of
+        both residual families (Higham 2002, ch. 16) in max-norms, at
+        gains f, value matrices p, loops a_cl and closed-loop costs;
+        max|G| max|F| + max|B1| max|P| + max|V'| for the stationarity
+        rows, shape (...,), and 2 max|A_cl| max|P_k| + max|C_k| for player
+        k's Riccati rows, shape (..., N).  A residual over its denominator
+        is that family's backward error."""
+        p_max = np.abs(p).max(axis=(-2, -1), initial=0.0)
+        stat = (self.g_max * np.abs(f).max(axis=(-2, -1), initial=0.0)
+                + self.b1_max * p_max.max(axis=-1, initial=0.0) + self.v_max)
+        care = (2.0 * np.abs(a_cl).max(axis=(-2, -1), initial=0.0)[..., None] * p_max
+                + np.abs(costs).max(axis=(-2, -1), initial=0.0))
+        return stat, care
+
+    def merit_weights(self, z):
+        """The weights of :func:`root`'s merit at the stack of packed points
+        z, one per row of :meth:`vector`, shape (S, nz): min(1, cut / s)
+        on the rows of a family (stationarity, or one player's Riccati
+        equation) with denominator s (:meth:`denominators`), so a family
+        is measured in units where its rounding floor is the tolerance.
+        ``None`` stands for all ones: when twice a bound on every
+        denominator of the stack, from max|F| and max|P| alone, is within
+        the cut (twice, so that rounding cannot lift a computed
+        denominator past it), nothing else is formed."""
+        mr, m = self.m * self.r, self.m
+        f_max, p_max = float(np.abs(z[:, :mr]).max()), float(np.abs(z[:, mr:]).max())
+        bound = max(self.g_max * f_max + self.b1_max * p_max + self.v_max,
+                    2.0 * (self.j_max + m * self.b1_max * f_max) * p_max
+                    + self.m_max * (1.0 + m * f_max) ** 2)
+        if 2.0 * bound <= self.cut:
+            return None
+        f, p = self.unpack(z)
+        stat, care = self.denominators(f, p, self.closed_loop(f), self.costs(f))
+        s = np.concatenate([stat[:, None], care], axis=-1)
+        w = np.divide(self.cut, s, out=np.ones_like(s), where=s > self.cut)
+        return np.repeat(w, [mr] + [self.iu_flat.size] * self.n_players, axis=-1)
 
     def pack(self, f, p) -> np.ndarray:
         """z = [vec(F); upper triangle of each P_i], of shape (..., nz)."""
@@ -354,22 +409,31 @@ def root(ev: _Evaluator, z) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on ``ev.vector(z) = 0`` from every row of the stack z.
 
     All starts step in lockstep, each with its own Armijo backtracking
-    search on the residual's 2-norm: a step of length t (1, 1/2, 1/4,
-    ... down to ``_BACKTRACK_FLOOR``) is acceptable once it shrinks that
-    norm by the factor 1 - ``_ARMIJO`` t, and the start takes the longest
-    acceptable one.  After each Newton step every length of every
-    searching start is tried at once, one :meth:`_Evaluator.vector` call
-    per group of starts whose trial points fit ``_NEWTON_GROUP_BYTES``;
-    the point taken has the bits a halving loop would reach.  A start
-    retires once its full step is at most ``_STEP_TOL`` (1 + |z|), which
-    it still takes, or when its step is singular or not finite, no length
-    is acceptable or it has taken ``_NEWTON_ITERS`` steps.  Returns
-    ``(z, steps)``: the final points, one row per start, and the number of
-    steps each start took; each row is what that start gives on its own.
+    search on the 2-norm of its weighted residual: a step of length t (1,
+    1/2, 1/4, ... down to ``_BACKTRACK_FLOOR``) is acceptable once it
+    shrinks that norm by the factor 1 - ``_ARMIJO`` t, and the start takes
+    the longest acceptable one.  Each row family is weighted by
+    :meth:`_Evaluator.merit_weights` at the step's base point, the same
+    weights for every length: 1 unless the family's rounding floor
+    exceeds the tolerance in data units, where absolute units would leave
+    the search backing off on rounding noise.  Row weights leave the
+    Newton direction as it is, so only the length taken moves.  After each
+    Newton step every length of every searching start is tried at once,
+    one :meth:`_Evaluator.vector` call per group of starts whose trial
+    points fit ``_NEWTON_GROUP_BYTES``; the point taken has the bits a
+    halving loop would reach.  A start retires once its full step is at
+    most ``_STEP_TOL`` (1 + |z|), which it still takes, or when its step
+    is singular or not finite, no length is acceptable or it has taken
+    ``_NEWTON_ITERS`` steps.  Returns ``(z, steps)``: the final points,
+    one row per start, and the number of steps each start took; each row
+    is what that start gives on its own.
     """
     z = np.array(z, dtype=float)
     res = ev.vector(z)
     norm = np.linalg.norm(res, axis=-1)
+    # each start's row weights, which its norm is measured with, and
+    # whether any active start's differ from 1
+    weights, weighted = np.ones_like(z), False
     active = np.arange(len(z))
     steps = np.zeros(len(z), dtype=int)
     lengths = 2.0 ** -np.arange(1 + round(-np.log2(_BACKTRACK_FLOOR)))
@@ -379,6 +443,14 @@ def root(ev: _Evaluator, z) -> tuple[np.ndarray, np.ndarray]:
         if not active.size:
             break
         za = z[active]
+        w = ev.merit_weights(za)
+        if w is not None or weighted:
+            # a start whose weights moved has its norm at za measured again
+            new = 1.0 if w is None else w
+            again = active[(weights[active] != new).any(axis=-1)]
+            weights[active] = new
+            norm[again] = np.linalg.norm(res[again] * weights[again], axis=-1)
+            weighted = w is not None
         step = _newton_steps(ev, za, res[active])
         finite = np.isfinite(step).all(axis=-1)
         small = finite & (np.linalg.norm(step, axis=-1)
@@ -390,7 +462,7 @@ def root(ev: _Evaluator, z) -> tuple[np.ndarray, np.ndarray]:
             rows = search[lo:lo + group]
             trial = za[rows, None] + lengths[:, None] * step[rows, None]
             res_t = ev.vector(trial.reshape(-1, z.shape[-1])).reshape(trial.shape)
-            norm_t = np.linalg.norm(res_t, axis=-1)
+            norm_t = np.linalg.norm(res_t if w is None else res_t * w[rows, None], axis=-1)
             ok = norm_t <= decrease * norm[active[rows], None]
             hit = np.flatnonzero(ok.any(axis=-1))
             first = ok[hit].argmax(axis=-1)
@@ -453,17 +525,19 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
     one call of :func:`root`, Newton steps with the exact Jacobian of the
     coupled system, runs from all of them at once.  Every end point's loop
     and residuals are evaluated as one stack; in start order, a start's
-    point counts when its loop is stable, its residual is within
-    ``opts.tol`` times the data scale and no earlier solution is the same
-    behavior (:func:`same_behavior`); the solution carries the start's
-    name and its Newton step count as ``iterations``.
+    point counts when its loop is stable, both its backward errors (each
+    residual family's max-norm over its denominator,
+    :meth:`_Evaluator.denominators`) are at most ``opts.tol`` and no
+    earlier solution is the same behavior (:func:`same_behavior`); the
+    solution carries the start's name and its Newton step count as
+    ``iterations``.
     Requires every effective own-input weight r_bar[i][i] to be positive
     definite (raises :class:`IndefiniteInputWeightError`).  Returns the
     deduplicated solutions in a canonical order (lexicographic by rounded
     feedback entries); an empty list means no start converged.
     """
     opts = opts or SolveOptions()
-    ev = _Evaluator(rg, c)
+    ev = _Evaluator(rg, c, opts.tol)
     for i, (m_i, si) in enumerate(zip(ev.ms, ev.rows)):
         block = m_i[rg.r + si.start:rg.r + si.stop, rg.r + si.start:rg.r + si.stop]
         if block.size and np.linalg.eigvalsh(symmetrize(block))[0] <= 0:
@@ -481,10 +555,11 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
     p0[stable[solved]] = p[solved]
     z, steps = root(ev, ev.pack(f0, p0))
     f, p = ev.unpack(z)
-    a_cl = ev.closed_loop(f)
-    stat, care = ev.residual_matrices(f, p, a_cl, ev.costs(f))
-    within = np.maximum(np.abs(stat).max(axis=(-2, -1), initial=0.0),
-                        np.abs(care).max(axis=(-3, -2, -1), initial=0.0)) <= opts.tol * ev.scale
+    a_cl, costs = ev.closed_loop(f), ev.costs(f)
+    stat, care = ev.residual_matrices(f, p, a_cl, costs)
+    s_stat, s_care = ev.denominators(f, p, a_cl, costs)
+    within = ((np.abs(stat).max(axis=(-2, -1), initial=0.0) <= opts.tol * s_stat)
+              & (np.abs(care).max(axis=(-2, -1), initial=0.0) <= opts.tol * s_care).all(axis=-1))
     solutions: list[EquilibriumSolution] = []
     for k in np.flatnonzero(is_stable(a_cl) & within):
         if any(same_behavior(f[k], sol.f_star.matrix) for sol in solutions):

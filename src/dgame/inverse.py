@@ -453,7 +453,7 @@ def rationalized_behaviors(rg: ReducedGame, cert: InverseCertificate,
     its costs, but the observed gain is not one of the solver's starts:
     the behavior is reported only when some start converges to it and
     passes the solver's acceptance test, so ``n_matching`` can be 0 even
-    then (the n = 32 planted game of the benchmark matches none).
+    then.
     """
     if not cert.feasible:
         raise ValueError("certificate is infeasible: no rationalizing costs to solve")

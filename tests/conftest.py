@@ -170,3 +170,40 @@ def stabilizing_reduced_gain(rng: np.random.Generator, rg, spread: float = 1.0):
             continue
         return -np.linalg.solve(wr, rg.b1_stacked.T @ p)
     raise RuntimeError("failed to draw a stabilizing gain")
+
+
+def planted_problem(rng, n, r, input_dims) -> dict:
+    """Problem dict (E, A, B, F) of the planted index-1 recipe: the pencil
+    in planted coordinates, inputs drawn there (B = Y^-T B_can) and F the
+    planted regulator gain, F = K (X^-1)[:r], which stabilizes J + B1 K."""
+    x = well_conditioned(rng, n)
+    y = well_conditioned(rng, n)
+    j = rng.standard_normal((r, r))
+    e_can = np.zeros((n, n))
+    e_can[:r, :r] = np.eye(r)
+    a_can = np.eye(n)
+    a_can[:r, :r] = j
+    y_inv_t = np.linalg.inv(y).T
+    x_inv = np.linalg.inv(x)
+    b_can = [rng.standard_normal((n, mi)) for mi in input_dims]
+    b1 = np.hstack([b[:r] for b in b_can])
+    import scipy.linalg as sla
+    p = sla.solve_continuous_are(j, b1, np.eye(r), np.eye(b1.shape[1]))
+    f = -b1.T @ p @ x_inv[:r]
+    offs = np.cumsum([0, *input_dims])
+    return {
+        "E": (y_inv_t @ e_can @ x_inv).tolist(),
+        "A": (y_inv_t @ a_can @ x_inv).tolist(),
+        "B": [(y_inv_t @ b).tolist() for b in b_can],
+        "F": [f[offs[i]:offs[i + 1]].tolist() for i in range(len(input_dims))],
+    }
+
+
+def planted_draw(n_last: int) -> dict:
+    """The problem dict of the game of order ``n_last`` in the planted
+    draw with seed 0 (n = 16, 24, 32, with r = 3n/4), the draw of the
+    ``planted-scale`` benchmark."""
+    rng = np.random.default_rng(0)
+    for n in range(16, n_last + 1, 8):
+        problem = planted_problem(rng, n, 3 * n // 4, (1, 1))
+    return problem

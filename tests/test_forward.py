@@ -7,9 +7,12 @@ from scipy.optimize import root
 from dgame import (
     CostParameters,
     DescriptorGame,
+    FeedbackProfile,
     ReducedFeedback,
     SolveOptions,
     equilibrium_cost,
+    identify,
+    reduce_feedback,
     reduce_game,
     simulate,
     solve_fbne,
@@ -33,6 +36,7 @@ from conftest import (
     lane_costs_identified,
     lane_costs_misspecified,
     lane_game,
+    planted_draw,
     random_game,
 )
 
@@ -361,6 +365,16 @@ def _planted_case(seed, n, r, input_dims):
     return reduce_game(random_game(rng, n, r, input_dims)), friendly_costs(rng, n, input_dims)
 
 
+def _planted_identified_case(n_last):
+    """The game of order ``n_last`` in the planted draw with the costs
+    ``identify`` finds for its observed feedback."""
+    problem = planted_draw(n_last)
+    rg = reduce_game(DescriptorGame(np.array(problem["E"]), np.array(problem["A"]),
+                                    tuple(np.array(b) for b in problem["B"])))
+    f_red = reduce_feedback(rg, FeedbackProfile(tuple(np.array(f) for f in problem["F"])))
+    return rg, identify(rg, f_red).costs()
+
+
 RESIDUAL_CASES = {
     "lane-gt": lambda: (reduce_game(lane_game()), lane_costs_gt()),
     "lane-id": lambda: (reduce_game(lane_game()), lane_costs_identified()),
@@ -368,6 +382,11 @@ RESIDUAL_CASES = {
     "planted-r12": lambda: _planted_case(5, 16, 12, (1, 1)),
     "three-players": lambda: _planted_case(6, 8, 7, (2, 2, 2)),
 }
+
+# the Newton search's cases: those above and the planted n = 32 game's
+# identified costs, where the merit's weights fire (too large for the
+# oracle tests)
+SEARCH_CASES = dict(RESIDUAL_CASES, **{"planted-n32-id": lambda: _planted_identified_case(32)})
 
 
 def _data_scale_oracle(rg, ms):
@@ -635,11 +654,59 @@ def test_solve_fbne_keeps_one_solution_per_behavior(lane, monkeypatch):
     assert not same_behavior(f, f * (1.0 + offsets[2]))
 
 
-@pytest.mark.parametrize("case", ["lane-id", "lane-mis", "three-players"])
+def _backward_errors(ev, f, p):
+    """The stationarity and the largest Riccati backward error at the gain
+    f and value matrices p."""
+    a_cl, costs = ev.closed_loop(f), ev.costs(f)
+    res = ev.residuals(f, p, a_cl, costs)
+    stat, care = ev.denominators(f, p, a_cl, costs)
+    return res.stationarity_norm / stat, max(np.array(res.care_norms) / care)
+
+
+def test_solve_fbne_accepts_by_backward_error(monkeypatch):
+    # x' = x + 1e-4 u with unit weights: P = 2e8, so at the exact solution
+    # the Riccati residual (6.9e-6) is far above the tolerance in data
+    # units (tol scale = 2e-9), but its backward error is 9e-15; a point
+    # whose gain is moved by 2e-6 relative has a stationarity backward
+    # error of 1e-6
+    rg = reduce_game(DescriptorGame(np.eye(1), np.ones((1, 1)), (np.array([[1e-4]]),)))
+    c = CostParameters(q=(np.eye(1),), r=((np.eye(1),),))
+    p = sla.solve_continuous_are(rg.j, rg.b1_stacked, np.eye(1), np.eye(1))
+    f = -(rg.b1_stacked.T @ p)
+    ev = _Evaluator(rg, c)
+    opts = SolveOptions(n_starts=0)
+
+    def solve_at(gain):
+        monkeypatch.setattr(forward, "root", lambda ev, z0: (
+            np.repeat(ev.pack(gain, p[None])[None], len(z0), axis=0), np.zeros(len(z0), int)))
+        return solve_fbne(rg, c, opts)
+
+    (sol,) = solve_at(f)
+    assert sol.residuals.max_norm > 1e3 * opts.tol * ev.scale
+    assert max(_backward_errors(ev, f, p[None])) < 1e-13
+    moved = f * (1.0 + 2e-6)
+    assert 5e-7 < _backward_errors(ev, moved, p[None])[0] < 2e-6
+    assert solve_at(moved) == []
+
+
+def test_size_sweep_n40_finds_a_solution():
+    # the conftest size-sweep draw at n = 40: every stabilizing start once
+    # spent all 100 Newton steps with backward errors of 3e-4 to 3e-3
+    rng = np.random.default_rng(0)
+    rg = reduce_game(random_game(rng, 40, 30, (1, 1)))
+    c = friendly_costs(rng, 40, (1, 1))
+    sols = solve_fbne(rg, c, SolveOptions(n_starts=4))
+    ev = _Evaluator(rg, c)
+    assert any(max(_backward_errors(ev, sol.f_star.matrix, np.array(sol.p))) <= 1e-9
+               for sol in sols)
+
+
+@pytest.mark.parametrize("case", ["lane-id", "lane-mis", "three-players", "planted-n32-id"])
 def test_root_start_is_independent_of_its_batch(case, monkeypatch):
     # one batch, one call per start and groups of one Jacobian each give
-    # the same bits: a start's result never depends on its neighbours
-    rg, c = RESIDUAL_CASES[case]()
+    # the same bits: a start's result never depends on its neighbours,
+    # also where the merit's weights fire (planted-n32-id)
+    rg, c = SEARCH_CASES[case]()
     ev = _Evaluator(rg, c)
     z0 = _newton_starts(ev, rg, [f0 for _, f0 in _starting_points(rg, SolveOptions(n_starts=6))])
     batch, steps = newton_root(ev, z0)
@@ -675,16 +742,23 @@ def test_root_retires_a_singular_start_alone(lane):
 def _root_halving_reference(ev, z):
     """Reference: the Armijo search as a halving loop, one residual
     evaluation per halving of the starts still searching (the search
-    :func:`dgame.forward.root` stacks)."""
+    :func:`dgame.forward.root` stacks), on the merit weighted by
+    ``merit_weights`` at each step's base point."""
     z = np.array(z, dtype=float)
     res = ev.vector(z)
     norm = np.linalg.norm(res, axis=-1)
+    weights = np.ones_like(z)
     active = np.arange(len(z))
     steps = np.zeros(len(z), dtype=int)
     for _ in range(_NEWTON_ITERS):
         if not active.size:
             break
         za = z[active]
+        w = ev.merit_weights(za)
+        w = np.ones_like(za) if w is None else w
+        for k in np.flatnonzero((w != weights[active]).any(axis=-1)):
+            weights[active[k]] = w[k]
+            norm[active[k]] = np.linalg.norm(res[active[k]] * w[k])
         step = forward._newton_steps(ev, za, res[active])
         finite = np.isfinite(step).all(axis=-1)
         small = finite & (np.linalg.norm(step, axis=-1)
@@ -696,7 +770,7 @@ def _root_halving_reference(ev, z):
         while search.size:
             trial = za[search] + t[search, None] * step[search]
             res_t = ev.vector(trial)
-            norm_t = np.linalg.norm(res_t, axis=-1)
+            norm_t = np.linalg.norm(w[search] * res_t, axis=-1)
             ok = norm_t <= (1.0 - forward._ARMIJO * t[search]) * norm[active[search]]
             took = active[search[ok]]
             z[took], res[took], norm[took] = trial[ok], res_t[ok], norm_t[ok]
@@ -709,14 +783,31 @@ def _root_halving_reference(ev, z):
     return z, steps
 
 
-@pytest.mark.parametrize("case", ["lane-gt", "lane-id", "lane-mis", "planted-r12"])
-def test_stacked_search_matches_the_halving_loop(case):
+@pytest.mark.parametrize("case", ["lane-gt", "lane-id", "lane-mis", "planted-r12",
+                                  "planted-n32-id"])
+def test_stacked_search_matches_the_halving_loop(case, monkeypatch):
     # every step length tried in one evaluation takes the point, bit for
-    # bit, and the step count the halving loop reaches
-    rg, c = RESIDUAL_CASES[case]()
+    # bit, and the step count the halving loop reaches; on the n = 32
+    # identified costs the merit's weights fire (a Riccati family's
+    # rounding floor is above the tolerance in data units), on lane they
+    # are never computed
+    rg, c = SEARCH_CASES[case]()
     ev = _Evaluator(rg, c)
     z0 = _newton_starts(ev, rg, [f0 for _, f0 in _starting_points(rg, FAST)])
+    fired = []
+    denominators = _Evaluator.denominators
+
+    def counted(ev, *args):
+        stat, care = denominators(ev, *args)
+        fired.append(bool((stat > ev.cut).any() or (care > ev.cut).any()))
+        return stat, care
+
+    monkeypatch.setattr(_Evaluator, "denominators", counted)
     got, got_steps = newton_root(ev, z0)
+    if case.startswith("lane"):
+        assert not fired
+    if case == "planted-n32-id":
+        assert any(fired)
     want, want_steps = _root_halving_reference(ev, z0)
     assert np.array_equal(got, want)
     assert np.array_equal(got_steps, want_steps)
