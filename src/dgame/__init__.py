@@ -61,6 +61,7 @@ from .forward import (
     EquilibriumSolution,
     IndefiniteInputWeightError,
     SolveOptions,
+    certify_nash,
     equilibrium_cost,
     solution_at,
     solve_fbne,

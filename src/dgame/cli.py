@@ -66,9 +66,8 @@ from .inverse import (
 from .forward import (
     IndefiniteInputWeightError,
     SolveOptions,
-    solution_at,
+    certify_nash,
     solve_fbne,
-    verify_nash_local,
 )
 from .linalg import eigvals, sorted_spectrum
 from .pencil import ImpulsiveModesError, IrregularPencilError
@@ -567,12 +566,9 @@ def cmd_verify(args, problem: Problem, rg) -> int:
         })
     verify_section = {"players": players, "all_members": all(p["member"] for p in players)}
     if verify_section["all_members"]:
-        # spot-check the equilibrium property of the observed loop under
-        # the candidate costs
-        costs = layout.costs_from_thetas(thetas)
-        sol = solution_at(rg, costs, f_red)
-        ok, _ = verify_nash_local(rg, costs, sol, n_trials=int(args.nash_trials),
-                                  radius=0.5, seed=int(args.seed))
+        # certify the equilibrium property of the observed loop under the
+        # candidate costs by each player's best response
+        ok, _ = certify_nash(rg, layout.costs_from_thetas(thetas), f_red)
         verify_section["nash_spot_check"] = bool(ok)
     report = {
         "meta": _meta(args),
@@ -629,8 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("problem", help="problem JSON file")
         p.add_argument("--out", help="write the JSON report (or CSV for simulate) here")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed of the forward solver's starts and of verify's "
-                            "equilibrium spot check (default 0)")
+                       help="seed of the forward solver's starts (default 0)")
         p.add_argument("--tol", type=float, default=1e-9,
                        help="solver tolerance, a normwise backward error (default 1e-9)")
         p.add_argument("--starts", type=int, default=64,
@@ -663,8 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--theta", required=True, help="JSON file with per-player theta vectors")
     p.add_argument("--traj", help="trajectory CSV to fit the observed feedback from")
-    p.add_argument("--nash-trials", dest="nash_trials", type=int, default=50,
-                   help="deviations for the equilibrium spot check (default 50)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="closed-loop trajectory CSV")
@@ -687,8 +680,6 @@ def _check_options(args) -> None:
         raise UsageError("--starts must be >= 0")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    if getattr(args, "nash_trials", 0) < 0:
-        raise UsageError("--nash-trials must be >= 0")
 
 
 def main(argv=None) -> int:

@@ -27,8 +27,13 @@ residual family against its normwise backward-error denominator
 (:meth:`_Evaluator.denominators`): a point is accepted when both
 backward errors are at most the tolerance, and the merit scales down a
 family whose rounding floor lies above the tolerance in data units.  The
-end points are checked as one stack too, and :func:`verify_nash_local`
-solves each player's random deviations as one stack.
+end points are checked as one stack too.
+Whether a given feedback is an equilibrium is decided without random
+numbers by :func:`certify_nash`: with the other players' gains fixed,
+each player faces a regulator problem, and every player's Riccati
+equation is one item of one stacked solve.  :func:`verify_nash_local`
+is the independent random check: it solves each player's random
+deviations as one stack.
 Coupled Riccati systems can have several stabilizing solutions, so
 enumeration is heuristic multistart and completeness is only ever
 validated at test scale.  G and V' are read out of the players' reduced
@@ -48,7 +53,8 @@ from .linalg import (is_stable, solve_lyapunov_stack, solve_riccati_stack, sorte
                      symmetrize)
 
 __all__ = ["SolveOptions", "CareResiduals", "EquilibriumSolution", "IndefiniteInputWeightError",
-           "same_behavior", "solution_at", "solve_fbne", "equilibrium_cost", "verify_nash_local"]
+           "same_behavior", "solution_at", "solve_fbne", "equilibrium_cost", "certify_nash",
+           "verify_nash_local"]
 
 
 #: relative max-entry distance under which two feedbacks are one solution
@@ -204,6 +210,12 @@ class _Evaluator:
         self.d_from = tuple(np.where(np.arange(r) == u[..., None, None], h_at + v[..., None, None],
                                      mr).reshape(nn, n_players, mr) for u, v in ((c, d), (d, c)))
 
+    def own_weights_definite(self):
+        """Per player, whether the effective own-input weight r_bar[i][i],
+        the block G[s_i, s_i], is positive definite."""
+        return [bool((np.linalg.eigvalsh(symmetrize(self.gbar[si, si]))[:1] > 0).all())
+                for si in self.rows]
+
     def lift(self, f):
         """[I; F] of one gain or a stack."""
         r = self.r
@@ -342,7 +354,7 @@ def solution_at(rg: ReducedGame, c: CostParameters,
     The value matrices come from per-player Lyapunov solves, so the
     Riccati residuals are at rounding level and the stationarity residual
     measures how far ``f_red`` is from an equilibrium (which
-    :func:`verify_nash_local` spot-checks directly).  Raises what
+    :func:`certify_nash` decides directly).  Raises what
     :func:`dgame.linalg.solve_lyapunov` raises when the loop admits no
     unique value matrices.
     """
@@ -538,9 +550,8 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
     """
     opts = opts or SolveOptions()
     ev = _Evaluator(rg, c, opts.tol)
-    for i, (m_i, si) in enumerate(zip(ev.ms, ev.rows)):
-        block = m_i[rg.r + si.start:rg.r + si.stop, rg.r + si.start:rg.r + si.stop]
-        if block.size and np.linalg.eigvalsh(symmetrize(block))[0] <= 0:
+    for i, definite in enumerate(ev.own_weights_definite()):
+        if not definite:
             raise IndefiniteInputWeightError(
                 f"effective input weight of player {i} is not positive definite"
             )
@@ -584,6 +595,70 @@ def equilibrium_cost(sol: EquilibriumSolution, i: int, x1_0: np.ndarray) -> floa
     return float(x1_0 @ sol.p[i] @ x1_0)
 
 
+def certify_nash(rg: ReducedGame, c: CostParameters,
+                 f_red: ReducedFeedback) -> tuple[bool, np.ndarray]:
+    """Whether ``f_red`` is a feedback Nash equilibrium of ``c``, by each
+    player's best response.
+
+    With the other players' gains fixed, player i faces a regulator
+    problem with a cross term: the loop A_{-i} = J + sum_{j != i} B1_j F_j,
+    the input B = B1_i and the weights Q^ = X' M_i X, S^ = X' M_i E and
+    R^ = E' M_i E, with X = [I; F_{-i}] (F with player i's rows zero) and
+    E the unit columns of player i's input rows.  Its best response is
+    -R^-1 (B' P + S^'), P the stabilizing solution of the Riccati equation
+    with a = A_{-i} - B R^-1 S^', s = B R^-1 B' and q = Q^ - S^ R^-1 S^'
+    (Engwerda 2005, ch. 8; Willems 1971 for an indefinite q), and F is an
+    equilibrium exactly when every F_i is its best response
+    (:func:`same_behavior`).  Every player's equation, balanced by a power
+    of two so that the verdict does not move with the costs' scale, is
+    one item of one :func:`dgame.linalg.solve_riccati_stack` call;
+    nothing is random.
+    Returns ``(ok, distance)``: ``distance[i]`` is max|best - F_i| /
+    (1 + max|F_i|), infinite where R^ is not positive definite or the
+    Riccati item has no stabilizing solution, and ``ok`` is then False,
+    never an exception.
+    """
+    ev = _Evaluator(rg, c)
+    r, n_players, f = rg.r, rg.n_players, f_red.matrix
+    f_minus = np.repeat(f[None], n_players, axis=0)
+    for i, si in enumerate(ev.rows):
+        f_minus[i, si] = 0.0
+    x, a = ev.lift(f_minus), ev.closed_loop(f_minus)
+    q_hat = x.swapaxes(-1, -2) @ ev.ms @ x
+    s, q = np.full((2, n_players, r, r), np.nan)
+    # per player, R^-1 [B' | S^'], where R^ = G[s_i, s_i] and S^' = E' M_i X =
+    # V'_i + G_i F_{-i} are read from player i's rows of M_i
+    solves = {}
+    for i, (si, definite) in enumerate(zip(ev.rows, ev.own_weights_definite())):
+        if not definite:
+            a[i] = np.nan
+            continue
+        s_hat_t = ev.vbar_t[si] + ev.gbar[si] @ f_minus[i]
+        solves[i] = np.linalg.solve(ev.gbar[si, si], np.hstack([ev.b1_t[i], s_hat_t]))
+        r_b, r_s = solves[i][:, :r], solves[i][:, r:]
+        a[i] -= rg.b1[i] @ r_s
+        s[i] = symmetrize(rg.b1[i] @ r_b)
+        q[i] = symmetrize(q_hat[i] - s_hat_t.T @ r_s)
+    # P = beta P~, beta the power of two nearest sqrt(max|q| / max|s|),
+    # balances each Hamiltonian (max|beta s| = max|q / beta| to within a
+    # factor 2) however the costs are scaled, so the verdict does not move
+    # with their scale
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        beta = 2.0 ** np.round(0.5 * np.log2(np.abs(q).max(axis=(1, 2))
+                                             / np.abs(s).max(axis=(1, 2))))
+    beta = np.where(np.isfinite(beta) & (beta > 0), beta, 1.0)[:, None, None]
+    p, solved = solve_riccati_stack(a, beta * s, q / beta)
+    p *= beta
+    distance = np.full(n_players, np.inf)
+    ok = bool(solved.all())
+    for i in np.flatnonzero(solved):
+        f_i = f[ev.rows[i]]
+        best = -(solves[i][:, :r] @ p[i] + solves[i][:, r:])
+        distance[i] = np.abs(best - f_i).max(initial=0.0) / (1.0 + np.abs(f_i).max(initial=0.0))
+        ok &= same_behavior(f_i, best)
+    return ok, distance
+
+
 def verify_nash_local(rg: ReducedGame, c: CostParameters, sol: EquilibriumSolution,
                       n_trials: int = 200, radius: float = 0.5,
                       seed: int = 0):
@@ -593,8 +668,8 @@ def verify_nash_local(rg: ReducedGame, c: CostParameters, sol: EquilibriumSoluti
     times; deviations that destabilize the loop are skipped (they have
     infinite cost).  The deviated value matrices come from one stacked
     Lyapunov solve per player, and the check requires each to dominate
-    the equilibrium value matrix up to ``1e-8`` times the data scale
-    (equivalently: no initial state benefits).  Returns
+    the equilibrium value matrix P_i up to ``1e-8 max|P_i|``
+    (equivalently: no initial state benefits by more than rounding).  Returns
     ``(ok, counterexample)`` with the first violating deviation, in player
     then trial order, when found.
     """
@@ -615,7 +690,7 @@ def verify_nash_local(rg: ReducedGame, c: CostParameters, sol: EquilibriumSoluti
         solved = np.array([err is None for err in errors], dtype=bool)
         d = p_dev[solved, 0] - sol.p[i]
         gaps = np.linalg.eigvalsh(0.5 * (d + d.swapaxes(-1, -2)))[:, 0]
-        bad = np.flatnonzero(gaps < -1e-8 * sol.residuals.scale)
+        bad = np.flatnonzero(gaps < -1e-8 * np.abs(sol.p[i]).max(initial=0.0))
         if bad.size:
             k = stable[solved][bad[0]]
             return False, {"player": i, "delta": deltas[k], "min_eig_gap": float(gaps[bad[0]])}

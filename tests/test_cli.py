@@ -675,10 +675,11 @@ FILE_FAULTS = {
                         "error: --starts must be >= 0"),
     "seed-negative": (["forward", REPO_FIXTURE, "--seed", -1], {},
                       "error: --seed must be >= 0"),
-    "nash-trials-negative": (["verify", REPO_FIXTURE, "--theta", "theta.json",
-                              "--nash-trials", -1],
-                             {"theta.json": json.dumps({"theta": [[1.0] * 8, [1.0] * 8]})},
-                             "error: --nash-trials must be >= 0"),
+    # verify draws no random deviations, so it takes no trial count
+    "nash-trials-unknown": (["verify", REPO_FIXTURE, "--theta", "theta.json",
+                             "--nash-trials", 50],
+                            {"theta.json": json.dumps({"theta": [[1.0] * 8, [1.0] * 8]})},
+                            "error: unrecognized arguments: --nash-trials 50"),
     # malformed command lines: exit 1, not argparse's 2 (EXIT_ASSUMPTION)
     "argv-bad-int": (["forward", REPO_FIXTURE, "--starts", "abc"], {},
                      "error: argument --starts: invalid int value: 'abc'"),

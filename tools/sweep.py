@@ -8,14 +8,17 @@ every start count, and compares the solution sets with the ones saved in
 when no new one lies within ``MATCH_TOL`` of it (max-norm, relative to
 1 + max|F|); a new one that matches no saved one is found.  It also
 counts which start family (the start name without its index) each new
-solution came from first.
+solution came from first.  ``--check`` also runs the best-response
+certificate (``certify_nash``) on every solution it finds, and names
+each one the certificate rejects by its draw and start.
 
     python tools/sweep.py --check [--rng 777 778] [--starts 16 64]
     python tools/sweep.py --write [--rng 777 778] [--starts 16 64]
 
 ``--check`` prints the counts and exits 1 when any saved solution is
-lost; ``--write`` records the current solution sets for the given seeds
-and start counts, keeping the others.
+lost or any solution found is not certified; ``--write`` records the
+current solution sets for the given seeds and start counts, keeping the
+others.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 import numpy as np  # noqa: E402
 
 from conftest import friendly_costs, random_game  # noqa: E402
-from dgame import SolveOptions, reduce_game, solve_fbne  # noqa: E402
+from dgame import SolveOptions, certify_nash, reduce_game, solve_fbne  # noqa: E402
 
 SOLUTIONS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sweep_solutions.json")
 DRAWS = 200
@@ -52,17 +55,20 @@ def draws(seed: int):
         yield reduce_game(random_game(rng, n, r, dims)), friendly_costs(rng, n, dims)
 
 
-def solve_all(seed: int, starts: int):
+def solve_all(seed: int, starts: int, certify: bool = False):
     """Per draw, the list of ``(gain, start name)`` that ``solve_fbne``
-    returns (empty when it raises)."""
-    out = []
-    for rg, costs in draws(seed):
+    returns (empty when it raises), and the ``(draw, start name)`` of each
+    solution that ``certify_nash`` rejects when ``certify`` is set."""
+    out, rejected = [], []
+    for k, (rg, costs) in enumerate(draws(seed)):
         try:
             sols = solve_fbne(rg, costs, SolveOptions(n_starts=starts))
         except ValueError:
             sols = []
         out.append([(sol.f_star.matrix, sol.start) for sol in sols])
-    return out
+        rejected += [(k, sol.start) for sol in sols
+                     if certify and not certify_nash(rg, costs, sol.f_star)[0]]
+    return out, rejected
 
 
 def same(f, g) -> bool:
@@ -96,12 +102,12 @@ def main(argv=None) -> int:
     if os.path.exists(SOLUTIONS):
         with open(SOLUTIONS) as fh:
             saved = json.load(fh)
-    any_lost = False
+    failed = False
     for seed in args.rng:
         for starts in args.starts:
             key = f"rng{seed}-starts{starts}"
             t0 = time.perf_counter()
-            got = solve_all(seed, starts)
+            got, rejected = solve_all(seed, starts, certify=args.check)
             elapsed = time.perf_counter() - t0
             families = Counter(family(start) for sols in got for _, start in sols)
             total = sum(len(sols) for sols in got)
@@ -114,9 +120,11 @@ def main(argv=None) -> int:
                 return 2
             else:
                 lost, found = compare(saved[key], got)
-                any_lost |= lost > 0
+                failed |= lost > 0 or bool(rejected)
                 n_saved = sum(len(sols) for sols in saved[key])
-                line += f"; lost {lost} and found {found} against {n_saved} saved"
+                line += (f"; lost {lost} and found {found} against {n_saved} saved; "
+                         f"certificate rejects {len(rejected)}")
+                line += "".join(f"\n  not certified: draw {k}, {start}" for k, start in rejected)
             print(line, flush=True)
     if args.write:
         with open(SOLUTIONS, "w") as fh:
@@ -124,7 +132,7 @@ def main(argv=None) -> int:
                 f"  {json.dumps(key)}: [\n" + ",\n".join(
                     "    " + json.dumps(sols) for sols in value) + "\n  ]"
                 for key, value in sorted(saved.items())) + "\n}\n")
-    return 1 if any_lost else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
