@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -89,9 +91,16 @@ class UsageError(ValueError):
     """Malformed problem content or missing inputs for the command."""
 
 
+def _float_row(k: int) -> str:
+    """The %-template of a flat list of ``k`` floats."""
+    return "[" + ", ".join(["%.17g"] * k) + "]"
+
+
 def _fmt_json(obj, indent=0) -> str:
     """JSON with floats rendered at 17 significant digits (lossless for
-    doubles and byte-stable across runs)."""
+    doubles and byte-stable across runs).  A list of exact floats, or a
+    list of such lists, is rendered by one ``%`` format call, which
+    prints each float as ``format(v, ".17g")`` does."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -104,6 +113,12 @@ def _fmt_json(obj, indent=0) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
+        kinds = {*map(type, seq)}
+        if kinds == {float}:
+            return _float_row(len(seq)) % tuple(seq)
+        if kinds == {list} and {*map(type, chain.from_iterable(seq))} == {float}:
+            rows = ",\n".join(f"{pad}  " + _float_row(len(v)) for v in seq)
+            return "[\n" + rows % tuple(chain.from_iterable(seq)) + "\n" + pad + "]"
         flat = all(isinstance(v, (int, float, bool)) or v is None for v in seq)
         if flat:
             return "[" + ", ".join(_fmt_json(v) for v in seq) + "]"
@@ -181,9 +196,9 @@ def _check_numbers(raw, field: str, depth: int = 2) -> None:
     for _ in range(depth):
         if not all(type(v) is list and v for v in level):
             break
-        level = [x for v in level for x in v]
+        level = list(chain.from_iterable(level))
     else:
-        if all(type(x) in (int, float) for x in level):
+        if {*map(type, level)} <= {int, float}:
             return
     raise UsageError(f"{field} is not a numeric {_ARRAY_KINDS[depth]}")
 
@@ -614,7 +629,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing leaves it unchanged, so :func:`main` may run any
+    number of times in one process."""
     parser = _Parser(
         prog="dgame",
         description="Forward and inverse linear-quadratic descriptor differential games.",

@@ -44,13 +44,14 @@ start count, seed and tolerance are options.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .feedback import ReducedFeedback
 from .game import CostParameters, ReducedGame, m_matrix
 from .linalg import (is_stable, solve_lyapunov_stack, solve_riccati_stack, sorted_spectrum,
-                     symmetrize)
+                     symmetrize, triu_indices)
 
 __all__ = ["SolveOptions", "CareResiduals", "EquilibriumSolution", "IndefiniteInputWeightError",
            "same_behavior", "solution_at", "solve_fbne", "equilibrium_cost", "certify_nash",
@@ -146,9 +147,10 @@ class _Evaluator:
     v_bar[i][i]' (columns :r), the game's A_cl map
     (:meth:`ReducedGame.closed_loop`), the B1_i' blocks, the identity
     block of [I; F], the data scale, the max-entries and the cut of the
-    backward-error denominators, the index maps of the packed Newton
-    point, the Jacobian's constant blocks and the maps of its varying
-    ones.  Each method takes one gain F of
+    backward-error denominators and the index maps of the packed Newton
+    point; the Jacobian's constant blocks and the maps of its varying
+    ones (:attr:`newton`) are built on the first Newton step, so a caller
+    that never steps never builds them.  Each method takes one gain F of
     shape (m, r) or a stack (S, m, r), or one packed point of shape (nz,)
     or a stack (S, nz); per-player results carry a player axis before
     the matrix axes, and every product keeps the 2-D shape and operand
@@ -178,7 +180,8 @@ class _Evaluator:
         # has a rounding floor eps s above the tolerance in data units,
         # tol scale
         self.cut = tol * self.scale / np.finfo(float).eps
-        iu = np.triu_indices(r)
+        self.b1_stacked, self.input_dims = rg.b1_stacked, rg.input_dims
+        iu = triu_indices(r)
         nn = iu[0].size
         self.iu_flat = np.ravel_multi_index(iu, (r, r))
         self.tri_flat = (self.iu_flat + r * r * np.arange(n_players)[:, None]).reshape(-1)
@@ -187,28 +190,12 @@ class _Evaluator:
         mirror = np.empty((r, r), dtype=np.intp)
         mirror[iu] = mirror[iu[::-1]] = np.arange(nn)
         self.mirror = mirror + nn * np.arange(n_players)[:, None, None]
-        # the Jacobian's constant stationarity blocks: kron(G, I) against
-        # vec F, and (B1_k' U)[a, b] = B1_k'[a, x] against the unit U of
-        # P_k at {x, b}, zero-padded over the players to (m r, nn N)
-        mr = m * r
-        self.stat_f = np.kron(self.gbar, self.eye)
-        a, b, x = np.arange(m)[:, None, None], np.arange(r)[:, None], np.arange(r)
-        self.stat_p = np.zeros((mr, nn, n_players))
-        self.stat_p[a * r + b, mirror[x, b], np.repeat(np.arange(n_players), rg.input_dims)[
-            :, None, None]] = rg.b1_stacked.T[a, x]
-        self.stat_p = self.stat_p.reshape(mr, -1)
-        # maps of the varying blocks at Riccati row (c, d): (A' U)[c, d] is
-        # A[x, c] at the unit U of P at {x, d}, (U A)[c, d] is A[x, d] at
-        # {c, x}; (E' H)[c, d] is H[a, d] at the unit E of F at (a, c),
-        # (H' E)[c, d] is H[a, c] at (a, d), and H's zero row m gives 0
-        t, x, c, d = np.arange(nn)[:, None], np.arange(r), iu[0][:, None], iu[1][:, None]
-        self.l_at = ((t * nn + mirror[x, d]).ravel(), (t * nn + mirror[c, x]).ravel())
-        self.l_from = ((x * r + c).ravel(), (x * r + d).ravel())
-        self.h_b1_t = np.vstack([rg.b1_stacked.T, np.zeros((1, r))])
-        self.h_ms = np.concatenate([self.ms[:, r:, :], np.zeros((n_players, 1, r + m))], axis=1)
-        h_at = (np.arange(n_players)[:, None, None] * (m + 1) + np.arange(m)[:, None]) * r
-        self.d_from = tuple(np.where(np.arange(r) == u[..., None, None], h_at + v[..., None, None],
-                                     mr).reshape(nn, n_players, mr) for u, v in ((c, d), (d, c)))
+
+    @cached_property
+    def newton(self) -> _NewtonBlocks:
+        """The Newton system's constant blocks and index maps, built on the
+        first Newton step (:func:`_newton_steps`)."""
+        return _NewtonBlocks(self)
 
     def own_weights_definite(self):
         """Per player, whether the effective own-input weight r_bar[i][i],
@@ -330,21 +317,57 @@ class _Evaluator:
         """The blocks of :meth:`vector`'s Jacobian that move with the point.
 
         It is [[K, B_k], [D_k, L]]: the stationarity rows G dF + B1_k' dP_k
-        hold the constants K (``stat_f``) and B_k (``stat_p``); player k's
+        hold the constants K and B_k (:attr:`newton`); player k's
         Riccati rows A_cl' dP_k + dP_k A_cl + dF' H_k + H_k' dF, with
         H_k = B1' P_k + M_k[r:, :] [I; F], hold D_k and the Lyapunov
         operator L that every player shares.  At the gain f, value
         matrices p and loop a_cl = A_cl(f), returns every D_k as d_f,
         (..., nn, N, m r), and L as d_p, (..., nn, nn).
         """
-        r, nn, lead = self.r, self.iu_flat.size, f.shape[:-2]
-        h = (self.h_b1_t @ p + self.h_ms @ self.lift(f)[..., None, :, :]).reshape(lead + (-1,))
-        d_f = h.take(self.d_from[0], axis=-1) + h.take(self.d_from[1], axis=-1)
+        r, nn, lead, nb = self.r, self.iu_flat.size, f.shape[:-2], self.newton
+        h = (nb.h_b1_t @ p + nb.h_ms @ self.lift(f)[..., None, :, :]).reshape(lead + (-1,))
+        d_f = h.take(nb.d_from[0], axis=-1) + h.take(nb.d_from[1], axis=-1)
         a_cl = a_cl.reshape(lead + (r * r,))
         d_p = np.zeros(lead + (nn * nn,))
-        d_p[..., self.l_at[0]] = a_cl[..., self.l_from[0]]
-        d_p[..., self.l_at[1]] += a_cl[..., self.l_from[1]]
+        d_p[..., nb.l_at[0]] = a_cl[..., nb.l_from[0]]
+        d_p[..., nb.l_at[1]] += a_cl[..., nb.l_from[1]]
         return d_f, d_p.reshape(lead + (nn, nn))
+
+
+class _NewtonBlocks:
+    """What the packed Newton system of one evaluator holds fixed: the
+    Jacobian's constant stationarity blocks K (``stat_f``) and B_k
+    (``stat_p``), and the index maps its varying blocks are read through
+    (:meth:`_Evaluator.jacobian`).  Built from the evaluator, it keeps no
+    reference to it, so an evaluator is freed as soon as its last user
+    lets it go."""
+
+    def __init__(self, ev: _Evaluator):
+        r, m, n_players, mr = ev.r, ev.m, ev.n_players, ev.m * ev.r
+        iu = triu_indices(r)
+        nn = iu[0].size
+        mirror = ev.mirror[0]
+        # the Jacobian's constant stationarity blocks: kron(G, I) against
+        # vec F, and (B1_k' U)[a, b] = B1_k'[a, x] against the unit U of
+        # P_k at {x, b}, zero-padded over the players to (m r, nn N)
+        self.stat_f = np.kron(ev.gbar, ev.eye)
+        a, b, x = np.arange(m)[:, None, None], np.arange(r)[:, None], np.arange(r)
+        self.stat_p = np.zeros((mr, nn, n_players))
+        self.stat_p[a * r + b, mirror[x, b], np.repeat(np.arange(n_players), ev.input_dims)[
+            :, None, None]] = ev.b1_stacked.T[a, x]
+        self.stat_p = self.stat_p.reshape(mr, -1)
+        # maps of the varying blocks at Riccati row (c, d): (A' U)[c, d] is
+        # A[x, c] at the unit U of P at {x, d}, (U A)[c, d] is A[x, d] at
+        # {c, x}; (E' H)[c, d] is H[a, d] at the unit E of F at (a, c),
+        # (H' E)[c, d] is H[a, c] at (a, d), and H's zero row m gives 0
+        t, x, c, d = np.arange(nn)[:, None], np.arange(r), iu[0][:, None], iu[1][:, None]
+        self.l_at = ((t * nn + mirror[x, d]).ravel(), (t * nn + mirror[c, x]).ravel())
+        self.l_from = ((x * r + c).ravel(), (x * r + d).ravel())
+        self.h_b1_t = np.vstack([ev.b1_stacked.T, np.zeros((1, r))])
+        self.h_ms = np.concatenate([ev.ms[:, r:, :], np.zeros((n_players, 1, r + m))], axis=1)
+        h_at = (np.arange(n_players)[:, None, None] * (m + 1) + np.arange(m)[:, None]) * r
+        self.d_from = tuple(np.where(np.arange(r) == u[..., None, None], h_at + v[..., None, None],
+                                     mr).reshape(nn, n_players, mr) for u, v in ((c, d), (d, c)))
 
 
 def solution_at(rg: ReducedGame, c: CostParameters,
@@ -407,8 +430,8 @@ def _newton_steps(ev: _Evaluator, z, res):
         y = _solve_each(d_p, np.concatenate([d_f, -res_p[..., None]], axis=-1).reshape(
             len(d_p), nn, -1)).reshape(d_f.shape[:-1] + (mr + 1,))
         # [S | b] = [K | -res_F] - sum_k B_k y_k
-        schur = -(ev.stat_p @ y.reshape(len(d_p), -1, mr + 1))
-        schur[..., :mr] += ev.stat_f
+        schur = -(ev.newton.stat_p @ y.reshape(len(d_p), -1, mr + 1))
+        schur[..., :mr] += ev.newton.stat_f
         schur[..., mr] -= res[sl, :mr]
         d_f = _solve_each(schur[..., :mr], schur[..., mr:])
         step[sl, :mr] = d_f[..., 0]

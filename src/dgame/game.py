@@ -53,18 +53,21 @@ class StaticGameError(ValueError):
     """rank E = 0: the game has no dynamic state (r = 0) to steer."""
 
 
-def _check_stabilizable(j: np.ndarray, b1: np.ndarray, label: str) -> None:
-    """Hautus test: rank [lam I - J, B] = r at every unstable eigenvalue."""
+def _check_stabilizable(j: np.ndarray, lams: np.ndarray, b1: np.ndarray, label: str) -> None:
+    """Hautus test: rank [lam I - J, B] = r at every unstable eigenvalue
+    lam of J among ``lams``, by one stacked SVD; raises naming the first
+    failing one in ``lams`` order."""
     r = j.shape[0]
-    for lam in np.linalg.eigvals(j):
-        if lam.real < 0:
-            continue
-        m = np.hstack([lam * np.eye(r) - j, b1.astype(complex)])
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] <= HAUTUS_TOL * max(1.0, s[0]):
-            raise UnstabilizableError(
-                f"pair (J, B1[{label}]) is not stabilizable at eigenvalue {lam:.4g}"
-            )
+    unstable = lams[~(lams.real < 0)]
+    m = np.empty((unstable.size, r, r + b1.shape[1]), dtype=complex)
+    m[:, :, :r] = unstable[:, None, None] * np.eye(r) - j
+    m[:, :, r:] = b1
+    s = np.linalg.svd(m, compute_uv=False)
+    bad = np.flatnonzero(s[:, -1] <= HAUTUS_TOL * np.maximum(1.0, s[:, 0]))
+    if bad.size:
+        raise UnstabilizableError(
+            f"pair (J, B1[{label}]) is not stabilizable at eigenvalue {unstable[bad[0]]:.4g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,9 @@ class DescriptorGame:
         w = weierstrass(Pencil(e, a))  # raises on irregular / index >= 2
         if w.r == 0:
             raise StaticGameError("rank E = 0 leaves the game no dynamic state (r = 0)")
+        lams = np.linalg.eigvals(w.j)
         for i, bi in enumerate(bs):
-            _check_stabilizable(w.j, (w.y.T @ bi)[: w.r], str(i))
+            _check_stabilizable(w.j, lams, (w.y.T @ bi)[: w.r], str(i))
         object.__setattr__(self, "decomposition", w)
 
     @property

@@ -41,6 +41,7 @@ from .linalg import (
     kernel_basis,
     min_eig_sym,
     solve_lyapunov_stack,
+    triu_indices,
     unvech,
     vech,
 )
@@ -112,7 +113,7 @@ class ThetaLayout:
         parts = []
         for y in (y_q, *y_r):
             y = np.asarray(y, dtype=float)
-            col, row = np.triu_indices(y.shape[-1])   # vech order of the lower triangle
+            col, row = triu_indices(y.shape[-1])   # vech order of the lower triangle
             folded = (y + np.swapaxes(y, -1, -2))[..., row, col]
             parts.append(np.where(row == col, 0.5, 1.0) * folded)
         return np.concatenate(parts, axis=-1)

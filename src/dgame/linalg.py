@@ -19,6 +19,8 @@ iteration for the matrix sign function of their Hamiltonians
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.linalg as sla
 
@@ -83,6 +85,16 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+@functools.cache
+def triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n)``, built once per order and shared, so its
+    arrays are read-only."""
+    iu = np.triu_indices(n)
+    for a in iu:
+        a.flags.writeable = False
+    return iu
+
+
 def vech(a: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
     """Half-vectorization of a symmetric matrix.
 
@@ -93,7 +105,7 @@ def vech(a: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if not is_symmetric(a, tol):
         raise ValueError("vech requires a symmetric matrix")
-    col, row = np.triu_indices(a.shape[0])    # the lower triangle, column by column
+    col, row = triu_indices(a.shape[0])    # the lower triangle, column by column
     return a[row, col]
 
 
@@ -102,7 +114,7 @@ def unvech(v: np.ndarray, n: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.size != n * (n + 1) // 2:
         raise ValueError(f"vech vector of length {v.size} does not match n={n}")
-    col, row = np.triu_indices(n)
+    col, row = triu_indices(n)
     m = np.zeros((n, n))
     m[row, col] = m[col, row] = v
     return m

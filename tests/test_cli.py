@@ -514,6 +514,115 @@ def test_reports_are_byte_deterministic(tmp_path):
     assert rep["meta"]["command"] == "inverse"
 
 
+def _fmt_json_reference(obj, indent=0) -> str:
+    """Oracle for ``cli._fmt_json``: the recursive formatter that renders
+    every value with its own call, floats as ``format(v, ".17g")``."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f'{pad}  {json.dumps(str(k))}: {_fmt_json_reference(v, indent + 1)}'
+            for k, v in obj.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        flat = all(isinstance(v, (int, float, bool)) or v is None for v in seq)
+        if flat:
+            return "[" + ", ".join(_fmt_json_reference(v) for v in seq) + "]"
+        items = ",\n".join(f"{pad}  {_fmt_json_reference(v, indent + 1)}" for v in seq)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    return json.dumps(obj)
+
+
+# doubles whose exact decimal expansion has 18 significant digits ending
+# in 5, so that 17 digits round a tie, and their neighbours
+_TIES = [2.0 ** 50 + 0.25, 2.0 ** 50 + 0.75, 2.0 ** 49 + 0.125, 2.0 ** 49 + 0.375]
+_TIES += [np.nextafter(t, d) for t in _TIES for d in (0.0, np.inf)]
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e16, -1e16, 1e-5,
+                1e308, -1e308, 0.1, 1.0 / 3.0, float("inf"), -float("inf"), float("nan")]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS + _TIES)), min_size=1))
+@example(_EDGE_FLOATS)
+@example(_TIES + [-t for t in _TIES])
+def test_float_lists_format_as_one_call_per_value(values):
+    # the one-call rows print what format(v, ".17g") prints, as a row and
+    # as the rows of a matrix, at any depth
+    values = [float(v) for v in values]
+    for obj in (values, [values, values[::-1], []], {"m": [values], "p": [[values]]}):
+        assert cli._fmt_json(obj) == _fmt_json_reference(obj)
+
+
+def _report_values(leaves):
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.dictionaries(st.text(max_size=3), kids, max_size=4)),
+        max_leaves=24)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_report_values(st.one_of(
+    st.floats(), st.integers(-10 ** 20, 10 ** 20), st.booleans(), st.none(),
+    st.floats().map(np.float64), st.integers(-5, 5).map(np.int64), st.text(max_size=3))))
+def test_report_shaped_values_format_as_the_recursive_formatter(obj):
+    assert cli._fmt_json(obj) == _fmt_json_reference(obj)
+
+
+def test_report_emission_matches_the_recursive_formatter(tmp_path, monkeypatch):
+    # whole reports of the lane commands, nested dicts of matrices,
+    # spectra, counts, verdicts and names, as the commands build them
+    reports, emit = [], cli._emit_report
+    monkeypatch.setattr(cli, "_emit_report", lambda report, out: (reports.append(report),
+                                                                  emit(report, out)))
+    theta_file(tmp_path, THETA_MIS)
+    for argv in (["reduce"], ["forward", "--starts", 8], ["inverse", "--starts", 4],
+                 ["misspecify", "--starts", 8], ["verify", "--theta", tmp_path / "theta.json"]):
+        out = tmp_path / f"{argv[0]}.json"
+        assert run([argv[0], REPO_FIXTURE, *argv[1:], "--out", out]) == 0
+        assert out.read_text() == _fmt_json_reference(reports[-1]) + "\n"
+    assert len(reports) == 5
+
+
+@pytest.mark.parametrize("seq", [
+    [1, 2.0], [2.0, 1], [True, 1.0], [1.0, False], [None, 1.0], [np.float64(0.1), 0.2],
+    [0.5, np.float32(0.1)], [[1.0, 2], [3.0, 4.0]], [[0.1], [np.float64(0.2)]],
+    [[True], [1.0]], [[1.0], None], [[1.0], (2.0,)],
+])
+def test_mixed_lists_keep_the_per_value_path(monkeypatch, seq):
+    # a list holding anything but exact floats renders value by value,
+    # so ints stay ints, bools stay true / false and None stays null
+    rows, float_row = [], cli._float_row
+    monkeypatch.setattr(cli, "_float_row", lambda k: rows.append(k) or float_row(k))
+    assert cli._fmt_json(seq) == _fmt_json_reference(seq)
+    assert rows == [len(v) for v in seq if type(v) in (list, tuple) and {*map(type, v)} == {float}]
+
+
+def test_main_reuses_one_parser_without_leaking_options(tmp_path):
+    # one parser serves every call in a process; each call parses its
+    # own argv from the defaults, so no option carries over
+    assert cli.build_parser() is cli.build_parser()
+    tf = theta_file(tmp_path, THETA_MIS)
+    assert run(["verify", REPO_FIXTURE, "--theta", tf, "--nash-trials", "50"]) == 1
+    out = tmp_path / "rep.json"
+    assert run(["forward", REPO_FIXTURE, "--costs", "identified", "--starts", 24,
+                "--out", out]) == 0
+    assert len(json.loads(out.read_text())["forward"]) == 2
+    assert run(["forward", REPO_FIXTURE, "--starts", 24, "--out", out]) == 0
+    report = json.loads(out.read_text())
+    assert len(report["forward"]) == 1 and report["meta"]["starts"] == 24
+    assert cli.build_parser.cache_info().currsize == 1
+
+
 def test_malformed_problem_files(tmp_path, capsys):
     path = tmp_path / "broken.json"
 

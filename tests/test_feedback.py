@@ -457,7 +457,10 @@ def test_format_rows_spans_blocks_and_column_groups():
 
 
 def test_importing_the_cli_builds_no_format_tables():
+    # nor the command-line parser, which the first call of main builds
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = "import dgame.cli, dgame.feedback as f; assert f._tables.cache_info().currsize == 0"
+    code = ("import dgame.cli as c, dgame.feedback as f\n"
+            "assert f._tables.cache_info().currsize == 0\n"
+            "assert c.build_parser.cache_info().currsize == 0")
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -1,7 +1,9 @@
 """Forward solver: residual calculus, enumeration, equilibrium verification."""
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -442,13 +444,13 @@ def test_residual_system_matches_oracle_bytes(case):
 
 def _dense_jacobian(ev, f, p):
     """The full Jacobian of ``ev.vector``, (..., nz, nz), assembled from
-    the evaluator's constant stationarity blocks and the blocks
+    the evaluator's constant stationarity blocks (``ev.newton``) and the blocks
     ``ev.jacobian`` returns."""
     mr, nn = ev.m * ev.r, ev.r * (ev.r + 1) // 2
     d_f, d_p = ev.jacobian(f, p, ev.closed_loop(f))
     jac = np.zeros(f.shape[:-2] + (mr + ev.n_players * nn,) * 2)
-    jac[..., :mr, :mr] = ev.stat_f
-    stat_p = ev.stat_p.reshape(mr, nn, ev.n_players)
+    jac[..., :mr, :mr] = ev.newton.stat_f
+    stat_p = ev.newton.stat_p.reshape(mr, nn, ev.n_players)
     for k in range(ev.n_players):
         block = slice(mr + k * nn, mr + (k + 1) * nn)
         jac[..., :mr, block] = stat_p[:, :, k]
@@ -965,3 +967,43 @@ def test_root_evaluates_once_per_newton_step(lane, monkeypatch):
         counts.update(vector=0, newton=0)
         assert solve_fbne(lane["rg"], lane[costs], SolveOptions())
         assert 0 < counts["vector"] <= counts["newton"] + 1
+
+
+def test_only_newton_steps_build_the_newton_blocks(lane, monkeypatch):
+    # the Jacobian's constant blocks and index maps are the Newton step's
+    # alone: the certificate, the candidate solution and the spot check
+    # never build them, and a solve builds them once
+    rg, c = lane["rg"], lane["costs_gt"]
+    (sol,) = solve_fbne(rg, c, FAST)
+    built = []
+
+    class Spy(forward._NewtonBlocks):
+        def __init__(self, ev):
+            built.append(type(ev))
+            super().__init__(ev)
+
+    monkeypatch.setattr(forward, "_NewtonBlocks", Spy)
+    assert certify_nash(rg, c, sol.f_star)[0]
+    solution_at(rg, c, sol.f_star)
+    assert verify_nash_local(rg, c, sol, n_trials=20)[0]
+    assert built == []
+    assert len(solve_fbne(rg, c, FAST)) == 1
+    assert built == [_Evaluator]
+
+
+def test_an_evaluator_is_freed_without_the_cyclic_collector(lane):
+    # an evaluator that has stepped holds its Newton blocks, and they hold
+    # nothing that leads back to it: with the cyclic collector off it is
+    # freed the moment its last reference goes
+    rg, c = lane["rg"], lane["costs_id"]
+    ev = _Evaluator(rg, c)
+    z = _newton_starts(ev, rg, [f0 for _, f0 in _starting_points(rg, SolveOptions(n_starts=2))])
+    assert np.isfinite(forward._newton_steps(ev, z, ev.vector(z))).all()
+    assert isinstance(vars(ev).get("newton"), forward._NewtonBlocks)
+    ref = weakref.ref(ev)
+    gc.disable()
+    try:
+        del ev
+        assert ref() is None
+    finally:
+        gc.enable()

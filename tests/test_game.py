@@ -12,13 +12,15 @@ from dgame import (
     simulate,
 )
 from dgame.forward import _Evaluator
-from dgame.pencil import ImpulsiveModesError
+from dgame.game import HAUTUS_TOL
+from dgame.pencil import ImpulsiveModesError, Pencil, weierstrass
 from conftest import (
     KS,
     friendly_costs,
     lane_costs_gt,
     lane_game,
     lane_profile_gt,
+    planted_draw,
     random_game,
     stabilizing_reduced_gain,
 )
@@ -81,6 +83,105 @@ def test_construction_rejects_unstabilizable_player():
     b = np.array([[0.0], [1.0]])
     with pytest.raises(UnstabilizableError):
         DescriptorGame(np.eye(2), a, (b,))
+
+
+def _hautus_reference(j, b1, label):
+    """Oracle for the stacked Hautus test: one SVD of [lam I - J, B1] per
+    unstable eigenvalue of J, in ``eigvals`` order, raising at the first
+    whose rank falls short."""
+    r = j.shape[0]
+    for lam in np.linalg.eigvals(j):
+        if lam.real < 0:
+            continue
+        m = np.hstack([lam * np.eye(r) - j, b1.astype(complex)])
+        s = np.linalg.svd(m, compute_uv=False)
+        if s[-1] <= HAUTUS_TOL * max(1.0, s[0]):
+            raise UnstabilizableError(
+                f"pair (J, B1[{label}]) is not stabilizable at eigenvalue {lam:.4g}"
+            )
+
+
+def _construction_error(e, a, bs):
+    """The text of the error constructing the game raises, or None."""
+    try:
+        DescriptorGame(e, a, bs)
+    except UnstabilizableError as exc:
+        return str(exc)
+    return None
+
+
+def _reference_error(e, a, bs):
+    """The text of the first error the per-eigenvalue loop raises over the
+    players, or None."""
+    w = weierstrass(Pencil(np.asarray(e, dtype=float), np.asarray(a, dtype=float)))
+    try:
+        for i, bi in enumerate(bs):
+            _hautus_reference(w.j, (w.y.T @ np.asarray(bi, dtype=float))[: w.r], str(i))
+    except UnstabilizableError as exc:
+        return str(exc)
+    return None
+
+
+# (E, A, per-player B) and the error the construction must raise, if any
+HAUTUS_CASES = {
+    # 1 is a double eigenvalue with two eigenvectors: one input cannot
+    # reach both, two inputs can
+    "repeated-one-input": (np.eye(3), np.diag([1.0, 1.0, -1.0]),
+                           (np.array([[1.0], [1.0], [0.0]]),),
+                           "pair (J, B1[0]) is not stabilizable at eigenvalue 1"),
+    "repeated-two-inputs": (np.eye(3), np.diag([1.0, 1.0, -1.0]),
+                            (np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),), None),
+    # an input that reaches neither unstable mode: the first in eigvals
+    # order is named
+    "two-failing-modes": (np.eye(3), np.diag([2.0, 1.0, -1.0]),
+                          (np.array([[0.0], [0.0], [1.0]]),),
+                          "pair (J, B1[0]) is not stabilizable at eigenvalue 2"),
+    # a Jordan block at 1 is reached through its last state
+    "jordan-block": (np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]),
+                     (np.array([[0.0], [1.0]]),), None),
+    # player 1 reaches the mode at 2 but not the one at 1 after it
+    "second-player-later-eigenvalue": (np.eye(3), np.diag([2.0, 1.0, -1.0]),
+                                       (np.array([[1.0], [1.0], [0.0]]),
+                                        np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])),
+                                       "pair (J, B1[1]) is not stabilizable at eigenvalue 1"),
+    # a descriptor game whose algebraic part the reduction removes
+    "descriptor-second-player": (np.diag([1.0, 1.0, 0.0]), np.diag([2.0, 1.0, 1.0]),
+                                 (np.array([[1.0], [1.0], [1.0]]),
+                                  np.array([[1.0], [0.0], [1.0]])),
+                                 "pair (J, B1[1]) is not stabilizable at eigenvalue 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAUTUS_CASES))
+def test_stacked_hautus_test_matches_the_eigenvalue_loop(case):
+    e, a, bs, want = HAUTUS_CASES[case]
+    assert _construction_error(e, a, bs) == _reference_error(e, a, bs) == want
+
+
+@pytest.mark.parametrize("n", [16, 32, 48])
+def test_stacked_hautus_test_matches_the_loop_on_planted_draws(n):
+    # the benchmark's planted games pass; with player 1's input cut off
+    # from one unstable mode of J they fail, naming the same eigenvalue
+    prob = planted_draw(n)
+    e, a = (np.array(prob[k], dtype=float) for k in ("E", "A"))
+    bs = [np.array(b, dtype=float) for b in prob["B"]]
+    assert _construction_error(e, a, bs) is None
+    assert _reference_error(e, a, bs) is None
+    w = weierstrass(Pencil(e, a))
+    lams, vecs = np.linalg.eig(w.j.T)
+    unstable = np.flatnonzero(lams.real >= 0)
+    assert unstable.size
+    # B1_1 = Y1' B_1 orthogonal to a left eigenvector of J at a real
+    # unstable eigenvalue, or to both parts of a complex one's
+    k = unstable[-1]
+    left = np.column_stack([vecs[:, k].real, vecs[:, k].imag])
+    basis = np.linalg.qr(left[:, np.abs(left).max(axis=0) > 0])[0]
+    b1 = (w.y.T @ bs[1])[: w.r]
+    b1 -= basis @ (basis.T @ b1)
+    cut = bs[:1] + [np.linalg.solve(w.y.T, np.vstack([b1, (w.y.T @ bs[1])[w.r:]]))]
+    got = _construction_error(e, a, cut)
+    assert got is not None and "B1[1]" in got
+    assert got == _reference_error(e, a, cut)
 
 
 def test_cost_parameters_reject_asymmetric():

@@ -83,6 +83,14 @@ def test_unvech_round_trip():
         np.testing.assert_array_equal(unvech(vech(s), n), s)
 
 
+def test_triu_indices_are_built_once_per_order_and_read_only():
+    for n in (1, 2, 5, 32):
+        iu = linalg.triu_indices(n)
+        assert linalg.triu_indices(n) is iu
+        assert all(np.array_equal(a, b) for a, b in zip(iu, np.triu_indices(n)))
+        assert not any(a.flags.writeable for a in iu)
+
+
 def test_duplication_small_cases():
     assert np.array_equal(duplication_matrix(1), [[1.0]])
     d2 = duplication_matrix(2)
