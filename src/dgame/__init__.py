@@ -54,6 +54,7 @@ from .feedback import (
     read_trajectory_csv,
     reduce_feedback,
     simulate,
+    simulate_blocks,
     write_trajectory_csv,
 )
 from .forward import (

@@ -12,7 +12,8 @@ cost set (``costs``), named alternates (``cost_sets``, selected with
 ``--costs``), an observed feedback (``F``) and identification constraints;
 :func:`load_problem` is their only check.  Reports are JSON with floats at
 17 significant digits, written atomically, so identical inputs and seeds
-give byte-identical output.  Exit codes: 0 success, 1 usage/malformed input
+give byte-identical output; ``simulate`` writes its CSV as it computes the
+samples, into a file the same atomic way.  Exit codes: 0 success, 1 usage/malformed input
 (including a malformed command line, a file that cannot be read or written,
 a missing key or a wrong JSON type, a ragged or non-finite matrix and an
 out-of-range or empty ``support``), 2 model assumption violated (including
@@ -41,11 +42,12 @@ from .feedback import (
     FeedbackProfile,
     UnstableLoopError,
     _format_rows,
+    _write_csv,
     fit_feedback,
     read_trajectory_csv,
     reduce_feedback,
     simulate,
-    write_trajectory_csv,
+    simulate_blocks,
 )
 from .game import (
     CostParameters,
@@ -71,7 +73,7 @@ from .forward import (
     certify_nash,
     solve_fbne,
 )
-from .linalg import eigvals, sorted_spectrum
+from .linalg import sorted_spectrum
 from .pencil import ImpulsiveModesError, IrregularPencilError
 
 __all__ = ["main"]
@@ -142,18 +144,31 @@ def _writing(path: str):
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _write_atomic(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_open(path: str, newline: str | None = None):
+    """A text stream to a temporary file beside ``path`` that replaces
+    ``path`` once the block ends, with the mode ``open`` gives a new file;
+    if the block fails, the temporary file is removed and ``path`` is left
+    as it was."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    umask = os.umask(0o22)
+    os.umask(umask)
     with _writing(path):
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+            os.chmod(tmp, 0o666 & ~umask)
+            with os.fdopen(fd, "w", newline=newline) as fh:
+                yield fh
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+
+
+def _write_atomic(path: str, text: str) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _emit_report(report: dict, out_path: str | None) -> None:
@@ -359,7 +374,7 @@ def _pencil_section(rg) -> dict:
         "regular": True,
         "index": rg.w.index,
         "r": rg.r,
-        "finite_spectrum": _spec_pairs(sorted_spectrum(eigvals(rg.j))),
+        "finite_spectrum": _spec_pairs(sorted_spectrum(rg.w.eigenvalues)),
     }
 
 
@@ -608,15 +623,20 @@ def cmd_simulate(args, problem: Problem, rg) -> int:
         raise UsageError("--x1-0 must have finite entries")
     if not (0.0 < args.dt < np.inf and 0.0 <= args.horizon < np.inf):
         raise UsageError("need a finite --dt > 0 and a finite --horizon >= 0")
+    samples = int(round(args.horizon / args.dt)) + 1
     try:
-        traj = simulate(rg, problem.f_observed, x1_0, float(args.horizon), float(args.dt))
+        blocks = simulate_blocks(rg, problem.f_observed, x1_0, args.horizon, args.dt)
+        # the rows are written as they are simulated; a file appears only whole
+        if args.out:
+            with _atomic_open(args.out, newline="") as fh:
+                _write_csv(fh, rg.n, rg.m, blocks)
+        else:
+            with _writing("standard output"):
+                _write_csv(sys.stdout, rg.n, rg.m, blocks)
     except MemoryError as exc:
-        samples = int(round(args.horizon / args.dt)) + 1
         raise UsageError(f"cannot allocate {samples} samples; "
                          "raise --dt or lower --horizon") from exc
-    with _writing(args.out or "standard output"):
-        write_trajectory_csv(traj, args.out or sys.stdout)
-    print(f"simulate: {len(traj.times)} samples over {args.horizon}s", file=sys.stderr)
+    print(f"simulate: {samples} samples over {args.horizon}s", file=sys.stderr)
     return EXIT_OK
 
 

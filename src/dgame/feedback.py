@@ -12,11 +12,16 @@ equilibria are informationally non-unique.  This module implements the
 admissibility test, the reduction and its preimage (membership test and
 seeded sampling), exact closed-loop simulation in blocks of steps, feedback
 recovery from trajectories, and the trajectory CSV (exact ``%.17g``, CRLF).
+Simulation yields its samples in blocks of rows as they are computed, and
+the CSV writer formats each block as it arrives, so a simulation streamed
+to a file (``dgame simulate``) holds a few blocks in memory at any horizon.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +43,15 @@ __all__ = [
     "preimage_member",
     "preimage_sample",
     "simulate",
+    "simulate_blocks",
     "fit_feedback",
     "write_trajectory_csv",
     "read_trajectory_csv",
 ]
 
-# rows per formatted write, which bounds the formatter's working arrays
-# (about 0.5 kB per value), and closed-loop steps per propagation product
+# rows per simulated block and formatted write, which bound the working
+# arrays (about 0.5 kB per value), and closed-loop steps per propagation
+# product; the first must be a multiple of the second (see _propagate)
 _ROWS_PER_WRITE, _STEPS_PER_BLOCK = 256, 64
 
 
@@ -248,7 +255,23 @@ class Trajectory:
 def simulate(g: DescriptorGame | ReducedGame,
              f: FeedbackProfile | ReducedFeedback,
              x1_0: np.ndarray, horizon: float, dt: float) -> Trajectory:
-    """Simulate the closed loop from the consistent lift of ``x1_0``.
+    """Simulate the closed loop from the consistent lift of ``x1_0``: the
+    samples of :func:`simulate_blocks`, joined."""
+    rg = g if isinstance(g, ReducedGame) else reduce_game(g)
+    times, x, u = (np.concatenate(c) for c in zip(*simulate_blocks(rg, f, x1_0, horizon, dt)))
+    return Trajectory(times=times, x=x, u=u, input_dims=rg.input_dims)
+
+
+def simulate_blocks(g: DescriptorGame | ReducedGame,
+                    f: FeedbackProfile | ReducedFeedback,
+                    x1_0: np.ndarray, horizon: float,
+                    dt: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The closed-loop samples from the consistent lift of ``x1_0`` at
+    ``t_k = k dt``, ``k = 0 .. round(horizon / dt)``, as ``(t, x, u)``
+    blocks of ``_ROWS_PER_WRITE`` rows (the last one shorter, or one row
+    longer), each computed when it is asked for, so memory does not grow
+    with the horizon.  The arguments are checked on the call, before any
+    block is computed.
 
     The reduced state is propagated exactly with the matrix exponential
     over uniform steps (the loop is LTI, so there is no integration
@@ -270,20 +293,35 @@ def simulate(g: DescriptorGame | ReducedGame,
         raise ValueError("need dt > 0 and horizon >= 0")
     steps = int(round(horizon / dt))
     phi = sla.expm(a_cl * dt)
-    s = preimage_matrix(rg, f_red)
-    times = np.arange(steps + 1) * dt
     powers = [phi]
     while len(powers) < min(steps, _STEPS_PER_BLOCK):
         powers.append(phi @ powers[-1])
-    powers = np.vstack(powers)
-    x1 = np.empty((steps + 1, rg.r))
+    return _propagate(np.vstack(powers), preimage_matrix(rg, f_red), f_red.matrix,
+                      x1_0, steps, dt)
+
+
+def _propagate(powers, s, f_red, x1_0, steps, dt):
+    """The generator behind :func:`simulate_blocks`.  Each block's rows
+    start on a multiple of ``_STEPS_PER_BLOCK`` (``_ROWS_PER_WRITE`` is
+    one), so its propagation products start from the same states, and its
+    products with ``S'`` and ``F_red'`` give the same bits, as those over
+    the whole horizon at once.  A lone last row stays with the block
+    before it: a one-row product runs as a matrix-vector product, whose
+    bits differ from a row of a matrix product's."""
+    r = x1_0.size
+    x1 = np.empty((_ROWS_PER_WRITE + 1, r))  # a block's states and the next one's first
     x1[0] = x1_0
-    for k in range(0, steps, _STEPS_PER_BLOCK):
-        ahead = powers[:(steps - k) * rg.r] @ x1[k]
-        x1[k + 1:k + 1 + _STEPS_PER_BLOCK] = ahead.reshape(-1, rg.r)
-    u = x1 @ f_red.matrix.T
-    x = x1 @ s.T
-    return Trajectory(times=times, x=x, u=u, input_dims=rg.input_dims)
+    for lo in range(0, steps + 1, _ROWS_PER_WRITE):
+        rows = steps + 1 - lo
+        if rows > _ROWS_PER_WRITE + 1:
+            rows = _ROWS_PER_WRITE
+        for j in range(0, min(_ROWS_PER_WRITE, steps - lo), _STEPS_PER_BLOCK):
+            ahead = (powers[:(steps - lo - j) * r] @ x1[j]).reshape(-1, r)
+            x1[j + 1:j + 1 + len(ahead)] = ahead
+        yield np.arange(lo, lo + rows) * dt, x1[:rows] @ s.T, x1[:rows] @ f_red.T
+        if lo + rows > steps:
+            return
+        x1[0] = x1[_ROWS_PER_WRITE]
 
 
 @dataclass(frozen=True)
@@ -367,22 +405,48 @@ def _tables() -> dict:
 def _format_rows(values, fh, line_end: str) -> None:
     """Write the rows of ``values`` (float columns or column blocks of one
     length, side by side) to the text stream ``fh``, each exactly as
-    ``",".join("%.17g" % v for v in row) + line_end``, in blocks of rows.
+    ``",".join("%.17g" % v for v in row) + line_end``, in blocks of
+    ``_ROWS_PER_WRITE`` rows (see :func:`_format_blocks`)."""
+    _format_blocks(_row_blocks(values), fh, line_end)
+
+
+def _row_blocks(values):
+    """``values`` (columns or column blocks of one length) as lists of
+    their slices of ``_ROWS_PER_WRITE`` rows."""
+    return ([v[lo:lo + _ROWS_PER_WRITE] for v in values]
+            for lo in range(0, len(values[0]), _ROWS_PER_WRITE))
+
+
+def _format_blocks(blocks, fh, line_end: str) -> None:
+    """Write each block of ``blocks`` (a list of float columns or column
+    blocks of one length, side by side, every block alike) to ``fh`` as it
+    arrives, as :func:`_format_rows` does.
     A value's digits are |x| 10**(16 - d) rounded, d its exact decade, from
     a Dekker product with the double-double 10**(16 - d); its layout class's
     keep mask selects its text from a superset row (sign, "0.000", 17 digits
-    each followed by ".", "e+ddd", terminator).  ``%`` itself prints zero,
-    non-finite and out-of-range values, near-ties and decade round-ups."""
+    each followed by ".", "e+ddd", terminator) by zeroing the other bytes,
+    none of which is kept NUL.  ``%`` itself prints zero, non-finite and
+    out-of-range values, near-ties and decade round-ups."""
     # superset row bytes: 0 sign, 1-5 "0.000", 6 + 2i digit i and 7 + 2i
     # its ".", 40-44 "e+ddd", 45-46 terminator; table row p + 300 is 10**p
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if first is None:
+        return
     t = _tables()
-    ncols = np.column_stack([v[:1] for v in values]).shape[1]
+    ncols = np.column_stack([v[:1] for v in first]).shape[1]
     template = np.tile(np.frombuffer(b"-0.000" + b"0." * 17 + b"e+000,?", np.uint8), (ncols, 1))
     template[-1, 45:45 + len(line_end)] = np.frombuffer(line_end.encode(), np.uint8)
     tail = (np.arange(ncols) == ncols - 1) * (len(line_end) - 1)
     fmt = ",".join(["%.17g"] * ncols)
-    for lo in range(0, len(values[0]), _ROWS_PER_WRITE):
-        block = np.column_stack([v[lo:lo + _ROWS_PER_WRITE] for v in values])
+    # rows of the template, whose digit and exponent bytes (6, 8-39, 41-44)
+    # each block rewrites, and of the masked text; as long as the longest block
+    filled = masked = template[None][:0]
+    for cols in itertools.chain([first], blocks):
+        block = np.column_stack(cols)
+        if len(block) > len(filled):
+            filled = np.tile(template, (len(block), 1, 1))
+            masked = np.empty_like(filled)
         ok = (np.abs(block) >= 1e-280) & (np.abs(block) < 1e280)
         a = np.where(ok, np.abs(block), 1.0)
         dec = np.floor((np.frexp(a)[1] - 1) * np.log10(2.0)).astype(np.intp)
@@ -403,13 +467,14 @@ def _format_rows(values, fh, line_end: str) -> None:
                         1 + np.where(g2, 4 + t["last"][g2], t["last"][g1]))
         lay = np.where((dec >= -4) & (dec <= 16), dec + 4, 21 + (np.abs(dec) >= 100))
         keep = t["keep"].take(((lay * 17 + nsig - 1) * 2 + np.signbit(block)) * 2 + tail, axis=0)
-        buf = np.tile(template, (len(block), 1, 1))
+        buf = filled[:len(block)]
         buf[..., 6] = top + 48
         buf[..., 8:40] = t["pairs"][np.stack([g1, g2, g3, g4], -1)].view(np.uint8).reshape(
             block.shape + (32,))
         buf[..., 41:45] = t["exponent"][dec + 300].view(np.uint8).reshape(block.shape + (4,))
         del a, hi, dlo, s, ca, ch, ah, hh, al, hl, e, head, mid, low, g1, g2, g3, g4
-        text = np.compress(keep.ravel(), buf.ravel()).tobytes().decode("ascii")
+        out = np.multiply(buf, keep, out=masked[:len(block)])
+        text = out.tobytes().translate(None, b"\0").decode("ascii")
         if bad.any():  # a row's text, right or not, holds no line end
             rows = text.split(line_end)
             for k in np.flatnonzero(bad.any(axis=1)):
@@ -418,21 +483,24 @@ def _format_rows(values, fh, line_end: str) -> None:
         fh.write(text)
 
 
+def _write_csv(fh, n: int, m: int, blocks) -> None:
+    """The trajectory CSV of ``(t, x, u)`` blocks, written to ``fh`` block
+    by block: a ``t,x1..xn,u1..um`` header, then the rows."""
+    header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)]
+    fh.write(",".join(header) + "\r\n")
+    _format_blocks(blocks, fh, "\r\n")
+
+
 def write_trajectory_csv(traj: Trajectory, path_or_file) -> None:
     """Write samples as ``t,x1..xn,u1..um`` rows, each value exactly as
     ``'%.17g'`` prints it, and CRLF line ends (as ``csv.writer`` ends them)."""
     n, m = traj.x.shape[1], traj.u.shape[1]
-    header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)]
-
-    def emit(fh):
-        fh.write(",".join(header) + "\r\n")
-        _format_rows([traj.times, traj.x, traj.u], fh, "\r\n")
-
+    blocks = _row_blocks([traj.times, traj.x, traj.u])
     if hasattr(path_or_file, "write"):
-        emit(path_or_file)
+        _write_csv(path_or_file, n, m, blocks)
     else:
         with open(path_or_file, "w", newline="") as fh:
-            emit(fh)
+            _write_csv(fh, n, m, blocks)
 
 
 def read_trajectory_csv(path, input_dims=None) -> Trajectory:

@@ -102,9 +102,8 @@ class DescriptorGame:
         w = weierstrass(Pencil(e, a))  # raises on irregular / index >= 2
         if w.r == 0:
             raise StaticGameError("rank E = 0 leaves the game no dynamic state (r = 0)")
-        lams = np.linalg.eigvals(w.j)
         for i, bi in enumerate(bs):
-            _check_stabilizable(w.j, lams, (w.y.T @ bi)[: w.r], str(i))
+            _check_stabilizable(w.j, w.eigenvalues, (w.y.T @ bi)[: w.r], str(i))
         object.__setattr__(self, "decomposition", w)
 
     @property

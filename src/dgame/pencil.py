@@ -24,6 +24,7 @@ for gauge-invariance checks.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,14 @@ class WeierstrassData:
     @property
     def n(self) -> int:
         return self.x.shape[0]
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """J's eigenvalues, the pencil's finite spectrum (unordered),
+        computed on first use and kept, read-only, with the decomposition."""
+        lams = np.linalg.eigvals(self.j)
+        lams.flags.writeable = False
+        return lams
 
     @property
     def x1(self) -> np.ndarray:
@@ -255,8 +264,7 @@ def finite_spectrum(p: Pencil) -> np.ndarray:
 
     For a closed-loop query pass ``Pencil(e, a + b @ f)``.
     """
-    w = weierstrass(p)
-    return sorted_spectrum(np.linalg.eigvals(w.j))
+    return sorted_spectrum(weierstrass(p).eigenvalues)
 
 
 def consistent_initial(w: WeierstrassData, b2_bar: np.ndarray,

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from dgame import ReducedFeedback, cli, reduce_feedback, reduce_game, simulate
+from dgame import (
+    ReducedFeedback,
+    cli,
+    reduce_feedback,
+    reduce_game,
+    simulate,
+    sorted_spectrum,
+    write_trajectory_csv,
+)
 from dgame.cli import main
 from conftest import (
     F_GT,
@@ -28,6 +37,7 @@ from conftest import (
     THETA_MIS,
     lane_game,
     lane_profile_gt,
+    planted_draw,
     stabilizing_reduced_gain,
 )
 
@@ -467,12 +477,109 @@ def test_simulate_grid_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
     def no_memory(*args):
         raise MemoryError
 
-    monkeypatch.setattr("dgame.cli.simulate", no_memory)
+    monkeypatch.setattr("dgame.cli.simulate_blocks", no_memory)
     out = tmp_path / "traj.csv"
     assert run(["simulate", REPO_FIXTURE, "--x1-0", "1,0.4", "--horizon", "1e9",
                 "--dt", "1e-3", "--out", out]) == 1
     assert one_line_message(capsys, "error: cannot allocate 1000000000001 samples")
     assert not out.exists()
+
+
+def _simulate_problem(tmp_path, game):
+    """Problem file and reduced initial state of a simulate test game."""
+    if game == "lane":
+        return REPO_FIXTURE, np.array([1.0, 0.4])
+    path = tmp_path / "planted16.json"
+    path.write_text(json.dumps(planted_draw(16)))
+    return path, np.linspace(-1.0, 1.0, 12)
+
+
+@pytest.mark.parametrize("game", ["lane", "planted16"])
+@pytest.mark.parametrize("steps, dt", [(0, 0.01), (1, 0.01), (63, 0.01), (64, 0.01),
+                                       (65, 0.01), (255, 0.01), (256, 0.01), (257, 0.01),
+                                       (512, 0.01), (60000, 1e-3)])
+def test_simulate_streams_the_library_csv(tmp_path, capsys, game, steps, dt):
+    # the CSV written block by block, to a file and to standard output, is
+    # the library's CSV of the whole trajectory, byte for byte
+    path, x1_0 = _simulate_problem(tmp_path, game)
+    horizon = repr(steps * dt)
+    problem = cli.load_problem(str(path))
+    want = io.StringIO(newline="")
+    write_trajectory_csv(simulate(reduce_game(problem.game), problem.f_observed, x1_0,
+                                  float(horizon), dt), want)
+    args = ["simulate", path, "--x1-0=" + ",".join(map(repr, x1_0.tolist())),
+            "--horizon", horizon, "--dt", repr(dt)]
+    out = tmp_path / "traj.csv"
+    capsys.readouterr()
+    assert run([*args, "--out", out]) == 0
+    assert run(args) == 0
+    assert out.read_bytes() == want.getvalue().encode()
+    captured = capsys.readouterr()
+    assert captured.out == want.getvalue()
+    assert captured.err == f"simulate: {steps + 1} samples over {float(horizon)}s\n" * 2
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_simulate_out_appears_only_whole(tmp_path, monkeypatch, existing):
+    # a formatter failing after two blocks leaves no temporary file, and
+    # no output file or the one that was there
+    from dgame import feedback
+    format_blocks = feedback._format_blocks
+
+    def failing(blocks, fh, line_end):
+        def two_then_fail():
+            for k, block in enumerate(blocks):
+                if k == 2:
+                    raise RuntimeError("formatter failed")
+                yield block
+        format_blocks(two_then_fail(), fh, line_end)
+
+    out = tmp_path / "traj.csv"
+    if existing:
+        out.write_text("old")
+    monkeypatch.setattr(feedback, "_format_blocks", failing)
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        run(["simulate", REPO_FIXTURE, "--x1-0", "1,0.4", "--horizon", 10, "--out", out])
+    assert sorted(os.listdir(tmp_path)) == (["traj.csv"] if existing else [])
+    if existing:
+        assert out.read_text() == "old"
+    monkeypatch.setattr(feedback, "_format_blocks", format_blocks)
+    assert run(["simulate", REPO_FIXTURE, "--x1-0", "1,0.4", "--horizon", 10, "--out", out]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["traj.csv"]
+    umask = os.umask(0o22)
+    os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_simulate_memory_does_not_grow_with_the_horizon(monkeypatch):
+    # 600,001 lane samples, whose t, x, u and reduced state arrays would
+    # take 600,001 * 8 * 8 bytes, about 38 MB, if kept whole
+    class Discard:
+        def write(self, text):
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Discard())
+    args = ["simulate", REPO_FIXTURE, "--x1-0", "1,0.4", "--dt", "1e-4"]
+    assert run([*args, "--horizon", 0.01]) == 0  # builds the parser and format tables
+    tracemalloc.start()
+    try:
+        assert run([*args, "--horizon", 60]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
+
+
+def test_pencil_section_reuses_the_games_eigenvalues(monkeypatch):
+    # the game's construction computed them for the Hautus test
+    rg = reduce_game(lane_game())
+    want = cli._spec_pairs(sorted_spectrum(np.linalg.eigvals(rg.j)))
+
+    def no_eigvals(*args):
+        raise AssertionError("J's eigenvalues computed again")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    assert cli._pencil_section(rg)["finite_spectrum"] == want
 
 
 def test_simulate_unstable_loop_exits_5(tmp_path):

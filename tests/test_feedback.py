@@ -25,10 +25,11 @@ from dgame import (
     reduce_feedback,
     reduce_game,
     simulate,
+    simulate_blocks,
     solve_lyapunov,
     write_trajectory_csv,
 )
-from dgame.feedback import _format_rows
+from dgame.feedback import _format_rows, preimage_matrix
 from dgame.game import m_matrix
 from conftest import (
     F_GT,
@@ -209,6 +210,39 @@ def test_simulate_blocks_match_the_exponential(case, steps):
     for k in sorted({0, 63, 64, 65, 127, 128, steps} & set(range(steps + 1))):
         want = sla.expm(a_cl * (k * dt)) @ x1_0
         assert np.abs(x1[k] - want).max() <= 1e-10 * np.abs(x1).max()
+
+
+def _simulate_whole(rg, f_red, x1_0, horizon, dt):
+    """``simulate`` as it was before it streamed: every x1 row of the
+    horizon in one array, then one product each with S' and F_red'."""
+    a_cl = rg.closed_loop(f_red.matrix)
+    steps = int(round(horizon / dt))
+    phi = sla.expm(a_cl * dt)
+    powers = [phi]
+    while len(powers) < min(steps, 64):
+        powers.append(phi @ powers[-1])
+    powers = np.vstack(powers)
+    x1 = np.empty((steps + 1, rg.r))
+    x1[0] = x1_0
+    for k in range(0, steps, 64):
+        ahead = powers[:(steps - k) * rg.r] @ x1[k]
+        x1[k + 1:k + 1 + 64] = ahead.reshape(-1, rg.r)
+    return np.arange(steps + 1) * dt, x1 @ preimage_matrix(rg, f_red).T, x1 @ f_red.matrix.T
+
+
+@pytest.mark.parametrize("case", ["lane", "planted-r12"])
+@pytest.mark.parametrize("steps", [0, 1, 2, 63, 64, 65, 255, 256, 257, 511, 512, 513, 4097, 60000])
+def test_simulate_blocks_give_the_whole_horizons_bits(case, steps):
+    # block edges, a lone last row after zero, one and many whole blocks
+    rg, f_red, x1_0 = _simulate_cases()[case]
+    dt = 1e-3
+    want = _simulate_whole(rg, f_red, x1_0, steps * dt, dt)
+    blocks = list(simulate_blocks(rg, f_red, x1_0, steps * dt, dt))
+    assert [len(t) for t, _, _ in blocks[:-1]] == [256] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1][0]) <= 257
+    traj = simulate(rg, f_red, x1_0, steps * dt, dt)
+    for got, ref in zip((traj.times, traj.x, traj.u), want):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_simulate_rejects_unstable_loop(lane):
