@@ -27,7 +27,7 @@ print("identification feasible:", cert.feasible)
 for i, pc in enumerate(cert.players):
     print(f"  player {i}: residual {pc.residual:.2e}, "
           f"definiteness margin {pc.pd_margin:.4f}, "
-          f"kernel dimension {pc.kernel.shape[1]}")
+          f"kernel dimension {pc.kernel_dim}")
 
 for entry in dg.dimension_report(cert, rg):
     print(f"  player {entry['player']}: solution-set dimension >= "
@@ -59,7 +59,7 @@ for k in range(20):
                    for i in range(2))
     trial = dg.InverseCertificate(
         players=tuple(
-            type(pc)(m=pc.m, kernel=pc.kernel, theta=t,
+            type(pc)(m=pc.m, kernel_dim=pc.kernel_dim, theta=t,
                      residual=dg.residual(pc.m, t),
                      pd_margin=dg.pd_margin(rg, cert.layout, i, t),
                      feasible=True, kept_indices=pc.kept_indices)

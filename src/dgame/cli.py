@@ -149,11 +149,16 @@ def _atomic_open(path: str, newline: str | None = None):
     """A text stream to a temporary file beside ``path`` that replaces
     ``path`` once the block ends, with the mode ``open`` gives a new file;
     if the block fails, the temporary file is removed and ``path`` is left
-    as it was."""
+    as it was.  An existing ``path`` that is not a regular file (a FIFO or
+    a device) is written in place, never replaced."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     umask = os.umask(0o22)
     os.umask(umask)
     with _writing(path):
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w", newline=newline) as fh:
+                yield fh
+            return
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             os.chmod(tmp, 0o666 & ~umask)
@@ -452,7 +457,7 @@ def _inverse_section(rg, cert) -> dict:
             "pd_margin": pc.pd_margin,
             "feasible": pc.feasible,
             "theta": [float(v) for v in pc.theta],
-            "kernel_dim": int(pc.kernel.shape[1]),
+            "kernel_dim": pc.kernel_dim,
             "bound": int(dims[i]["bound"]),
         })
     return {"players": players, "feasible": cert.feasible}

@@ -425,8 +425,9 @@ def _format_blocks(blocks, fh, line_end: str) -> None:
     a Dekker product with the double-double 10**(16 - d); its layout class's
     keep mask selects its text from a superset row (sign, "0.000", 17 digits
     each followed by ".", "e+ddd", terminator) by zeroing the other bytes,
-    none of which is kept NUL.  ``%`` itself prints zero, non-finite and
-    out-of-range values, near-ties and decade round-ups."""
+    none of which is kept NUL.  Zero (and -0) takes decade 0's layout with
+    the one digit 0.  ``%`` itself prints non-finite and out-of-range
+    values, near-ties and decade round-ups."""
     # superset row bytes: 0 sign, 1-5 "0.000", 6 + 2i digit i and 7 + 2i
     # its ".", 40-44 "e+ddd", 45-46 terminator; table row p + 300 is 10**p
     blocks = iter(blocks)
@@ -457,6 +458,10 @@ def _format_blocks(blocks, fh, line_end: str) -> None:
         al, hl = a - ah, hi - hh
         e = ((ah * hh - s) + ah * hl + al * hh) + al * hl + a * dlo  # a 10**p - s
         big = s.astype(np.int64) + np.floor(e + 0.5).astype(np.int64)
+        zero = block == 0.0
+        if zero.any():
+            big[zero] = 0
+            ok |= zero
         bad = ~ok | (np.abs(e - np.floor(e) - 0.5) < 1e-9) | (big == 10 ** 17)
         head = big // 10 ** 8
         top = head // 10 ** 8

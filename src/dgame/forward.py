@@ -26,7 +26,8 @@ the search's merit and the acceptance of an end point measure each
 residual family against its normwise backward-error denominator
 (:meth:`_Evaluator.denominators`): a point is accepted when both
 backward errors are at most the tolerance, and the merit scales down a
-family whose rounding floor lies above the tolerance in data units.  The
+family whose rounding floor lies above the tolerance in data units.  A
+start whose point meets that test takes one more step and retires.  The
 end points are checked as one stack too.
 Whether a given feedback is an equilibrium is decided without random
 numbers by :func:`certify_nash`: with the other players' gains fixed,
@@ -72,10 +73,6 @@ _ARMIJO = 1e-4
 #: shortest step length the backtracking search tries before the start
 #: retires
 _BACKTRACK_FLOOR = 2.0 ** -12
-
-#: a start retires once its Newton step is at most _STEP_TOL (1 + |z|)
-#: in the 2-norm
-_STEP_TOL = 1e-13
 
 #: memory budget for one group of starts: their blocks L and D_k and the
 #: L solve's right-hand sides in a Newton step, their trial points in the
@@ -179,7 +176,7 @@ class _Evaluator:
         # a row family whose backward-error denominator s exceeds the cut
         # has a rounding floor eps s above the tolerance in data units,
         # tol scale
-        self.cut = tol * self.scale / np.finfo(float).eps
+        self.tol, self.cut = tol, tol * self.scale / np.finfo(float).eps
         self.b1_stacked, self.input_dims = rg.b1_stacked, rg.input_dims
         iu = triu_indices(r)
         nn = iu[0].size
@@ -262,12 +259,23 @@ class _Evaluator:
         rows, shape (...,), and 2 max|A_cl| max|P_k| + max|C_k| for player
         k's Riccati rows, shape (..., N).  A residual over its denominator
         is that family's backward error."""
-        p_max = np.abs(p).max(axis=(-2, -1), initial=0.0)
-        stat = (self.g_max * np.abs(f).max(axis=(-2, -1), initial=0.0)
-                + self.b1_max * p_max.max(axis=-1, initial=0.0) + self.v_max)
-        care = (2.0 * np.abs(a_cl).max(axis=(-2, -1), initial=0.0)[..., None] * p_max
-                + np.abs(costs).max(axis=(-2, -1), initial=0.0))
-        return stat, care
+        return self.denominators_of(*(np.abs(x).max(axis=(-2, -1), initial=0.0)
+                                      for x in (f, p, a_cl, costs)))
+
+    def denominators_of(self, f_max, p_max, a_max, c_max=0.0):
+        """:meth:`denominators` from the max-entries of the gains (...,),
+        of each value matrix (..., N), of the loops (...,) and of each
+        closed-loop cost (..., N); with ``c_max`` 0, the Riccati
+        denominators are lower bounds, which :func:`root` tests by."""
+        stat = self.g_max * f_max + self.b1_max * p_max.max(axis=-1, initial=0.0) + self.v_max
+        return stat, 2.0 * a_max[..., None] * p_max + c_max
+
+    def accepts(self, stat, care, s_stat, s_care):
+        """The acceptance test of a point: whether both backward errors, the
+        residual max-norms ``stat`` (...,) and ``care`` (..., N) over their
+        denominators ``s_stat`` and ``s_care`` (:meth:`denominators`), are
+        at most the tolerance."""
+        return (stat <= self.tol * s_stat) & (care <= self.tol * s_care).all(axis=-1)
 
     def merit_weights(self, z):
         """The weights of :func:`root`'s merit at the stack of packed points
@@ -275,22 +283,36 @@ class _Evaluator:
         on the rows of a family (stationarity, or one player's Riccati
         equation) with denominator s (:meth:`denominators`), so a family
         is measured in units where its rounding floor is the tolerance.
-        ``None`` stands for all ones: when twice a bound on every
-        denominator of the stack, from max|F| and max|P| alone, is within
-        the cut (twice, so that rounding cannot lift a computed
-        denominator past it), nothing else is formed."""
+        Returns ``(w, bound)``, ``bound`` a bound on every denominator of
+        the stack from max|F| and max|P| alone.  ``w`` is ``None``, all
+        ones, when twice ``bound`` is within the cut (twice, so that
+        rounding cannot lift a computed denominator past it), and nothing
+        else is formed."""
         mr, m = self.m * self.r, self.m
         f_max, p_max = float(np.abs(z[:, :mr]).max()), float(np.abs(z[:, mr:]).max())
         bound = max(self.g_max * f_max + self.b1_max * p_max + self.v_max,
                     2.0 * (self.j_max + m * self.b1_max * f_max) * p_max
                     + self.m_max * (1.0 + m * f_max) ** 2)
         if 2.0 * bound <= self.cut:
-            return None
+            return None, bound
         f, p = self.unpack(z)
         stat, care = self.denominators(f, p, self.closed_loop(f), self.costs(f))
         s = np.concatenate([stat[:, None], care], axis=-1)
         w = np.divide(self.cut, s, out=np.ones_like(s), where=s > self.cut)
-        return np.repeat(w, [mr] + [self.iu_flat.size] * self.n_players, axis=-1)
+        return np.repeat(w, [mr] + [self.iu_flat.size] * self.n_players, axis=-1), bound
+
+    def accepts_packed(self, z, res):
+        """:meth:`accepts` at the stack of packed points z with packed
+        residuals res, against lower bounds on the Riccati denominators
+        (no closed-loop costs formed): a stricter test, which points at
+        the rounding floor, seven orders below the tolerance, still pass."""
+        mr, n, shape = self.m * self.r, len(z), (len(z), self.n_players, -1)
+        z_max, res = np.abs(z), np.abs(res)
+        # player k's packed triangle holds every entry of P_k
+        a_max = np.abs(self.closed_loop(z[:, :mr].reshape(n, self.m, self.r))).max(axis=(-2, -1))
+        return self.accepts(res[:, :mr].max(axis=-1), res[:, mr:].reshape(shape).max(axis=-1),
+                            *self.denominators_of(z_max[:, :mr].max(axis=-1),
+                                                  z_max[:, mr:].reshape(shape).max(axis=-1), a_max))
 
     def pack(self, f, p) -> np.ndarray:
         """z = [vec(F); upper triangle of each P_i], of shape (..., nz)."""
@@ -456,8 +478,13 @@ def root(ev: _Evaluator, z) -> tuple[np.ndarray, np.ndarray]:
     Newton step every length of every searching start is tried at once,
     one :meth:`_Evaluator.vector` call per group of starts whose trial
     points fit ``_NEWTON_GROUP_BYTES``; the point taken has the bits a
-    halving loop would reach.  A start retires once its full step is at
-    most ``_STEP_TOL`` (1 + |z|), which it still takes, or when its step
+    halving loop would reach.  A start whose base point already meets the
+    acceptance test (:meth:`_Evaluator.accepts_packed`, both backward
+    errors at most the tolerance) takes that step and retires: from there
+    Newton is at its rounding floor, about kappa u, and cannot gain
+    (Higham 2002, ch. 25).  The test runs only on starts whose merit is at
+    most sqrt(nz) tol times twice the stack's denominator bound, which
+    every start that passes it meets.  A start also retires when its step
     is singular or not finite, no length is acceptable or it has taken
     ``_NEWTON_ITERS`` steps.  Returns ``(z, steps)``: the final points,
     one row per start, and the number of steps each start took; each row
@@ -474,11 +501,15 @@ def root(ev: _Evaluator, z) -> tuple[np.ndarray, np.ndarray]:
     lengths = 2.0 ** -np.arange(1 + round(-np.log2(_BACKTRACK_FLOOR)))
     decrease = 1.0 - _ARMIJO * lengths
     group = max(1, _NEWTON_GROUP_BYTES // (8 * z.shape[-1] * lengths.size))
+    # a start passing the acceptance test has max|res| <= tol bound, and
+    # so a weighted merit of at most sqrt(nz) tol bound (twice that, so
+    # that rounding cannot drop it)
+    reach = 2.0 * np.sqrt(z.shape[-1]) * ev.tol
     for _ in range(_NEWTON_ITERS):
         if not active.size:
             break
         za = z[active]
-        w = ev.merit_weights(za)
+        w, bound = ev.merit_weights(za)
         if w is not None or weighted:
             # a start whose weights moved has its norm at za measured again
             new = 1.0 if w is None else w
@@ -486,13 +517,13 @@ def root(ev: _Evaluator, z) -> tuple[np.ndarray, np.ndarray]:
             weights[active] = new
             norm[again] = np.linalg.norm(res[again] * weights[again], axis=-1)
             weighted = w is not None
+        # the starts acceptable at za, among those whose merit is in reach
+        accepted = np.flatnonzero(norm[active] <= reach * bound)
+        if accepted.size:
+            accepted = accepted[ev.accepts_packed(za[accepted], res[active[accepted]])]
         step = _newton_steps(ev, za, res[active])
-        finite = np.isfinite(step).all(axis=-1)
-        small = finite & (np.linalg.norm(step, axis=-1)
-                          <= _STEP_TOL * (1.0 + np.linalg.norm(za, axis=-1)))
-        z[active[small]] = za[small] + step[small]
         moved = np.zeros(active.size, dtype=bool)
-        search = np.flatnonzero(finite & ~small)
+        search = np.flatnonzero(np.isfinite(step).all(axis=-1))
         for lo in range(0, search.size, group):
             rows = search[lo:lo + group]
             trial = za[rows, None] + lengths[:, None] * step[rows, None]
@@ -505,7 +536,8 @@ def root(ev: _Evaluator, z) -> tuple[np.ndarray, np.ndarray]:
             z[took], res[took], norm[took] = (trial[hit, first], res_t[hit, first],
                                               norm_t[hit, first])
             moved[rows[hit]] = True
-        steps[active[small | moved]] += 1
+        steps[active[moved]] += 1
+        moved[accepted] = False  # an acceptable start retires after its step
         active = active[moved]
     return z, steps
 
@@ -591,9 +623,9 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
     f, p = ev.unpack(z)
     a_cl, costs = ev.closed_loop(f), ev.costs(f)
     stat, care = ev.residual_matrices(f, p, a_cl, costs)
-    s_stat, s_care = ev.denominators(f, p, a_cl, costs)
-    within = ((np.abs(stat).max(axis=(-2, -1), initial=0.0) <= opts.tol * s_stat)
-              & (np.abs(care).max(axis=(-2, -1), initial=0.0) <= opts.tol * s_care).all(axis=-1))
+    within = ev.accepts(np.abs(stat).max(axis=(-2, -1), initial=0.0),
+                        np.abs(care).max(axis=(-2, -1), initial=0.0),
+                        *ev.denominators(f, p, a_cl, costs))
     solutions: list[EquilibriumSolution] = []
     for k in np.flatnonzero(is_stable(a_cl) & within):
         if any(same_behavior(f[k], sol.f_star.matrix) for sol in solutions):

@@ -56,17 +56,21 @@ class StaticGameError(ValueError):
 def _check_stabilizable(j: np.ndarray, lams: np.ndarray, b1: np.ndarray, label: str) -> None:
     """Hautus test: rank [lam I - J, B] = r at every unstable eigenvalue
     lam of J among ``lams``, by one stacked SVD; raises naming the first
-    failing one in ``lams`` order."""
+    failing one in ``lams`` order.  J and B are real, so [conj(lam) I - J,
+    B] is the conjugate of [lam I - J, B], with its singular values: a
+    complex pair is tested once, through its member with Im >= 0."""
     r = j.shape[0]
     unstable = lams[~(lams.real < 0)]
-    m = np.empty((unstable.size, r, r + b1.shape[1]), dtype=complex)
-    m[:, :, :r] = unstable[:, None, None] * np.eye(r) - j
+    tested = unstable[unstable.imag >= 0]
+    m = np.empty((tested.size, r, r + b1.shape[1]), dtype=complex)
+    m[:, :, :r] = tested[:, None, None] * np.eye(r) - j
     m[:, :, r:] = b1
     s = np.linalg.svd(m, compute_uv=False)
-    bad = np.flatnonzero(s[:, -1] <= HAUTUS_TOL * np.maximum(1.0, s[:, 0]))
-    if bad.size:
+    failing = tested[s[:, -1] <= HAUTUS_TOL * np.maximum(1.0, s[:, 0])]
+    if failing.size:
+        first = np.flatnonzero(np.isin(unstable, failing) | np.isin(unstable.conj(), failing))[0]
         raise UnstabilizableError(
-            f"pair (J, B1[{label}]) is not stabilizable at eigenvalue {unstable[bad[0]]:.4g}"
+            f"pair (J, B1[{label}]) is not stabilizable at eigenvalue {unstable[first]:.4g}"
         )
 
 

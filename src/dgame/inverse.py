@@ -14,11 +14,15 @@ both linear in theta through one fold, :meth:`ThetaLayout.dual`.
 
 The solution set is a per-player Cartesian product, convex, and closed
 under positive scaling, so identification can only ever return a
-normalized representative.  This module assembles M_i, computes kernels
-and definiteness margins, identifies a maximal-margin representative
-(with optional support constraints such as diagonal state weights),
-samples the solution set, and reports which closed-loop behaviors an
-identified cost tuple rationalizes: an equilibrium reproduces the
+normalized representative.  This module assembles M_i, computes kernel
+dimensions and definiteness margins, identifies a maximal-margin
+representative (with optional support constraints such as diagonal
+state weights), samples the solution set, and reports which closed-loop
+behaviors an identified cost tuple rationalizes.  Identification works
+in M_i's row space, of at most r m_i dimensions, whose orthogonal
+complement the kernel is: one thin SVD per player, and no basis of the
+kernel (up to L - 1 dimensions, L the length of theta) is formed; only
+sampling builds one (:func:`kernel_of`).  An equilibrium reproduces the
 observed behavior when its reduced gain is the observed one, by the rule
 that deduplicates the forward solver's solutions
 (:func:`dgame.forward.same_behavior`).  The margin is concave on the
@@ -58,6 +62,7 @@ __all__ = [
     "identify",
     "dimension_report",
     "scale_theta",
+    "kernel_of",
     "sample_solution_set",
     "rationalized_behaviors",
     "match_behaviors",
@@ -234,10 +239,13 @@ def scale_theta(theta: np.ndarray, kappa: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PlayerCertificate:
-    """Per-player identification outcome."""
+    """Per-player identification outcome: M_i, the dimension of the
+    numerical kernel of its support-restricted columns (no basis of it is
+    kept), the identified theta with its residual and margin, the
+    verdict and the kept theta indices."""
 
     m: np.ndarray
-    kernel: np.ndarray
+    kernel_dim: int
     theta: np.ndarray
     residual: float
     pd_margin: float
@@ -268,6 +276,24 @@ class InverseCertificate:
 def _margin_map(rg, layout, i, basis_full):
     """The stack of symmetric A_k with own_weight(sum z_k b_k) = sum z_k A_k."""
     return np.moveaxis(_own_weight_map(rg, layout, i) @ basis_full, -1, 0)
+
+
+def _margin_search(phi, q):
+    """An orthonormal basis U of range((I - QQ') Phi'), Phi the (m_i^2, K)
+    own-weight map on the kept indices and Q an orthonormal basis of M_i's
+    numerical row space there, both restricted to those indices.  A kernel
+    direction theta has margin lambda_min(Phi theta), and Phi theta = Phi
+    UU' theta: the component of theta off range(U) moves no margin, so the
+    margin's maximum over the kernel sphere is its maximum over U's
+    (Golub and Van Loan, Matrix Computations, 4th ed., sec. 5.4).
+    Phi' is projected twice, so that U leaves the row space to rounding
+    of |Phi| (Parlett, The Symmetric Eigenvalue Problem, 1998, sec. 6-9);
+    U keeps the left singular vectors above the kernel's relative cut."""
+    g = phi.T
+    for _ in range(2):
+        g = g - q @ (q.T @ g)
+    u, s, _ = np.linalg.svd(g, full_matrices=False)
+    return u[:, s > KERNEL_TOL * s[0]]
 
 
 def _simplex_projection(v):
@@ -332,17 +358,24 @@ def identify(rg: ReducedGame, f_red: ReducedFeedback,
     """Identify, per player, a normalized cost parameter rationalizing the
     observed reduced feedback.
 
-    One path per player.  The search basis is an orthonormal basis of the
-    numerical kernel of (the support-restricted) M_i or, when that kernel
-    is empty, M_i's least-residual direction (its last right singular
-    vector).  The dual solve of :func:`_maximize_margin` picks the unit
-    combination theta of that basis with the largest margin.  theta is
-    feasible when its margin exceeds ``eps_pd (1 + |theta|)`` and its
-    residual is at the kernel's rounding level; otherwise the certificate
-    reports the empty-solution-set verdict, with the dual's W certifying
-    that no kernel direction clears ``2 eps_pd``, or with theta at
-    residual sigma_min(M_i) when the kernel is empty.  Nothing is drawn
-    at random: theta is a pure function of the inputs.
+    One path per player, through one thin SVD of (the support-restricted)
+    M_i: its numerical rank, cut at ``KERNEL_TOL`` as
+    :func:`dgame.linalg.kernel_basis` cuts it, gives the kernel dimension,
+    and its leading right singular vectors an orthonormal basis Q of the
+    row space, whose orthogonal complement is the kernel.  No kernel basis
+    is formed, so the cost is O((r m_i)^2 L) time and O(r m_i L) memory,
+    not O(L^3) and O(L^2).  The search basis is U (:func:`_margin_search`),
+    the at most m_i^2 kernel directions that move the margin, or, when the
+    kernel is empty, M_i's least-residual direction (its last right
+    singular vector, which the thin SVD holds whenever the kernel can be
+    empty, L <= r m_i).  The dual solve of :func:`_maximize_margin` picks
+    the unit combination theta of that basis with the largest margin.
+    theta is feasible when its margin exceeds ``eps_pd (1 + |theta|)`` and
+    its residual is at the kernel's rounding level; otherwise the
+    certificate reports the empty-solution-set verdict, with the dual's W
+    certifying that no kernel direction clears ``2 eps_pd``, or with theta
+    at residual sigma_min(M_i) when the kernel is empty.  Nothing is
+    drawn at random: theta is a pure function of the inputs.
     """
     constraints = constraints or Constraints()
     layout = ThetaLayout(n=rg.n, input_dims=rg.input_dims)
@@ -351,16 +384,20 @@ def identify(rg: ReducedGame, f_red: ReducedFeedback,
     players = []
     for i in range(rg.n_players):
         m_full = ms[i]
-        m_restricted = m_full[:, kept]
-        z_basis = kernel_basis(m_restricted)
-        basis_full = np.zeros((layout.size, z_basis.shape[1]))
-        basis_full[kept, :] = z_basis
-        search = basis_full
-        if not z_basis.shape[1]:
-            search = np.zeros((layout.size, 1))
-            search[kept, 0] = np.linalg.svd(m_restricted)[2][-1]
-        z, _ = _maximize_margin(_margin_map(rg, layout, i, search), eps_pd * 2.0)
-        theta = search @ z
+        _, sv, vt = np.linalg.svd(m_full[:, kept], full_matrices=False)
+        rank = int(np.sum(sv > KERNEL_TOL * sv[0]))
+        kernel_dim = len(kept) - rank
+        phi = _own_weight_map(rg, layout, i)[..., kept]
+        if not kernel_dim:
+            search = vt[-1:].T
+        else:
+            search = _margin_search(phi.reshape(-1, len(kept)), vt[:rank].T)
+            if not search.shape[1]:
+                # Phi vanishes on the kernel: every direction has margin 0
+                search = kernel_basis(m_full[:, kept])[:, :1]
+        z, _ = _maximize_margin(np.moveaxis(phi @ search, -1, 0), eps_pd * 2.0)
+        theta = np.zeros(layout.size)
+        theta[kept] = search @ z
         theta /= np.linalg.norm(theta)
         res = residual(m_full, theta)
         margin = pd_margin(rg, layout, i, theta)
@@ -370,7 +407,7 @@ def identify(rg: ReducedGame, f_red: ReducedFeedback,
         )
         players.append(PlayerCertificate(
             m=m_full,
-            kernel=basis_full,
+            kernel_dim=kernel_dim,
             theta=theta,
             residual=res,
             pd_margin=float(margin),
@@ -389,7 +426,7 @@ def dimension_report(cert: InverseCertificate, rg: ReducedGame) -> list[dict]:
     out = []
     big_l = cert.layout.size
     for i, pc in enumerate(cert.players):
-        dim = pc.kernel.shape[1]
+        dim = pc.kernel_dim
         r_mi = rg.r * rg.input_dims[i]
         n_mi = rg.n * rg.input_dims[i]
         out.append({
@@ -403,19 +440,33 @@ def dimension_report(cert: InverseCertificate, rg: ReducedGame) -> list[dict]:
     return out
 
 
+def kernel_of(cert: InverseCertificate, i: int) -> np.ndarray:
+    """An explicit orthonormal basis of player ``i``'s kernel, (L, dim),
+    zero outside the kept indices: :func:`dgame.linalg.kernel_basis` of
+    the support-restricted M_i, an O(L^3) full SVD that
+    :func:`identify` does without."""
+    pc = cert.players[i]
+    kept = list(pc.kept_indices)
+    z_basis = kernel_basis(pc.m[:, kept])
+    basis = np.zeros((cert.layout.size, z_basis.shape[1]))
+    basis[kept, :] = z_basis
+    return basis
+
+
 def sample_solution_set(rg: ReducedGame, cert: InverseCertificate, i: int,
                         seed: int = 0) -> np.ndarray:
     """Draw a normalized feasible parameter for player ``i`` from the
     certified solution set (seeded, deterministic): up to 200 draws from
-    the kernel, each or its negative kept once its margin exceeds 1e-8.
-    Raises when the kernel is empty or no draw lands in the open cone."""
-    pc = cert.players[i]
-    if pc.kernel.shape[1] == 0:
+    the kernel (:func:`kernel_of`, built on the call), each or its
+    negative kept once its margin exceeds 1e-8.  Raises when the kernel
+    is empty or no draw lands in the open cone."""
+    if cert.players[i].kernel_dim == 0:
         raise ValueError("player has an empty kernel: nothing to sample")
+    basis = kernel_of(cert, i)
     rng = np.random.default_rng(seed)
     for _ in range(200):
-        z = rng.standard_normal(pc.kernel.shape[1])
-        theta = pc.kernel @ z
+        z = rng.standard_normal(basis.shape[1])
+        theta = basis @ z
         norm = np.linalg.norm(theta)
         if norm == 0.0:
             continue

@@ -186,7 +186,7 @@ def _scan_solution_set_for_behavior_count(rg, cert, want_count, want_matching,
     for thetas in candidates:
         trial = cert.__class__(
             players=tuple(
-                pc.__class__(m=pc.m, kernel=pc.kernel, theta=theta,
+                pc.__class__(m=pc.m, kernel_dim=pc.kernel_dim, theta=theta,
                              residual=residual(pc.m, theta),
                              pd_margin=pd_margin(rg, cert.layout, i, theta),
                              feasible=True, kept_indices=pc.kept_indices)

@@ -4,9 +4,11 @@ import copy
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -549,6 +551,25 @@ def test_simulate_out_appears_only_whole(tmp_path, monkeypatch, existing):
     umask = os.umask(0o22)
     os.umask(umask)
     assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("args", [["reduce", REPO_FIXTURE],
+                                  ["simulate", REPO_FIXTURE, "--x1-0", "1,0.4", "--horizon", 3]])
+def test_out_writes_into_a_fifo_in_place(tmp_path, capsys, args):
+    # an --out that names a FIFO gets the bytes standard output gets, and
+    # stays a FIFO: no temporary file is renamed over it
+    assert run(args) == 0
+    want = capsys.readouterr().out.encode()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run([*args, "--out", fifo]) == 0
+    reader.join(timeout=10)
+    assert got == [want]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]
 
 
 def test_simulate_memory_does_not_grow_with_the_horizon(monkeypatch):

@@ -474,6 +474,20 @@ def test_format_rows_matches_percent_on_zeros_and_non_finite_values():
     _assert_formats_as_percent([[1.5, -0.0], [np.nan, 2.0], [3.0, 4.0]])
 
 
+def test_format_rows_prints_zeros_in_every_column_position():
+    # 0 and -0 take decade 0's layout beside values of every layout, in
+    # the first, a middle and the last column, and fill whole rows
+    rng = np.random.default_rng(26)
+    for ncols in (1, 2, 3, 7):
+        values = rng.standard_normal((4 * ncols + 2, ncols)) * 10.0 ** rng.integers(
+            -30, 30, size=(4 * ncols + 2, ncols))
+        for k in range(ncols):
+            values[4 * k, k], values[4 * k + 1, k] = 0.0, -0.0
+            values[4 * k + 2] = np.where(np.arange(ncols) == k, -0.0, 0.0)
+        values[-2:] = [[0.0], [-0.0]]
+        _assert_formats_as_percent(values)
+
+
 def test_format_rows_spans_blocks_and_column_groups():
     rng = np.random.default_rng(3)
     k = 2600

@@ -747,6 +747,61 @@ def test_root_retires_a_singular_start_alone(lane):
     assert _same_bytes(np.concatenate([steps[:3], steps[4:]]), want_steps)
 
 
+def _path_point(ev, z0, steps, monkeypatch):
+    """The point a start reaches after ``steps`` Newton steps, with no
+    start retiring for acceptance."""
+    with monkeypatch.context() as m:
+        m.setattr(forward, "_NEWTON_ITERS", steps)
+        m.setattr(_Evaluator, "accepts_packed", lambda ev, z, res: np.zeros(len(z), dtype=bool))
+        return newton_root(ev, z0[None])[0][0]
+
+
+def _accepted(ev, z):
+    """solve_fbne's acceptance test at the packed point z, with the exact
+    denominators."""
+    return max(_backward_errors(ev, *ev.unpack(z))) <= ev.tol
+
+
+def test_root_retires_a_start_one_step_after_its_first_acceptable_point(monkeypatch):
+    # planted_draw(16)'s identified costs, solved as inverse --starts 0
+    # solves them: the joint-lqr start's first acceptable point is its 7th
+    # and it takes one more step
+    rg, c = _planted_identified_case(16)
+    (sol,) = solve_fbne(rg, c, SolveOptions(n_starts=0))
+    assert (sol.start, sol.iterations) == ("joint-lqr", 8)
+    ev = _Evaluator(rg, c)
+    z0 = _newton_starts(ev, rg, [f0 for _, f0 in _starting_points(rg, SolveOptions(n_starts=0))])
+    z, steps = newton_root(ev, z0)
+    assert steps[0] == 8
+    first = next(k for k in range(_NEWTON_ITERS) if _accepted(ev, _path_point(ev, z0[0], k,
+                                                                               monkeypatch)))
+    assert first == 7
+    assert _same_bytes(z[0], _path_point(ev, z0[0], 8, monkeypatch))
+
+
+@pytest.mark.parametrize("case", ["lane-id", "planted-r12", "three-players"])
+def test_root_retires_no_start_early_that_is_not_acceptable(case, monkeypatch):
+    # against a run where no start retires for acceptance, a start either
+    # ends with the same bits and steps, or ends earlier, one step after a
+    # point that meets solve_fbne's acceptance test
+    rg, c = SEARCH_CASES[case]()
+    ev = _Evaluator(rg, c)
+    z0 = _newton_starts(ev, rg, [f0 for _, f0 in _starting_points(rg, SolveOptions(n_starts=6))])
+    got, steps = newton_root(ev, z0)
+    with monkeypatch.context() as m:
+        m.setattr(_Evaluator, "accepts_packed", lambda ev, z, res: np.zeros(len(z), dtype=bool))
+        free, free_steps = newton_root(ev, z0)
+    retired = np.flatnonzero(steps != free_steps)
+    assert retired.size
+    for k in range(len(z0)):
+        if k not in retired:
+            assert _same_bytes(got[k], free[k])
+            continue
+        assert 0 < steps[k] < free_steps[k]
+        assert _accepted(ev, _path_point(ev, z0[k], steps[k] - 1, monkeypatch))
+        assert _same_bytes(got[k], _path_point(ev, z0[k], steps[k], monkeypatch))
+
+
 def _root_halving_reference(ev, z):
     """Reference: the Armijo search as a halving loop, one residual
     evaluation per halving of the starts still searching (the search
@@ -762,19 +817,17 @@ def _root_halving_reference(ev, z):
         if not active.size:
             break
         za = z[active]
-        w = ev.merit_weights(za)
+        w, _ = ev.merit_weights(za)
         w = np.ones_like(za) if w is None else w
         for k in np.flatnonzero((w != weights[active]).any(axis=-1)):
             weights[active[k]] = w[k]
             norm[active[k]] = np.linalg.norm(res[active[k]] * w[k])
+        # every start is tested, not only those the merit admits
+        done = ev.accepts_packed(za, res[active])
         step = forward._newton_steps(ev, za, res[active])
-        finite = np.isfinite(step).all(axis=-1)
-        small = finite & (np.linalg.norm(step, axis=-1)
-                          <= forward._STEP_TOL * (1.0 + np.linalg.norm(za, axis=-1)))
-        z[active[small]] = za[small] + step[small]
         moved = np.zeros(active.size, dtype=bool)
         t = np.ones(active.size)
-        search = np.flatnonzero(finite & ~small)
+        search = np.flatnonzero(np.isfinite(step).all(axis=-1))
         while search.size:
             trial = za[search] + t[search, None] * step[search]
             res_t = ev.vector(trial)
@@ -786,8 +839,8 @@ def _root_halving_reference(ev, z):
             search = search[~ok]
             t[search] /= 2.0
             search = search[t[search] >= forward._BACKTRACK_FLOOR]
-        steps[active[small | moved]] += 1
-        active = active[moved]
+        steps[active[moved]] += 1
+        active = active[moved & ~done]
     return z, steps
 
 

@@ -12,7 +12,7 @@ from dgame import (
     simulate,
 )
 from dgame.forward import _Evaluator
-from dgame.game import HAUTUS_TOL
+from dgame.game import HAUTUS_TOL, _check_stabilizable
 from dgame.pencil import ImpulsiveModesError, Pencil, weierstrass
 from conftest import (
     KS,
@@ -89,8 +89,14 @@ def _hautus_reference(j, b1, label):
     """Oracle for the stacked Hautus test: one SVD of [lam I - J, B1] per
     unstable eigenvalue of J, in ``eigvals`` order, raising at the first
     whose rank falls short."""
+    _hautus_reference_at(j, np.linalg.eigvals(j), b1, label)
+
+
+def _hautus_reference_at(j, lams, b1, label):
+    """The loop of :func:`_hautus_reference` over the eigenvalues ``lams``
+    in their order."""
     r = j.shape[0]
-    for lam in np.linalg.eigvals(j):
+    for lam in lams:
         if lam.real < 0:
             continue
         m = np.hstack([lam * np.eye(r) - j, b1.astype(complex)])
@@ -149,6 +155,17 @@ HAUTUS_CASES = {
                                  (np.array([[1.0], [1.0], [1.0]]),
                                   np.array([[1.0], [0.0], [1.0]])),
                                  "pair (J, B1[1]) is not stabilizable at eigenvalue 1"),
+    # a complex pair no input reaches is named through its member with
+    # Im > 0, which eigvals lists first
+    "complex-pair": (np.eye(3), np.array([[1.0, -2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, -1.0]]),
+                     (np.array([[0.0], [0.0], [1.0]]),),
+                     "pair (J, B1[0]) is not stabilizable at eigenvalue 1+2j"),
+    # the pair is reached and the real mode at 3 is not (a complex
+    # spectrum prints it as 3+0j)
+    "complex-pair-reached": (np.eye(4), np.array([[3.0, 0.0, 0.0, 0.0], [0.0, 1.0, -2.0, 0.0],
+                                                  [0.0, 2.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0]]),
+                             (np.array([[0.0], [1.0], [0.0], [1.0]]),),
+                             "pair (J, B1[0]) is not stabilizable at eigenvalue 3+0j"),
 }
 
 
@@ -156,6 +173,38 @@ HAUTUS_CASES = {
 def test_stacked_hautus_test_matches_the_eigenvalue_loop(case):
     e, a, bs, want = HAUTUS_CASES[case]
     assert _construction_error(e, a, bs) == _reference_error(e, a, bs) == want
+
+
+def test_hautus_test_takes_one_svd_per_conjugate_pair(monkeypatch):
+    # J has the real unstable eigenvalue 3 and the pairs 1 +- 2i and
+    # 2 +- i: three rank tests, not five; listed conjugate first, the
+    # failing pair is named through that member, as the loop names it
+    a = np.zeros((6, 6))
+    a[0, 0], a[5, 5] = 3.0, -1.0
+    a[1:3, 1:3] = [[1.0, -2.0], [2.0, 1.0]]
+    a[3:5, 3:5] = [[2.0, -1.0], [1.0, 2.0]]
+    b1 = np.array([[1.0], [0.0], [0.0], [1.0], [0.0], [0.0]])
+    lams = np.linalg.eigvals(a)
+    assert np.sum(lams.real >= 0) == 5 and np.sum((lams.real >= 0) & (lams.imag >= 0)) == 3
+    rows = []
+    svd = np.linalg.svd
+
+    def counted(m, *args, **kwargs):
+        rows.append(m.shape[0])
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    want = "pair (J, B1[0]) is not stabilizable at eigenvalue 1+2j"
+    with pytest.raises(UnstabilizableError) as err:
+        _check_stabilizable(a, lams, b1, "0")
+    assert str(err.value) == want and rows == [3]
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    with pytest.raises(UnstabilizableError) as err:
+        _check_stabilizable(a, np.sort_complex(lams)[::-1].conj(), b1, "0")
+    with pytest.raises(UnstabilizableError) as ref:
+        _hautus_reference_at(a, np.sort_complex(lams)[::-1].conj(), b1, "0")
+    assert str(err.value) == str(ref.value)
+    assert "1-2j" in str(err.value)
 
 
 @pytest.mark.parametrize("n", [16, 32, 48])

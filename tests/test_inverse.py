@@ -33,7 +33,7 @@ from dgame import (
     verify_nash_local,
 )
 from dgame.cli import load_problem
-from dgame.inverse import _margin_map, _maximize_margin
+from dgame.inverse import _margin_map, _maximize_margin, kernel_of
 from conftest import (
     THETA_MIS,
     friendly_costs,
@@ -195,7 +195,7 @@ def test_identify_lane_observed_feasible(lane_setup):
         assert pc.residual <= 1e-7
         assert pc.pd_margin > 0
         assert abs(np.linalg.norm(pc.theta) - 1.0) <= 1e-12
-        assert pc.kernel.shape[1] == 6
+        assert pc.kernel_dim == 6
 
 
 def test_identify_deterministic(lane_setup):
@@ -365,7 +365,7 @@ def test_margin_dual_beats_retired_optimizer_on_planted_games():
         cert = identify(rg, f_obs)
         assert cert.feasible
         for i, pc in enumerate(cert.players):
-            _assert_certified_and_no_worse(_margin_map(rg, cert.layout, i, pc.kernel))
+            _assert_certified_and_no_worse(_margin_map(rg, cert.layout, i, kernel_of(cert, i)))
 
 
 @pytest.mark.parametrize("support, dim", [
@@ -378,9 +378,9 @@ def test_margin_dual_beats_retired_optimizer_under_supports(multi_input_setup, s
     rg, f_obs = multi_input_setup
     cert = identify(rg, f_obs, Constraints(support=support))
     pc = cert.players[0]
-    assert pc.kernel.shape[1] == dim
+    assert pc.kernel_dim == dim
     assert pc.feasible
-    _assert_certified_and_no_worse(_margin_map(rg, cert.layout, 0, pc.kernel))
+    _assert_certified_and_no_worse(_margin_map(rg, cert.layout, 0, kernel_of(cert, 0)))
 
 
 def test_margin_dual_is_closed_form_for_scalar_weights(lane_setup, multi_input_setup):
@@ -390,7 +390,7 @@ def test_margin_dual_is_closed_form_for_scalar_weights(lane_setup, multi_input_s
     rg_multi, f_multi = multi_input_setup
     for game, f, i in ((rg, f_obs, 0), (rg, f_obs, 1), (rg_multi, f_multi, 1)):
         cert = identify(game, f)
-        mats = _margin_map(game, cert.layout, i, cert.players[i].kernel)
+        mats = _margin_map(game, cert.layout, i, kernel_of(cert, i))
         c = np.array([a[0, 0] for a in mats])
         z, _ = _maximize_margin(mats, 2e-8)
         assert z.tobytes() == (c / np.linalg.norm(c)).tobytes()
@@ -406,18 +406,29 @@ def test_identify_infeasible_multi_input_floor_exit(multi_input_setup):
     support = (0, 1, 2, 4, 5, 7, 8, 9)
     cert = identify(rg, f_obs, Constraints(support=support))
     p0, p1 = cert.players
-    assert p0.kernel.shape[1] == 2
+    assert p0.kernel_dim == 2
     assert not p0.feasible and p1.feasible
     assert p0.pd_margin < 0.0
     # theta lies in the kernel
     assert p0.residual <= 1e-12 * np.linalg.norm(p0.m, 2)
-    mats = _margin_map(rg, cert.layout, 0, p0.kernel)
+    mats = _margin_map(rg, cert.layout, 0, kernel_of(cert, 0))
     z, margin, dual, gnorm = _dual_solve(mats)
     assert margin <= dual
     assert margin < 0.0
     # it stops at the floor, without driving the dual value to zero
     assert 1e-12 * gnorm < dual <= 2e-8
     assert _maximize_margin_oracle(mats, 0, 2)[1] < 0.0
+
+
+def test_identify_kernel_without_margin_takes_its_first_basis_vector(multi_input_setup):
+    # E = I and a support without player 0's own weight R_00: the margin
+    # map vanishes on the kernel, no direction moves the margin, and theta
+    # is the explicit kernel basis's first vector, with margin 0
+    rg, f_obs = multi_input_setup
+    cert = identify(rg, f_obs, Constraints(support=(0, 1, 2, 3, 4, 5, 9)))
+    p0 = cert.players[0]
+    assert p0.kernel_dim == 2 and not p0.feasible and p0.pd_margin == 0.0
+    assert np.abs(p0.theta - kernel_of(cert, 0)[:, 0]).max() <= 1e-15
 
 
 def test_identify_empty_kernel_takes_least_residual_direction(lane_setup):
@@ -429,13 +440,48 @@ def test_identify_empty_kernel_takes_least_residual_direction(lane_setup):
     cert = identify(rg, f_obs, Constraints(support=support))
     assert not cert.feasible
     for i, pc in enumerate(cert.players):
-        assert pc.kernel.shape[1] == 0 and not pc.feasible
+        assert pc.kernel_dim == 0 and not pc.feasible
         _, s, vt = np.linalg.svd(pc.m[:, support])
         v = np.zeros(cert.layout.size)
         v[list(support)] = vt[-1]
         assert min(np.linalg.norm(pc.theta - v), np.linalg.norm(pc.theta + v)) <= 1e-14
         assert pc.residual == pytest.approx(s[-1], rel=1e-12)
         assert pc.pd_margin >= pd_margin(rg, cert.layout, i, -pc.theta)
+
+
+def _assert_matches_the_explicit_kernel(rg, cert):
+    """identify's kernel dimension is the full SVD's count (kernel_basis,
+    the oracle), and its theta a unit vector of that kernel whose margin
+    is the explicit basis's dual optimum to 1e-12 relative."""
+    for i, pc in enumerate(cert.players):
+        basis = kernel_of(cert, i)
+        assert pc.kernel_dim == basis.shape[1]
+        assert abs(np.linalg.norm(pc.theta) - 1.0) <= 1e-12
+        assert np.linalg.norm(pc.theta - basis @ (basis.T @ pc.theta)) <= 1e-12
+        z, _ = _maximize_margin(_margin_map(rg, cert.layout, i, basis), 2e-8)
+        want = pd_margin(rg, cert.layout, i, basis @ z)
+        assert abs(pc.pd_margin - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("n", [16, 24, 32, 40, 48, 56, 64])
+def test_identify_through_the_row_space_on_size_sweep_draws(n):
+    # the conftest size-sweep game with a stabilizing observed gain: from
+    # n = 48 the kernel holds directions at M_i's rounding level
+    rng = np.random.default_rng(0)
+    rg = reduce_game(random_game(rng, n, 3 * n // 4, (1, 1)))
+    cert = identify(rg, ReducedFeedback(stabilizing_reduced_gain(rng, rg), rg.input_dims))
+    assert cert.feasible
+    _assert_matches_the_explicit_kernel(rg, cert)
+
+
+def test_identify_through_the_row_space_on_lane_and_matrix_weights(lane_setup,
+                                                                  multi_input_setup):
+    # scalar own weights (lane) and a 2 x 2 one, whose margin map has a
+    # repeated column that the search basis drops
+    _, rg, f_obs = lane_setup
+    rg_multi, f_multi = multi_input_setup
+    for game, f in ((rg, f_obs), (rg_multi, f_multi)):
+        _assert_matches_the_explicit_kernel(game, identify(game, f))
 
 
 def test_margin_dual_with_zero_margin_map():
@@ -470,7 +516,7 @@ def test_dimension_bound_on_random_games():
         cert = identify(rg, f_red)
         layout = cert.layout
         for i, pc in enumerate(cert.players):
-            assert pc.kernel.shape[1] >= layout.size - r * dims[i]
+            assert pc.kernel_dim >= layout.size - r * dims[i]
 
 
 def test_scale_theta_homogeneity(lane_setup):
