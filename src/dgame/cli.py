@@ -602,8 +602,8 @@ def cmd_verify(args, problem: Problem, rg) -> int:
     verify_section = {"players": players, "all_members": all(p["member"] for p in players)}
     if verify_section["all_members"]:
         # certify the equilibrium property of the observed loop under the
-        # candidate costs by each player's best response
-        ok, _ = certify_nash(rg, layout.costs_from_thetas(thetas), f_red)
+        # candidate costs by the forward solver's acceptance test
+        ok, _ = certify_nash(rg, layout.costs_from_thetas(thetas), f_red, args.tol)
         verify_section["nash_spot_check"] = bool(ok)
     report = {
         "meta": _meta(args),
@@ -626,8 +626,10 @@ def cmd_simulate(args, problem: Problem, rg) -> int:
         raise UsageError(f"--x1-0 must have r={rg.r} entries")
     if not np.isfinite(x1_0).all():
         raise UsageError("--x1-0 must have finite entries")
-    if not (0.0 < args.dt < np.inf and 0.0 <= args.horizon < np.inf):
-        raise UsageError("need a finite --dt > 0 and a finite --horizon >= 0")
+    if not (0.0 < args.dt < np.inf and 0.0 <= args.horizon < np.inf
+            and args.horizon / args.dt < np.inf):
+        raise UsageError("need a finite --dt > 0 and a finite --horizon >= 0, "
+                         "with a finite --horizon / --dt")
     samples = int(round(args.horizon / args.dt)) + 1
     try:
         blocks = simulate_blocks(rg, problem.f_observed, x1_0, args.horizon, args.dt)

@@ -30,9 +30,10 @@ family whose rounding floor lies above the tolerance in data units.  A
 start whose point meets that test takes one more step and retires.  The
 end points are checked as one stack too.
 Whether a given feedback is an equilibrium is decided without random
-numbers by :func:`certify_nash`: with the other players' gains fixed,
-each player faces a regulator problem, and every player's Riccati
-equation is one item of one stacked solve.  :func:`verify_nash_local`
+numbers by :func:`certify_nash`, the same acceptance test at the gain's
+own Lyapunov value matrices: with a stable loop and definite own-input
+weights, value matrices that meet stationarity are each player's
+stabilizing best-response Riccati solution.  :func:`verify_nash_local`
 is the independent random check: it solves each player's random
 deviations as one stack.
 Coupled Riccati systems can have several stabilizing solutions, so
@@ -399,7 +400,7 @@ def solution_at(rg: ReducedGame, c: CostParameters,
     The value matrices come from per-player Lyapunov solves, so the
     Riccati residuals are at rounding level and the stationarity residual
     measures how far ``f_red`` is from an equilibrium (which
-    :func:`certify_nash` decides directly).  Raises what
+    :func:`certify_nash` decides by backward error).  Raises what
     :func:`dgame.linalg.solve_lyapunov` raises when the loop admits no
     unique value matrices.
     """
@@ -650,68 +651,43 @@ def equilibrium_cost(sol: EquilibriumSolution, i: int, x1_0: np.ndarray) -> floa
     return float(x1_0 @ sol.p[i] @ x1_0)
 
 
-def certify_nash(rg: ReducedGame, c: CostParameters,
-                 f_red: ReducedFeedback) -> tuple[bool, np.ndarray]:
-    """Whether ``f_red`` is a feedback Nash equilibrium of ``c``, by each
-    player's best response.
+def certify_nash(rg: ReducedGame, c: CostParameters, f_red: ReducedFeedback,
+                 tol: float = SolveOptions.tol) -> tuple[bool, np.ndarray]:
+    """Whether ``f_red`` is a feedback Nash equilibrium of ``c``: the
+    acceptance test of :func:`solve_fbne` at ``tol``, at the gain's own
+    Lyapunov value matrices P(F).
 
-    With the other players' gains fixed, player i faces a regulator
-    problem with a cross term: the loop A_{-i} = J + sum_{j != i} B1_j F_j,
-    the input B = B1_i and the weights Q^ = X' M_i X, S^ = X' M_i E and
-    R^ = E' M_i E, with X = [I; F_{-i}] (F with player i's rows zero) and
-    E the unit columns of player i's input rows.  Its best response is
-    -R^-1 (B' P + S^'), P the stabilizing solution of the Riccati equation
-    with a = A_{-i} - B R^-1 S^', s = B R^-1 B' and q = Q^ - S^ R^-1 S^'
-    (Engwerda 2005, ch. 8; Willems 1971 for an indefinite q), and F is an
-    equilibrium exactly when every F_i is its best response
-    (:func:`same_behavior`).  Every player's equation, balanced by a power
-    of two so that the verdict does not move with the costs' scale, is
-    one item of one :func:`dgame.linalg.solve_riccati_stack` call;
-    nothing is random.
-    Returns ``(ok, distance)``: ``distance[i]`` is max|best - F_i| /
-    (1 + max|F_i|), infinite where R^ is not positive definite or the
-    Riccati item has no stabilizing solution, and ``ok`` is then False,
+    With a stable loop and every effective own-input weight R^_i positive
+    definite, value matrices that meet stationarity solve each player's
+    best-response Riccati equation (the others' gains fixed) with a stable
+    loop, so they are its stabilizing solutions and every F_i is a best
+    response (Engwerda 2005, ch. 8).  Nothing is random and no Riccati
+    equation is solved.
+    Returns ``(ok, errors)``: ``errors[i]`` is player i's stationarity
+    backward error (its rows of G F + V' + Bd' P over the family's
+    denominator), infinite where R^_i is not positive definite or the
+    loop has no stable, unique value matrices; ``ok`` is then False,
     never an exception.
     """
-    ev = _Evaluator(rg, c)
-    r, n_players, f = rg.r, rg.n_players, f_red.matrix
-    f_minus = np.repeat(f[None], n_players, axis=0)
-    for i, si in enumerate(ev.rows):
-        f_minus[i, si] = 0.0
-    x, a = ev.lift(f_minus), ev.closed_loop(f_minus)
-    q_hat = x.swapaxes(-1, -2) @ ev.ms @ x
-    s, q = np.full((2, n_players, r, r), np.nan)
-    # per player, R^-1 [B' | S^'], where R^ = G[s_i, s_i] and S^' = E' M_i X =
-    # V'_i + G_i F_{-i} are read from player i's rows of M_i
-    solves = {}
-    for i, (si, definite) in enumerate(zip(ev.rows, ev.own_weights_definite())):
-        if not definite:
-            a[i] = np.nan
-            continue
-        s_hat_t = ev.vbar_t[si] + ev.gbar[si] @ f_minus[i]
-        solves[i] = np.linalg.solve(ev.gbar[si, si], np.hstack([ev.b1_t[i], s_hat_t]))
-        r_b, r_s = solves[i][:, :r], solves[i][:, r:]
-        a[i] -= rg.b1[i] @ r_s
-        s[i] = symmetrize(rg.b1[i] @ r_b)
-        q[i] = symmetrize(q_hat[i] - s_hat_t.T @ r_s)
-    # P = beta P~, beta the power of two nearest sqrt(max|q| / max|s|),
-    # balances each Hamiltonian (max|beta s| = max|q / beta| to within a
-    # factor 2) however the costs are scaled, so the verdict does not move
-    # with their scale
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        beta = 2.0 ** np.round(0.5 * np.log2(np.abs(q).max(axis=(1, 2))
-                                             / np.abs(s).max(axis=(1, 2))))
-    beta = np.where(np.isfinite(beta) & (beta > 0), beta, 1.0)[:, None, None]
-    p, solved = solve_riccati_stack(a, beta * s, q / beta)
-    p *= beta
-    distance = np.full(n_players, np.inf)
-    ok = bool(solved.all())
-    for i in np.flatnonzero(solved):
-        f_i = f[ev.rows[i]]
-        best = -(solves[i][:, :r] @ p[i] + solves[i][:, r:])
-        distance[i] = np.abs(best - f_i).max(initial=0.0) / (1.0 + np.abs(f_i).max(initial=0.0))
-        ok &= same_behavior(f_i, best)
-    return ok, distance
+    ev = _Evaluator(rg, c, tol)
+    f = f_red.matrix
+    a_cl, costs = ev.closed_loop(f), ev.costs(f)
+    unsolved = False, np.full(rg.n_players, np.inf)
+    if not is_stable(a_cl):
+        return unsolved
+    p, failed = ev.values(a_cl, costs)
+    if any(err is not None for err in failed):
+        return unsolved
+    definite = np.array(ev.own_weights_definite())
+    stat, care = ev.residual_matrices(f, p, a_cl, costs)
+    s_stat, s_care = ev.denominators(f, p, a_cl, costs)
+    stat_max = np.array([np.abs(stat[si]).max(initial=0.0) for si in ev.rows])
+    # a zero residual is a zero backward error, also over a zero denominator
+    errors = np.where(definite, np.divide(stat_max, s_stat, out=np.zeros_like(stat_max),
+                                          where=stat_max > 0), np.inf)
+    ok = definite.all() and ev.accepts(stat_max.max(), np.abs(care).max(axis=(-2, -1)),
+                                       s_stat, s_care)
+    return bool(ok), errors
 
 
 def verify_nash_local(rg: ReducedGame, c: CostParameters, sol: EquilibriumSolution,

@@ -21,10 +21,15 @@ from hypothesis import HealthCheck, example, given, settings
 
 from dgame import (
     ReducedFeedback,
+    SolveOptions,
+    ThetaLayout,
     cli,
+    identify,
+    preimage_sample,
     reduce_feedback,
     reduce_game,
     simulate,
+    solve_fbne,
     sorted_spectrum,
     write_trajectory_csv,
 )
@@ -37,9 +42,11 @@ from conftest import (
     Q_GT,
     R_GT,
     THETA_MIS,
+    lane_costs_gt,
     lane_game,
     lane_profile_gt,
     planted_draw,
+    planted_problem,
     stabilizing_reduced_gain,
 )
 
@@ -425,7 +432,6 @@ def theta_file(tmp_path, thetas, name="theta.json"):
 
 
 def test_verify_membership_verdicts(tmp_path):
-    from dgame import ThetaLayout
     layout = ThetaLayout(n=3, input_dims=(1, 1))
     out = tmp_path / "rep.json"
 
@@ -452,6 +458,43 @@ def test_verify_membership_verdicts(tmp_path):
     assert all(not p["member"] for p in rep["players"])
 
 
+def test_verify_judges_nash_at_the_solver_tolerance(tmp_path):
+    # lane's equilibrium gain scaled by 1 + 1e-6 keeps the ground-truth
+    # costs as members, at a stationarity backward error of 2.3e-7: above
+    # the default --tol, within --tol 1e-6
+    rg, c = reduce_game(lane_game()), lane_costs_gt()
+    (sol,) = solve_fbne(rg, c, SolveOptions(n_starts=16))
+    f = preimage_sample(rg, ReducedFeedback(sol.f_star.matrix * (1 + 1e-6), rg.input_dims))
+    path = write_problem(tmp_path, F=[f_i.tolist() for f_i in f.f])
+    layout = ThetaLayout(n=rg.n, input_dims=rg.input_dims)
+    tf = theta_file(tmp_path, [layout.theta_of(c, i) for i in range(rg.n_players)])
+    out = tmp_path / "rep.json"
+    for tol, nash in ((None, False), ("1e-6", True)):
+        assert run(["verify", path, "--theta", tf, "--out", out,
+                    *(["--tol", tol] if tol else [])]) == 0
+        rep = json.loads(out.read_text())["verify"]
+        assert rep["all_members"] and rep["nash_spot_check"] is nash
+
+
+@pytest.mark.parametrize("n", [56, 64])
+def test_verify_certifies_identified_costs_of_a_large_planted_game(tmp_path, n):
+    # the planted game's identified costs rationalize its gain to rounding,
+    # and verify certifies it as their equilibrium; at these sizes the
+    # gain is ill-conditioned enough that a computed best response lies
+    # 5.7e-5 (n = 56) and 5.7e-3 (n = 64) from it, beyond DEDUP_TOL, while
+    # its backward error stays at rounding level
+    path = tmp_path / "planted.json"
+    path.write_text(json.dumps(planted_problem(np.random.default_rng(0), n, 3 * n // 4, (1, 1))))
+    problem = cli.load_problem(str(path))
+    rg = reduce_game(problem.game)
+    cert = identify(rg, reduce_feedback(rg, problem.f_observed))
+    tf = theta_file(tmp_path, [p.theta for p in cert.players])
+    out = tmp_path / "rep.json"
+    assert run(["verify", path, "--theta", tf, "--out", out]) == 0
+    rep = json.loads(out.read_text())["verify"]
+    assert rep["all_members"] and rep["nash_spot_check"]
+
+
 def test_verify_rejects_malformed_theta_length(tmp_path):
     tf = theta_file(tmp_path, [np.zeros(5), np.zeros(8)])
     assert run(["verify", REPO_FIXTURE, "--theta", tf]) == 1
@@ -467,7 +510,8 @@ def test_simulate_zero_initial_state(tmp_path):
 
 
 @pytest.mark.parametrize("span", [("--dt", "0"), ("--dt", "-0.01"), ("--dt", "nan"),
-                                  ("--horizon", "-1"), ("--horizon", "inf")])
+                                  ("--horizon", "-1"), ("--horizon", "inf"),
+                                  ("--horizon", "1e300", "--dt", "1e-300")])
 def test_simulate_rejects_bad_time_grid(tmp_path, capsys, span):
     out = tmp_path / "traj.csv"
     assert run(["simulate", REPO_FIXTURE, "--x1-0", "1,0.4", *span, "--out", out]) == 1
@@ -614,8 +658,6 @@ def test_simulate_unstable_loop_exits_5(tmp_path):
 def test_simulate_preimage_members_share_inputs(tmp_path):
     # two distinct realizations of the same reduced behavior produce
     # byte-similar input columns
-    from dgame import preimage_sample, reduce_feedback, reduce_game
-    from conftest import lane_game, lane_profile_gt
     rg = reduce_game(lane_game())
     f_red = reduce_feedback(rg, lane_profile_gt())
     alt = preimage_sample(rg, f_red, seed=3)

@@ -121,6 +121,29 @@ def test_lane_identified_costs_two_solutions(lane):
     np.testing.assert_allclose(f0[:, 1], f1[:, 1], atol=1e-6)
 
 
+def _best_response_distances(rg, c, f):
+    """Oracle of the Nash certificate: per player, max|best - F_i| /
+    (1 + max|F_i|) for player i's best response to the others' gains F_j,
+    the regulator gain of the loop A_{-i} = J + sum_{j != i} B1_j F_j with
+    input B1_i and weights Q^ = X' M_i X, S^ = X' M_i E and R^ = E' M_i E
+    (X = [I; F_{-i}], F with player i's rows zero, and E the unit columns
+    of player i's input rows), from scipy's Schur-based Riccati solver."""
+    r, distances = rg.r, []
+    for i in range(rg.n_players):
+        si = rg.input_slice(i)
+        mi = m_matrix(rg, c, i)
+        f_minus = f.copy()
+        f_minus[si] = 0.0
+        x = np.vstack([np.eye(r), f_minus])
+        e = np.eye(r + rg.m)[:, r + si.start:r + si.stop]
+        q_hat, s_hat, r_hat = x.T @ mi @ x, x.T @ mi @ e, e.T @ mi @ e
+        p = sla.solve_continuous_are(rg.j + rg.b1_stacked @ f_minus, rg.b1[i],
+                                     symmetrize(q_hat), symmetrize(r_hat), s=s_hat)
+        best = -np.linalg.solve(r_hat, rg.b1[i].T @ p + s_hat.T)
+        distances.append(np.abs(best - f[si]).max() / (1.0 + np.abs(f[si]).max()))
+    return np.array(distances)
+
+
 def test_best_response_fixed_point_property(lane):
     # at every returned solution, each player's gain is the regulator best
     # response to the others: an independent characterization via the
@@ -128,34 +151,7 @@ def test_best_response_fixed_point_property(lane):
     rg = lane["rg"]
     for costs in (lane["costs_gt"], lane["costs_id"]):
         for sol in solve_fbne(rg, costs, FAST):
-            f = sol.f_star.matrix
-            r = rg.r
-            rows = [slice(r + s.start, r + s.stop)
-                    for s in map(rg.input_slice, range(rg.n_players))]
-            for i in range(rg.n_players):
-                si = rg.input_slice(i)
-                mi = m_matrix(rg, costs, i)
-                a_others = rg.j.copy()
-                for j in range(rg.n_players):
-                    if j != i:
-                        a_others = a_others + rg.b1[j] @ f[rg.input_slice(j)]
-                # quadratic pieces of player i's single-player problem, read
-                # out of M_i: q_bar, v_bar[j], r_bar[j] and s_bar[i][j]
-                q_hat = mi[:r, :r].copy()
-                v_hat = mi[:r, rows[i]].copy()
-                for j in range(rg.n_players):
-                    if j == i:
-                        continue
-                    fj = f[rg.input_slice(j)]
-                    v_bar_j = mi[:r, rows[j]]
-                    q_hat = q_hat + v_bar_j @ fj + fj.T @ v_bar_j.T
-                    q_hat = q_hat + fj.T @ mi[rows[j], rows[j]] @ fj
-                    v_hat = v_hat + (mi[rows[i], rows[j]] @ fj).T
-                r_hat = mi[rows[i], rows[i]]
-                p = sla.solve_continuous_are(a_others, rg.b1[i], 0.5 * (q_hat + q_hat.T),
-                                             r_hat, s=v_hat)
-                best = -np.linalg.solve(r_hat, rg.b1[i].T @ p + v_hat.T)
-                np.testing.assert_allclose(best, f[si], atol=1e-6 * (1 + np.abs(f).max()))
+            assert _best_response_distances(rg, costs, sol.f_star.matrix).max() <= 1e-6
 
 
 def test_single_player_matches_reference_lqr():
@@ -918,36 +914,67 @@ def test_stacked_nash_check_matches_the_trial_loop(lane):
 
 def test_certificate_agrees_with_the_spot_check_on_lane(lane):
     # lane's five forward solutions (1 / 2 / 2 over the three cost sets)
-    # are each player's best response, to rounding
+    # meet stationarity at their own value matrices to rounding, and are
+    # each player's best response to rounding in the scipy oracle
     rg = lane["rg"]
     n_solutions = 0
     for costs in ("costs_gt", "costs_id", "costs_mis"):
         c = lane[costs]
         for sol in solve_fbne(rg, c, FAST):
-            ok, distance = certify_nash(rg, c, sol.f_star)
+            ok, errors = certify_nash(rg, c, sol.f_star)
             assert ok and verify_nash_local(rg, c, sol, n_trials=200, radius=0.5)[0]
-            assert distance.shape == (rg.n_players,) and distance.max() <= 1e-12
+            assert errors.shape == (rg.n_players,) and errors.max() <= 1e-14
+            assert _best_response_distances(rg, c, sol.f_star.matrix).max() <= 1e-12
             n_solutions += 1
     assert n_solutions == 5
 
 
 def test_certificate_rejects_the_perturbed_gain(lane):
     # the perturbed gain of test_verify_nash_rejects_perturbed_gain: player
-    # 0's best response is 0.15 away, relative, and player 1's (whose own
-    # gain is unchanged) moves with it
+    # 0's stationarity backward error is 0.034, and player 1's (whose own
+    # gain is unchanged) moves with it to 0.0045; the oracle puts their
+    # best responses 0.15 and 0.02 away, relative
     rg, c = lane["rg"], lane["costs_gt"]
     (sol,) = solve_fbne(rg, c, FAST)
     f_fake = sol.f_star.matrix + np.array([[0.4, 0.0], [0.0, 0.0]])
-    ok, distance = certify_nash(rg, c, ReducedFeedback(f_fake, rg.input_dims))
+    ok, errors = certify_nash(rg, c, ReducedFeedback(f_fake, rg.input_dims))
     assert not ok
-    assert (distance > 100 * DEDUP_TOL).all()
-    ok, distance = certify_nash(rg, c, ReducedFeedback(sol.f_star.matrix * 1.01, rg.input_dims))
-    assert not ok and distance.max() > DEDUP_TOL
+    assert (errors > 1e6 * SolveOptions.tol).all()
+    assert (_best_response_distances(rg, c, f_fake) > 100 * DEDUP_TOL).all()
+    ok, errors = certify_nash(rg, c, ReducedFeedback(sol.f_star.matrix * 1.01, rg.input_dims))
+    assert not ok and errors.max() > 1e6 * SolveOptions.tol
+
+
+def test_certificate_verdict_is_the_best_response_oracles(lane):
+    # "every gain is its player's best response within DEDUP_TOL", from
+    # scipy's Riccati solver, gives the certificate's verdict on lane's
+    # solutions and on the perturbed and the scaled gain
+    rg = lane["rg"]
+    gains = [(lane[costs], sol.f_star.matrix) for costs in ("costs_gt", "costs_id", "costs_mis")
+             for sol in solve_fbne(rg, lane[costs], FAST)]
+    c, f = gains[0]
+    gains += [(c, f + np.array([[0.4, 0.0], [0.0, 0.0]])), (c, f * 1.01)]
+    verdicts = [certify_nash(rg, c, ReducedFeedback(f, rg.input_dims))[0] for c, f in gains]
+    oracle = [bool((_best_response_distances(rg, c, f) <= DEDUP_TOL).all()) for c, f in gains]
+    assert verdicts == oracle == [True] * 5 + [False] * 2
+
+
+def test_certificate_judges_at_the_given_tolerance(lane):
+    # lane's equilibrium gain scaled by 1 + 1e-6: a stationarity backward
+    # error of 2.3e-7, rejected at the solver's default tolerance and
+    # accepted at 1e-6
+    rg, c = lane["rg"], lane["costs_gt"]
+    (sol,) = solve_fbne(rg, c, FAST)
+    f = ReducedFeedback(sol.f_star.matrix * (1 + 1e-6), rg.input_dims)
+    ok, errors = certify_nash(rg, c, f)
+    assert not ok and 1e-7 < errors.max() < 1e-6
+    ok, again = certify_nash(rg, c, f, tol=1e-6)
+    assert ok and np.array_equal(errors, again)
 
 
 def test_certificate_is_false_for_an_indefinite_input_weight(lane):
     # player 0's own input weight negated: the certificate says False and
-    # raises nothing, and player 1's problem is still solved
+    # raises nothing, and player 1's backward error is still measured
     rg, c = lane["rg"], lane["costs_gt"]
     (sol,) = solve_fbne(rg, c, FAST)
     r = [list(row) for row in c.r]
@@ -955,9 +982,28 @@ def test_certificate_is_false_for_an_indefinite_input_weight(lane):
     bad = CostParameters(q=c.q, r=r)
     r_hat = m_matrix(rg, bad, 0)[rg.r:rg.r + 1, rg.r:rg.r + 1]
     assert np.linalg.eigvalsh(r_hat)[0] < 0
-    ok, distance = certify_nash(rg, bad, sol.f_star)
+    ok, errors = certify_nash(rg, bad, sol.f_star)
     assert not ok
-    assert distance[0] == np.inf and np.isfinite(distance[1])
+    assert errors[0] == np.inf and np.isfinite(errors[1])
+
+
+def test_certificate_of_a_zero_cost_game_has_zero_errors():
+    # no state weight and a stable J: F = 0 is the equilibrium, with zero
+    # value matrices, so residuals and denominators are all zero
+    g = DescriptorGame(np.eye(2), -np.eye(2), (np.ones((2, 1)),))
+    rg = reduce_game(g)
+    c = CostParameters(q=(np.zeros((2, 2)),), r=((np.eye(1),),))
+    ok, errors = certify_nash(rg, c, ReducedFeedback(np.zeros((1, rg.r)), rg.input_dims))
+    assert ok and errors.tolist() == [0.0]
+
+
+def test_certificate_is_false_for_an_unstable_loop(lane):
+    # a gain whose loop is unstable has no value matrices to judge
+    rg, c = lane["rg"], lane["costs_gt"]
+    f = ReducedFeedback(np.zeros((rg.m, rg.r)), rg.input_dims)
+    assert not is_stable(rg.closed_loop(f.matrix))
+    ok, errors = certify_nash(rg, c, f)
+    assert not ok and (errors == np.inf).all()
 
 
 _SIZE_SWEEP_N48 = """
@@ -976,20 +1022,17 @@ for sol in sols:
     for k in (-8, -4, 0, 4, 8):
         scaled = CostParameters(q=[10.0 ** k * q for q in c.q],
                                 r=[[10.0 ** k * r for r in row] for row in c.r])
-        ok, distance = certify_nash(rg, scaled, sol.f_star)
-        assert ok, (k, distance)
+        ok, errors = certify_nash(rg, scaled, sol.f_star)
+        assert ok, (k, errors)
 """
 
 
 def test_size_sweep_n48_equilibrium_is_certified():
     # the size sweep's n = 48 equilibrium with BLAS on one thread, under
     # its costs and under the costs scaled by 1e-8 ... 1e8: |P_i| is near
-    # 2e7 at scale 1, where the sign iteration's update wanders above its
-    # stop rule at the rounding floor (the balanced Riccati items were
-    # masked at every scale before they were judged by backward error,
-    # and without balancing the best response misses F_i by 2e-5 from
-    # scale 1e2 up); the spot check once flagged a gap of -9.9e-6 here,
-    # rounding against |P_0|
+    # 2e7 at scale 1, and the stationarity backward errors, about 1e-10,
+    # must not move with the scale; the spot check once flagged a gap of
+    # -9.9e-6 here, rounding against |P_0|
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(

@@ -5,7 +5,8 @@ and ``friendly_costs`` from the same generator (the conftest
 generators), reduces the game and times ``solve_fbne`` with
 ``SolveOptions(n_starts=4)``, with BLAS on one thread.  Prints one line
 per size: the solve's seconds, its solution count, and each solution's
-start and Newton step count (``iterations``).
+start, Newton step count (``iterations``), Nash certificate verdict
+(``certify_nash``) and largest stationarity backward error.
 
     python tools/sizesweep.py [--sizes 16 24 32 40 48]
 
@@ -28,7 +29,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 import numpy as np  # noqa: E402
 
 from conftest import friendly_costs, random_game  # noqa: E402
-from dgame import SolveOptions, reduce_game, solve_fbne  # noqa: E402
+from dgame import SolveOptions, certify_nash, reduce_game, solve_fbne  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -44,7 +45,10 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         sols = solve_fbne(rg, costs, SolveOptions(n_starts=4))
         elapsed = time.perf_counter() - t0
-        found = ", ".join(f"{s.start} ({s.iterations} steps)" for s in sols) or "none"
+        verdicts = [certify_nash(rg, costs, s.f_star) for s in sols]
+        found = ", ".join(
+            f"{s.start} ({s.iterations} steps, {'certified' if ok else 'not certified'} "
+            f"at {errors.max():.1e})" for s, (ok, errors) in zip(sols, verdicts)) or "none"
         print(f"n {n} / r {rg.r}: {elapsed:.2f} s, {len(sols)} solutions: {found}", flush=True)
         empty |= not sols
     return 1 if empty else 0

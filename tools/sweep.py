@@ -8,9 +8,10 @@ every start count, and compares the solution sets with the ones saved in
 when no new one lies within ``MATCH_TOL`` of it (max-norm, relative to
 1 + max|F|); a new one that matches no saved one is found.  It also
 counts which start family (the start name without its index) each new
-solution came from first.  ``--check`` also runs the best-response
-certificate (``certify_nash``) on every solution it finds, and names
-each one the certificate rejects by its draw and start.
+solution came from first.  ``--check`` also runs the Nash certificate
+(``certify_nash``, the solver's acceptance test at the gain's own value
+matrices) on every solution it finds, and names each one the
+certificate rejects by its draw and start.
 
     python tools/sweep.py --check [--rng 777 778] [--starts 16 64]
     python tools/sweep.py --write [--rng 777 778] [--starts 16 64]
