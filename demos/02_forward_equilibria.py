@@ -1,9 +1,10 @@
 """Feedback Nash equilibria of the shared-steering game.
 
-Solves the coupled Riccati system for the ground-truth weights, checks
-the equilibrium property against random unilateral deviations, compares
-the value matrices with simulated cost integrals, and shows how distinct
-full-state gains can realize one and the same equilibrium behavior.
+Solves the coupled Riccati system for the ground-truth weights,
+certifies the equilibrium property (no player gains by deviating
+unilaterally), compares the value matrices with simulated cost integrals,
+and shows how distinct full-state gains can realize one and the same
+equilibrium behavior.
 """
 import numpy as np
 
@@ -32,7 +33,7 @@ for k, sol in enumerate(sols):
           f"(scale {sol.residuals.scale:.1f})")
 
 sol = sols[0]
-ok, counter = dg.verify_nash_local(rg, costs, sol, n_trials=200, radius=0.5)
+ok = dg.certify_nash(rg, costs, sol.f_star)[0]
 print("\nno profitable unilateral deviation found:", ok)
 
 x1_0 = np.array([1.0, 0.4])

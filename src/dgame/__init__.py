@@ -8,17 +8,12 @@ that rationalize an observed feedback profile.
 """
 
 from .linalg import (
-    duplication_matrix,
-    eigvals,
-    is_pd,
     is_stable,
     kernel_basis,
-    kron,
     min_eig_sym,
     solve_lyapunov,
     sorted_spectrum,
     unvech,
-    vec,
     vech,
 )
 from .pencil import (
@@ -26,11 +21,9 @@ from .pencil import (
     IrregularPencilError,
     Pencil,
     WeierstrassData,
-    consistent_initial,
     finite_spectrum,
     index_of,
     is_regular,
-    transform_decomposition,
     weierstrass,
 )
 from .game import (
@@ -64,9 +57,7 @@ from .forward import (
     SolveOptions,
     certify_nash,
     equilibrium_cost,
-    solution_at,
     solve_fbne,
-    verify_nash_local,
 )
 from .inverse import (
     BehaviorReport,

@@ -289,8 +289,9 @@ def simulate_blocks(g: DescriptorGame | ReducedGame,
     x1_0 = np.asarray(x1_0, dtype=float).reshape(-1)
     if x1_0.size != rg.r:
         raise ValueError(f"x1_0 must have length r={rg.r}")
-    if dt <= 0 or horizon < 0:
-        raise ValueError("need dt > 0 and horizon >= 0")
+    if not (0 < dt < np.inf and 0 <= horizon < np.inf and horizon / dt < np.inf):
+        raise ValueError("need a finite dt > 0 and a finite horizon >= 0, "
+                         "with a finite horizon / dt")
     steps = int(round(horizon / dt))
     phi = sla.expm(a_cl * dt)
     powers = [phi]

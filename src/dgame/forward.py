@@ -33,9 +33,7 @@ Whether a given feedback is an equilibrium is decided without random
 numbers by :func:`certify_nash`, the same acceptance test at the gain's
 own Lyapunov value matrices: with a stable loop and definite own-input
 weights, value matrices that meet stationarity are each player's
-stabilizing best-response Riccati solution.  :func:`verify_nash_local`
-is the independent random check: it solves each player's random
-deviations as one stack.
+stabilizing best-response Riccati solution.
 Coupled Riccati systems can have several stabilizing solutions, so
 enumeration is heuristic multistart and completeness is only ever
 validated at test scale.  G and V' are read out of the players' reduced
@@ -56,8 +54,7 @@ from .linalg import (is_stable, solve_lyapunov_stack, solve_riccati_stack, sorte
                      symmetrize, triu_indices)
 
 __all__ = ["SolveOptions", "CareResiduals", "EquilibriumSolution", "IndefiniteInputWeightError",
-           "same_behavior", "solution_at", "solve_fbne", "equilibrium_cost", "certify_nash",
-           "verify_nash_local"]
+           "same_behavior", "solve_fbne", "equilibrium_cost", "certify_nash"]
 
 
 #: relative max-entry distance under which two feedbacks are one solution
@@ -233,14 +230,6 @@ class _Evaluator:
                                 axis=-2)
         return self.gbar @ f + self.vbar_t + bd_t_p, care
 
-    def residuals(self, f, p, a_cl=None, costs=None) -> CareResiduals:
-        """Both residual families at one gain f and value matrices p, with
-        their max-norms; forms the loop unless ``a_cl`` and ``costs`` of
-        f are given."""
-        if a_cl is None:
-            a_cl, costs = self.closed_loop(f), self.costs(f)
-        return self.care_residuals(*self.residual_matrices(f, np.asarray(p), a_cl, costs))
-
     def care_residuals(self, stat, care) -> CareResiduals:
         """The residual matrices ``(stat, care)`` of one point, with their
         max-norms and the data scale."""
@@ -391,34 +380,6 @@ class _NewtonBlocks:
         h_at = (np.arange(n_players)[:, None, None] * (m + 1) + np.arange(m)[:, None]) * r
         self.d_from = tuple(np.where(np.arange(r) == u[..., None, None], h_at + v[..., None, None],
                                      mr).reshape(nn, n_players, mr) for u, v in ((c, d), (d, c)))
-
-
-def solution_at(rg: ReducedGame, c: CostParameters,
-                f_red: ReducedFeedback) -> EquilibriumSolution:
-    """The candidate solution of ``c`` at a stabilizing reduced feedback.
-
-    The value matrices come from per-player Lyapunov solves, so the
-    Riccati residuals are at rounding level and the stationarity residual
-    measures how far ``f_red`` is from an equilibrium (which
-    :func:`certify_nash` decides by backward error).  Raises what
-    :func:`dgame.linalg.solve_lyapunov` raises when the loop admits no
-    unique value matrices.
-    """
-    ev = _Evaluator(rg, c)
-    f = f_red.matrix
-    a_cl, costs = ev.closed_loop(f), ev.costs(f)
-    p, errors = ev.values(a_cl, costs)
-    for err in errors:
-        if err is not None:
-            raise err
-    return EquilibriumSolution(
-        f_star=f_red,
-        p=tuple(p),
-        a_cl=a_cl,
-        spectrum=sorted_spectrum(np.linalg.eigvals(a_cl)),
-        residuals=ev.residuals(f, p, a_cl, costs),
-        iterations=0,
-    )
 
 
 def _solve_each(a, b):
@@ -688,41 +649,3 @@ def certify_nash(rg: ReducedGame, c: CostParameters, f_red: ReducedFeedback,
     ok = definite.all() and ev.accepts(stat_max.max(), np.abs(care).max(axis=(-2, -1)),
                                        s_stat, s_care)
     return bool(ok), errors
-
-
-def verify_nash_local(rg: ReducedGame, c: CostParameters, sol: EquilibriumSolution,
-                      n_trials: int = 200, radius: float = 0.5,
-                      seed: int = 0):
-    """Spot-check the equilibrium property with random unilateral deviations.
-
-    For each player, perturbs only that player's reduced gain, ``n_trials``
-    times; deviations that destabilize the loop are skipped (they have
-    infinite cost).  The deviated value matrices come from one stacked
-    Lyapunov solve per player, and the check requires each to dominate
-    the equilibrium value matrix P_i up to ``1e-8 max|P_i|``
-    (equivalently: no initial state benefits by more than rounding).  Returns
-    ``(ok, counterexample)`` with the first violating deviation, in player
-    then trial order, when found.
-    """
-    ev = _Evaluator(rg, c)
-    rng = np.random.default_rng(seed)
-    f_star = sol.f_star.matrix
-    for i, si in enumerate(ev.rows):
-        deltas = np.empty((n_trials, rg.input_dims[i], rg.r))
-        for k in range(n_trials):
-            delta = rng.standard_normal(deltas.shape[1:])
-            delta *= radius * rng.uniform(0.05, 1.0) / max(np.abs(delta).max(), 1e-12)
-            deltas[k] = delta
-        f_dev = np.repeat(f_star[None], n_trials, axis=0)
-        f_dev[:, si] += deltas
-        a_dev = ev.closed_loop(f_dev)
-        stable = np.flatnonzero(is_stable(a_dev))
-        p_dev, errors = ev.values(a_dev[stable], ev.costs(f_dev[stable])[:, i:i + 1])
-        solved = np.array([err is None for err in errors], dtype=bool)
-        d = p_dev[solved, 0] - sol.p[i]
-        gaps = np.linalg.eigvalsh(0.5 * (d + d.swapaxes(-1, -2)))[:, 0]
-        bad = np.flatnonzero(gaps < -1e-8 * np.abs(sol.p[i]).max(initial=0.0))
-        if bad.size:
-            k = stable[solved][bad[0]]
-            return False, {"player": i, "delta": deltas[k], "min_eig_gap": float(gaps[bad[0]])}
-    return True, None

@@ -232,8 +232,8 @@ def pd_margin(rg: ReducedGame, layout: ThetaLayout, i: int, theta: np.ndarray) -
 def scale_theta(theta: np.ndarray, kappa: float) -> np.ndarray:
     """Positive rescaling; membership-preserving (residual and margin are
     both homogeneous of degree one)."""
-    if kappa <= 0:
-        raise ValueError("scaling factor must be positive")
+    if not 0 < kappa < np.inf:
+        raise ValueError("scaling factor must be positive and finite")
     return kappa * np.asarray(theta, dtype=float)
 
 
@@ -271,11 +271,6 @@ class InverseCertificate:
 
     def costs(self) -> CostParameters:
         return self.layout.costs_from_thetas(self.thetas)
-
-
-def _margin_map(rg, layout, i, basis_full):
-    """The stack of symmetric A_k with own_weight(sum z_k b_k) = sum z_k A_k."""
-    return np.moveaxis(_own_weight_map(rg, layout, i) @ basis_full, -1, 0)
 
 
 def _margin_search(phi, q):
@@ -483,7 +478,6 @@ class BehaviorReport:
     """Behaviors rationalized by an identified cost tuple."""
 
     solutions: tuple[EquilibriumSolution, ...]
-    spectra: tuple[np.ndarray, ...]
     matches: tuple[bool, ...]
     n_behaviors: int
     n_matching: int
@@ -513,7 +507,6 @@ def rationalized_behaviors(rg: ReducedGame, cert: InverseCertificate,
     matches = match_behaviors(cert.f_red, sols)
     return BehaviorReport(
         solutions=tuple(sols),
-        spectra=tuple(sol.spectrum for sol in sols),
         matches=matches,
         n_behaviors=len(sols),
         n_matching=int(sum(matches)),

@@ -9,10 +9,8 @@ once as A' = U T U' (real Schur form, LAPACK ``dgees``) for all its
 right-hand sides, each a triangular Sylvester solve T Y + Y T' = -U' Q U,
 P = U Y U' (Bartels-Stewart).  An item is accepted by its normwise
 backward error: residual max-norm at most
-1e-10 (2 max|A| max|P| + max|Q|) (Higham 2002, ch. 16).  ``vec``,
-``kron``, ``vech``, the duplication matrix (vec(A) = D_n vech(A)) and the
-Kronecker form of the Lyapunov operator give the vectorization calculus
-and vech-packed parameters.  Stabilizing solutions of a stack of
+1e-10 (2 max|A| max|P| + max|Q|) (Higham 2002, ch. 16).  ``vech`` and
+``unvech`` pack symmetric parameters.  Stabilizing solutions of a stack of
 continuous-time algebraic Riccati equations come from one stacked Newton
 iteration for the matrix sign function of their Hamiltonians
 (:func:`solve_riccati_stack`).
@@ -25,21 +23,15 @@ import numpy as np
 import scipy.linalg as sla
 
 __all__ = [
-    "kron",
-    "vec",
     "vech",
     "unvech",
-    "duplication_matrix",
-    "lyapunov_operator",
     "solve_lyapunov",
     "solve_lyapunov_stack",
     "solve_riccati_stack",
     "kernel_basis",
-    "eigvals",
     "sorted_spectrum",
     "is_stable",
     "min_eig_sym",
-    "is_pd",
     "is_symmetric",
     "symmetrize",
 ]
@@ -58,16 +50,6 @@ _SIGN_TOL = 1e-10
 
 #: the error of a Lyapunov equation without a unique solution
 _PAIRING = "non-unique/no Lyapunov solution (eigenvalue pairing in a_cl)"
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices (thin wrapper over numpy)."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
-def vec(a: np.ndarray) -> np.ndarray:
-    """Column-wise vectorization: columns stacked top to bottom."""
-    return np.asarray(a, dtype=float).reshape(-1, order="F")
 
 
 def is_symmetric(a: np.ndarray, tol: float = SYM_TOL) -> bool:
@@ -118,40 +100,6 @@ def unvech(v: np.ndarray, n: int) -> np.ndarray:
     m = np.zeros((n, n))
     m[row, col] = m[col, row] = v
     return m
-
-
-def duplication_matrix(n: int) -> np.ndarray:
-    """The 0/1 matrix D_n with ``vec(A) = D_n vech(A)`` for symmetric A.
-
-    Shape is ``n^2 x n(n+1)/2``; each row holds exactly one unit entry.
-    """
-    if n < 1:
-        raise ValueError("duplication_matrix requires n >= 1")
-    d = np.zeros((n * n, n * (n + 1) // 2))
-    col = 0
-    for j in range(n):
-        for i in range(j, n):
-            d[i + j * n, col] = 1.0
-            d[j + i * n, col] = 1.0
-            col += 1
-    return d
-
-
-def lyapunov_operator(a_cl: np.ndarray) -> np.ndarray:
-    """The Lyapunov operator ``K = (I kron a_cl') + (a_cl' kron I)``.
-
-    Accepts one ``n x n`` matrix or a stack ``(..., n, n)`` and returns
-    ``(..., n^2, n^2)``.  Built by broadcasting; the entries are exactly
-    those of the two explicit Kronecker products.
-    """
-    a_cl = np.asarray(a_cl, dtype=float)
-    n = a_cl.shape[-1]
-    at = np.ascontiguousarray(np.swapaxes(a_cl, -1, -2))
-    eye = np.eye(n)
-    # axes (..., i, k, j, l) -> row i*n + k, column j*n + l
-    k = (eye[:, None, :, None] * at[..., None, :, None, :]
-         + at[..., :, None, :, None] * eye[None, :, None, :])
-    return k.reshape(a_cl.shape[:-2] + (n * n, n * n))
 
 
 def solve_lyapunov_stack(a_cl: np.ndarray, q: np.ndarray):
@@ -321,7 +269,7 @@ def kernel_basis(m: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
     ``|m Z| <= tol * sigma_max * sqrt(cols)``.  A zero (or empty) matrix
     yields the full identity basis.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("kernel tolerance must be positive")
     m = np.atleast_2d(np.asarray(m, dtype=float))
     ncols = m.shape[1]
@@ -333,14 +281,6 @@ def kernel_basis(m: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
         return np.eye(ncols)
     rank = int(np.sum(s > tol * smax))
     return vt[rank:].T.copy()
-
-
-def eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a square matrix (unordered multiset)."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("eigvals requires a square matrix")
-    return np.linalg.eigvals(a)
 
 
 def sorted_spectrum(w: np.ndarray) -> np.ndarray:
@@ -364,8 +304,3 @@ def min_eig_sym(a: np.ndarray) -> float:
     if not is_symmetric(a):
         raise ValueError("min_eig_sym requires a symmetric matrix")
     return float(np.linalg.eigvalsh(symmetrize(a))[0])
-
-
-def is_pd(a: np.ndarray) -> bool:
-    """True if the symmetric matrix ``a`` has ``min eig > 0``."""
-    return min_eig_sym(a) > 0.0

@@ -19,8 +19,8 @@ The pair (X, Y) is not unique.  This module fixes the SVD-plus-Schur-
 complement construction deterministically; reduced-coordinate quantities
 (feedback gains, Riccati solutions, constraint matrices) depend on that
 choice, while spectra, solution-set membership and trajectories do not.
-:func:`transform_decomposition` produces alternative valid decompositions
-for gauge-invariance checks.
+Every valid pair is ``(X diag(T1, T2), Y diag(T1^-T, T2^-T))`` for
+invertible T1, T2, with J replaced by T1^-1 J T1.
 """
 from __future__ import annotations
 
@@ -40,8 +40,6 @@ __all__ = [
     "index_of",
     "weierstrass",
     "finite_spectrum",
-    "consistent_initial",
-    "transform_decomposition",
 ]
 
 #: relative SVD cutoff deciding rank(E)
@@ -265,53 +263,3 @@ def finite_spectrum(p: Pencil) -> np.ndarray:
     For a closed-loop query pass ``Pencil(e, a + b @ f)``.
     """
     return sorted_spectrum(weierstrass(p).eigenvalues)
-
-
-def consistent_initial(w: WeierstrassData, b2_bar: np.ndarray,
-                       f_bar: np.ndarray, x1_0: np.ndarray) -> np.ndarray:
-    """Consistent initial state ``x0 = (X1 - X2 B2 F) x1_0`` for a closed loop.
-
-    ``b2_bar`` stacks the players' algebraic input blocks ((n-r) x m) and
-    ``f_bar`` is the reduced feedback (m x r); the returned state satisfies
-    the closed-loop algebraic constraint by construction.
-    """
-    x1_0 = np.asarray(x1_0, dtype=float).reshape(-1)
-    if x1_0.size != w.r:
-        raise ValueError(f"x1_0 must have length r={w.r}")
-    s = w.x1 - w.x2 @ np.asarray(b2_bar, dtype=float) @ np.asarray(f_bar, dtype=float)
-    return s @ x1_0
-
-
-def transform_decomposition(w: WeierstrassData, t1: np.ndarray,
-                            t2: np.ndarray | None = None) -> WeierstrassData:
-    """Re-gauge a decomposition by invertible block transforms.
-
-    Any valid decomposition of the same pencil arises as
-    ``X' = X diag(T1, T2)``, ``Y' = Y diag(T1^{-T}, T2^{-T})`` with
-    ``J' = T1^{-1} J T1``; this is the tool for checking which outputs are
-    gauge-independent.
-    """
-    t1 = np.asarray(t1, dtype=float)
-    if t1.shape != (w.r, w.r):
-        raise ValueError(f"t1 must be {w.r}x{w.r}")
-    k = w.n - w.r
-    if t2 is None:
-        t2 = np.eye(k)
-    t2 = np.asarray(t2, dtype=float)
-    if t2.shape != (k, k):
-        raise ValueError(f"t2 must be {k}x{k}")
-    t1_inv = np.linalg.inv(t1)
-    t2_inv = np.linalg.inv(t2) if k else t2
-    block = np.zeros((w.n, w.n))
-    block[: w.r, : w.r] = t1
-    block[w.r:, w.r:] = t2
-    block_inv_t = np.zeros((w.n, w.n))
-    block_inv_t[: w.r, : w.r] = t1_inv.T
-    block_inv_t[w.r:, w.r:] = t2_inv.T if k else t2
-    return WeierstrassData(
-        x=w.x @ block,
-        y=w.y @ block_inv_t,
-        r=w.r,
-        j=t1_inv @ w.j @ t1,
-        index=w.index,
-    )

@@ -6,7 +6,9 @@ angle through a quasi-static steering constraint; it is the worked
 two-player example every workflow is exercised on.  Random index-1
 games are assembled from a planted decomposition (random well-conditioned
 X, Y, a chosen dynamic block and invertible algebraic block), which gives
-the reconstruction tests an independent ground truth.
+the reconstruction tests an independent ground truth.  The gauge fixture
+re-gauges a decomposition, and two oracles give a gain's value matrices
+and a random spot check of its equilibrium property.
 """
 from __future__ import annotations
 
@@ -18,8 +20,13 @@ from dgame import (
     DescriptorGame,
     FeedbackProfile,
     Pencil,
+    WeierstrassData,
+    is_stable,
+    m_matrix,
     reduce_game,
+    solve_lyapunov,
 )
+from dgame.linalg import symmetrize
 
 VX, LWB, KS = 20.0, 2.7, 10.0
 
@@ -122,6 +129,41 @@ def planted_index1_pencil(rng: np.random.Generator, n: int, r: int):
     return Pencil(e, a), j
 
 
+def transform_decomposition(w: WeierstrassData, t1: np.ndarray,
+                            t2: np.ndarray | None = None) -> WeierstrassData:
+    """Re-gauge a decomposition by invertible block transforms.
+
+    Any valid decomposition of the same pencil arises as
+    ``X' = X diag(T1, T2)``, ``Y' = Y diag(T1^{-T}, T2^{-T})`` with
+    ``J' = T1^{-1} J T1``; this is the tool for checking which outputs are
+    gauge-independent.
+    """
+    t1 = np.asarray(t1, dtype=float)
+    if t1.shape != (w.r, w.r):
+        raise ValueError(f"t1 must be {w.r}x{w.r}")
+    k = w.n - w.r
+    if t2 is None:
+        t2 = np.eye(k)
+    t2 = np.asarray(t2, dtype=float)
+    if t2.shape != (k, k):
+        raise ValueError(f"t2 must be {k}x{k}")
+    t1_inv = np.linalg.inv(t1)
+    t2_inv = np.linalg.inv(t2) if k else t2
+    block = np.zeros((w.n, w.n))
+    block[: w.r, : w.r] = t1
+    block[w.r:, w.r:] = t2
+    block_inv_t = np.zeros((w.n, w.n))
+    block_inv_t[: w.r, : w.r] = t1_inv.T
+    block_inv_t[w.r:, w.r:] = t2_inv.T if k else t2
+    return WeierstrassData(
+        x=w.x @ block,
+        y=w.y @ block_inv_t,
+        r=w.r,
+        j=t1_inv @ w.j @ t1,
+        index=w.index,
+    )
+
+
 def random_game(rng: np.random.Generator, n: int, r: int, input_dims) -> DescriptorGame:
     """Random index-1 game satisfying the stabilizability assumption."""
     for _ in range(50):
@@ -207,3 +249,43 @@ def planted_draw(n_last: int) -> dict:
     for n in range(16, n_last + 1, 8):
         problem = planted_problem(rng, n, 3 * n // 4, (1, 1))
     return problem
+
+
+def lyapunov_values_oracle(rg, ms, f):
+    """Oracle: value matrices of a stabilizing f, one 2-D Lyapunov solve
+    per player, for the players' reduced cost matrices ``ms``."""
+    a_cl = rg.j + rg.b1_stacked @ f
+    stacked = np.vstack([np.eye(rg.r), f])
+    return [solve_lyapunov(a_cl, stacked.T @ ms[i] @ stacked) for i in range(rg.n_players)]
+
+
+def verify_nash_reference(rg, c, f, p, n_trials=200, radius=0.5, seed=0):
+    """Spot check of the equilibrium property of the reduced gain ``f``
+    with value matrices ``p`` under the costs ``c``: random unilateral
+    deviations, one deviation, one stability test and one Lyapunov solve
+    at a time, in player then trial order.  A deviation that destabilizes
+    the loop is skipped (its cost is infinite); one whose value matrix
+    falls below p_i by more than ``1e-8 max|p_i|`` is a profitable one.
+    Returns ``(True, None)``, or ``(False, counterexample)`` at the first
+    profitable deviation."""
+    rng = np.random.default_rng(seed)
+    ms = [m_matrix(rg, c, i) for i in range(rg.n_players)]
+    for i in range(rg.n_players):
+        si = rg.input_slice(i)
+        for _ in range(n_trials):
+            delta = rng.standard_normal((rg.input_dims[i], rg.r))
+            delta *= radius * rng.uniform(0.05, 1.0) / max(np.abs(delta).max(), 1e-12)
+            f_dev = f.copy()
+            f_dev[si] += delta
+            a_dev = rg.closed_loop(f_dev)
+            if not is_stable(a_dev):
+                continue
+            stacked = np.vstack([np.eye(rg.r), f_dev])
+            try:
+                p_dev = solve_lyapunov(a_dev, stacked.T @ ms[i] @ stacked)
+            except (np.linalg.LinAlgError, ValueError):
+                continue
+            gap = np.linalg.eigvalsh(symmetrize(p_dev - p[i]))[0]
+            if gap < -1e-8 * np.abs(p[i]).max():
+                return False, {"player": i, "delta": delta, "min_eig_gap": float(gap)}
+    return True, None

@@ -1,9 +1,11 @@
 """End-to-end command-line workflows over JSON problem files."""
 import contextlib
 import copy
+import importlib
 import io
 import json
 import os
+import pkgutil
 import stat
 import subprocess
 import sys
@@ -1020,6 +1022,16 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "0", "False"], (block_jsonschema, proc.stdout)
+
+
+def test_every_exported_name_resolves():
+    # perfbench's tracer looks up each name of a module's __all__, so a
+    # stale entry left by a deletion breaks the traced benchmark run
+    import dgame
+    modules = [dgame] + [importlib.import_module(f"dgame.{info.name}")
+                         for info in pkgutil.iter_modules(dgame.__path__)]
+    for module in modules:
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], module.__name__
 
 
 # (path of a matrix in the lane problem dict, its shape)

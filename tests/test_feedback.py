@@ -245,6 +245,15 @@ def test_simulate_blocks_give_the_whole_horizons_bits(case, steps):
         assert got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("horizon, dt", [(1e300, 1e-300), (np.inf, 0.01), (np.nan, 0.01),
+                                         (1.0, np.nan)])
+def test_simulate_blocks_rejects_a_horizon_or_step_that_is_not_finite(lane, horizon, dt):
+    # the step count round(horizon / dt) must be a finite number
+    f_red = reduce_feedback(lane["rg"], lane["f_gt"])
+    with pytest.raises(ValueError, match="finite"):
+        simulate_blocks(lane["rg"], f_red, np.ones(2), horizon, dt)
+
+
 def test_simulate_rejects_unstable_loop(lane):
     zero = FeedbackProfile((np.zeros((1, 3)), np.zeros((1, 3))))
     with pytest.raises(UnstableLoopError):

@@ -24,7 +24,6 @@ from dgame import (
     reduce_game,
     simulate,
     solve_fbne,
-    verify_nash_local,
 )
 from dgame import forward
 from dgame.forward import (
@@ -34,18 +33,19 @@ from dgame.forward import (
     _starting_points,
     root as newton_root,
     same_behavior,
-    solution_at,
 )
 from dgame.game import m_matrix
-from dgame.linalg import is_stable, solve_lyapunov, symmetrize
+from dgame.linalg import is_stable, sorted_spectrum, symmetrize
 from conftest import (
     friendly_costs,
     lane_costs_gt,
     lane_costs_identified,
     lane_costs_misspecified,
     lane_game,
+    lyapunov_values_oracle,
     planted_draw,
     random_game,
+    verify_nash_reference,
 )
 
 FAST = SolveOptions(n_starts=16)
@@ -58,9 +58,13 @@ def test_care_residual_zero_case():
     g = DescriptorGame(e, a, (np.array([[1.0], [1.0], [1.0]]),))
     rg = reduce_game(g)
     zeros = CostParameters(q=(np.zeros((3, 3)),), r=((np.zeros((1, 1)),),))
-    sol = solution_at(rg, zeros, ReducedFeedback(np.zeros((1, 2)), rg.input_dims))
-    assert not any(p.any() for p in sol.p)
-    assert sol.residuals.max_norm == 0.0
+    ev = _Evaluator(rg, zeros)
+    f = np.zeros((1, 2))
+    a_cl, costs = ev.closed_loop(f), ev.costs(f)
+    p, errors = ev.values(a_cl, costs)
+    assert errors == [None] and not p.any()
+    stat, care = ev.residual_matrices(f, p, a_cl, costs)
+    assert not stat.any() and not care.any()
 
 
 def test_care_residual_matches_expanded_assembly():
@@ -72,7 +76,8 @@ def test_care_residual_matches_expanded_assembly():
     c = friendly_costs(rng, 4, (1, 2))
     f = rng.standard_normal((3, 2))
     p_list = [np.eye(2) + 0.1 * k for k in range(2)]
-    res = _Evaluator(rg, c).residuals(f, p_list)
+    ev = _Evaluator(rg, c)
+    stat, care = ev.residual_matrices(f, np.array(p_list), ev.closed_loop(f), ev.costs(f))
     x1, x2 = rg.w.x1, rg.w.x2
     b2 = rg.b2_stacked
     a_cl = rg.j + rg.b1_stacked @ f
@@ -87,7 +92,7 @@ def test_care_residual_matches_expanded_assembly():
             + f.T @ b2.T @ x2.T @ q @ x2 @ b2 @ f
             + f.T @ r_blk @ f
         )
-        np.testing.assert_allclose(res.care[i], expanded, atol=1e-10)
+        np.testing.assert_allclose(care[i], expanded, atol=1e-10)
     # stationarity rows: own-weight couplings plus value-matrix feedback
     for i in range(2):
         si = rg.input_slice(i)
@@ -99,7 +104,7 @@ def test_care_residual_matches_expanded_assembly():
                 gij = c.r[i][i] + gij
             row = row + gij @ f[sj]
         row = row - rg.b2[i].T @ x2.T @ c.q[i] @ x1 + rg.b1[i].T @ p_list[i]
-        np.testing.assert_allclose(res.stationarity[si], row, atol=1e-10)
+        np.testing.assert_allclose(stat[si], row, atol=1e-10)
 
 
 def test_lane_ground_truth_unique_solution(lane):
@@ -205,8 +210,8 @@ def test_equilibrium_cost_matches_simulation(lane):
 
 def test_verify_nash_accepts_equilibrium(lane):
     sols = solve_fbne(lane["rg"], lane["costs_gt"], FAST)
-    ok, counter = verify_nash_local(lane["rg"], lane["costs_gt"], sols[0],
-                                    n_trials=200, radius=0.5)
+    ok, counter = verify_nash_reference(lane["rg"], lane["costs_gt"], sols[0].f_star.matrix,
+                                        sols[0].p)
     assert ok, counter
 
 
@@ -215,22 +220,25 @@ def test_verify_nash_rejects_perturbed_gain(lane):
     c = lane["costs_gt"]
     sols = solve_fbne(rg, c, FAST)
     f_fake = sols[0].f_star.matrix + np.array([[0.4, 0.0], [0.0, 0.0]])
-    fake = solution_at(rg, c, ReducedFeedback(f_fake, rg.input_dims))
-    assert fake.residuals.max_norm > 1e-3
-    ok, counter = verify_nash_local(rg, c, fake, n_trials=200, radius=0.5)
+    assert not certify_nash(rg, c, ReducedFeedback(f_fake, rg.input_dims))[0]
+    p_fake = lyapunov_values_oracle(rg, [m_matrix(rg, c, i) for i in range(2)], f_fake)
+    ok, counter = verify_nash_reference(rg, c, f_fake, p_fake)
     assert not ok
     assert counter["player"] == 0
 
 
-def test_solution_at_reproduces_solver_solution(lane):
+def test_solver_value_matrices_are_the_lyapunov_oracles(lane):
+    # each solution's P is the Lyapunov oracle's P(F) at its gain, its
+    # spectrum is its loop's, and its gain passes the certificate there
     rg, c = lane["rg"], lane["costs_id"]
+    ms = [m_matrix(rg, c, i) for i in range(rg.n_players)]
     for sol in solve_fbne(rg, c, FAST):
-        got = solution_at(rg, c, sol.f_star)
-        for p, p_sol in zip(got.p, sol.p):
+        f = sol.f_star.matrix
+        for p, p_sol in zip(lyapunov_values_oracle(rg, ms, f), sol.p):
             np.testing.assert_allclose(p, p_sol, atol=1e-9 * (1 + np.abs(p_sol).max()))
-        np.testing.assert_array_equal(got.spectrum, sol.spectrum)
-        assert got.residuals.scale == sol.residuals.scale
-        assert got.residuals.max_norm <= 1e-9 * got.residuals.scale
+        np.testing.assert_array_equal(sorted_spectrum(np.linalg.eigvals(rg.closed_loop(f))),
+                                      sol.spectrum)
+        assert certify_nash(rg, c, sol.f_star)[0]
 
 
 def test_single_player_nash_check_matches_lqr_optimality():
@@ -244,7 +252,7 @@ def test_single_player_nash_check_matches_lqr_optimality():
     q = q @ q.T + np.eye(n)
     c = CostParameters(q=(q,), r=((np.eye(1),),))
     sols = solve_fbne(rg, c, FAST)
-    ok, _ = verify_nash_local(rg, c, sols[0], n_trials=200, radius=1.0)
+    ok, _ = verify_nash_reference(rg, c, sols[0].f_star.matrix, sols[0].p, radius=1.0)
     assert ok
 
 
@@ -265,14 +273,6 @@ def test_rejects_indefinite_own_weight():
         solve_fbne(rg, bad, FAST)
 
 
-def _lyapunov_values_oracle(rg, ms, f):
-    """Oracle: value matrices of a stabilizing f, one 2-D Lyapunov solve
-    per player."""
-    a_cl = rg.j + rg.b1_stacked @ f
-    stacked = np.vstack([np.eye(rg.r), f])
-    return [solve_lyapunov(a_cl, stacked.T @ ms[i] @ stacked) for i in range(rg.n_players)]
-
-
 def _policy_iteration_per_start(rg, ms, gbar, vbar_t, f0, scale):
     """Near-root points: the damped fixed-point iteration for one start on
     its own, which steps towards the policy update and halves its damping
@@ -287,7 +287,7 @@ def _policy_iteration_per_start(rg, ms, gbar, vbar_t, f0, scale):
         if not is_stable(a_cl):
             return None
         try:
-            p_list = _lyapunov_values_oracle(rg, ms, f)
+            p_list = lyapunov_values_oracle(rg, ms, f)
         except (np.linalg.LinAlgError, ValueError):
             return None
         stat, care = _residual_matrices_oracle(rg, ms, gbar, vbar_t, f, p_list)
@@ -418,12 +418,12 @@ def test_residual_system_matches_oracle_bytes(case):
         assert _same_bytes(f, f_w)
         assert all(_same_bytes(p, pw) for p, pw in zip(p_list, p_w))
         assert _same_bytes(ev.pack(f, p_list), pack(f_w, p_w))
-        res = ev.residuals(f, p_list)
+        got_stat, got_care = ev.residual_matrices(f, p_list, ev.closed_loop(f), ev.costs(f))
         stat, care = _residual_matrices_oracle(rg, ms, gbar, vbar_t, f_w, p_w)
-        assert _same_bytes(res.stationarity, stat)
-        assert len(res.care) == len(care)
-        assert all(_same_bytes(a, b) for a, b in zip(res.care, care))
-        assert res.scale == _data_scale_oracle(rg, ms)
+        assert _same_bytes(got_stat, stat)
+        assert len(got_care) == len(care)
+        assert all(_same_bytes(a, b) for a, b in zip(got_care, care))
+        assert ev.scale == _data_scale_oracle(rg, ms)
         oracle.append((f_w, p_w, stat, care))
     # all 21 points as one stack: every item reads the oracle's bytes
     fs = np.stack([o[0] for o in oracle])
@@ -486,7 +486,7 @@ def _newton_starts(ev, rg, f0s):
     z0 = []
     for f0 in f0s:
         if is_stable(rg.j + rg.b1_stacked @ f0):
-            z0.append(pack(f0, _lyapunov_values_oracle(rg, ev.ms, f0)))
+            z0.append(pack(f0, lyapunov_values_oracle(rg, ev.ms, f0)))
         else:
             z0.append(pack(f0, [np.zeros((rg.r, rg.r))] * rg.n_players))
     return np.array(z0)
@@ -662,9 +662,9 @@ def _backward_errors(ev, f, p):
     """The stationarity and the largest Riccati backward error at the gain
     f and value matrices p."""
     a_cl, costs = ev.closed_loop(f), ev.costs(f)
-    res = ev.residuals(f, p, a_cl, costs)
-    stat, care = ev.denominators(f, p, a_cl, costs)
-    return res.stationarity_norm / stat, max(np.array(res.care_norms) / care)
+    stat, care = ev.residual_matrices(f, p, a_cl, costs)
+    s_stat, s_care = ev.denominators(f, p, a_cl, costs)
+    return np.abs(stat).max() / s_stat, max(np.abs(care).max(axis=(1, 2)) / s_care)
 
 
 def test_solve_fbne_accepts_by_backward_error(monkeypatch):
@@ -870,48 +870,6 @@ def test_stacked_search_matches_the_halving_loop(case, monkeypatch):
     assert np.array_equal(got_steps, want_steps)
 
 
-def _verify_nash_reference(rg, c, sol, n_trials, radius, seed=0):
-    """Reference: one deviation, one stability test and one Lyapunov solve
-    at a time, in player then trial order, returning at the first
-    violation."""
-    ev = _Evaluator(rg, c)
-    rng = np.random.default_rng(seed)
-    f_star = sol.f_star.matrix
-    for i, si in enumerate(ev.rows):
-        for _ in range(n_trials):
-            delta = rng.standard_normal((rg.input_dims[i], rg.r))
-            delta *= radius * rng.uniform(0.05, 1.0) / max(np.abs(delta).max(), 1e-12)
-            f_dev = f_star.copy()
-            f_dev[si] += delta
-            a_dev = ev.closed_loop(f_dev)
-            if not is_stable(a_dev):
-                continue
-            try:
-                p_dev = solve_lyapunov(a_dev, ev.costs(f_dev)[i])
-            except (np.linalg.LinAlgError, ValueError):
-                continue
-            gap = np.linalg.eigvalsh(symmetrize(p_dev - sol.p[i]))[0]
-            if gap < -1e-8 * np.abs(sol.p[i]).max():
-                return False, {"player": i, "delta": delta, "min_eig_gap": float(gap)}
-    return True, None
-
-
-def test_stacked_nash_check_matches_the_trial_loop(lane):
-    # the perturbed gain of test_verify_nash_rejects_perturbed_gain: the
-    # stacked check returns the loop's first counterexample, bit for bit
-    rg, c = lane["rg"], lane["costs_gt"]
-    (sol,) = solve_fbne(rg, c, FAST)
-    f_fake = sol.f_star.matrix + np.array([[0.4, 0.0], [0.0, 0.0]])
-    fake = solution_at(rg, c, ReducedFeedback(f_fake, rg.input_dims))
-    ok, counter = verify_nash_local(rg, c, fake, n_trials=200, radius=0.5)
-    want_ok, want = _verify_nash_reference(rg, c, fake, n_trials=200, radius=0.5)
-    assert not ok and not want_ok
-    assert counter["player"] == want["player"]
-    assert np.array_equal(counter["delta"], want["delta"])
-    assert counter["min_eig_gap"] == want["min_eig_gap"]
-    assert verify_nash_local(rg, c, sol, n_trials=0) == (True, None)
-
-
 def test_certificate_agrees_with_the_spot_check_on_lane(lane):
     # lane's five forward solutions (1 / 2 / 2 over the three cost sets)
     # meet stationarity at their own value matrices to rounding, and are
@@ -922,7 +880,7 @@ def test_certificate_agrees_with_the_spot_check_on_lane(lane):
         c = lane[costs]
         for sol in solve_fbne(rg, c, FAST):
             ok, errors = certify_nash(rg, c, sol.f_star)
-            assert ok and verify_nash_local(rg, c, sol, n_trials=200, radius=0.5)[0]
+            assert ok and verify_nash_reference(rg, c, sol.f_star.matrix, sol.p)[0]
             assert errors.shape == (rg.n_players,) and errors.max() <= 1e-14
             assert _best_response_distances(rg, c, sol.f_star.matrix).max() <= 1e-12
             n_solutions += 1
@@ -1008,16 +966,15 @@ def test_certificate_is_false_for_an_unstable_loop(lane):
 
 _SIZE_SWEEP_N48 = """
 import numpy as np
-from conftest import friendly_costs, random_game
-from dgame import (CostParameters, SolveOptions, certify_nash, reduce_game, solve_fbne,
-                   verify_nash_local)
+from conftest import friendly_costs, random_game, verify_nash_reference
+from dgame import CostParameters, SolveOptions, certify_nash, reduce_game, solve_fbne
 rng = np.random.default_rng(0)
 rg = reduce_game(random_game(rng, 48, 36, (1, 1)))
 c = friendly_costs(rng, 48, (1, 1))
 sols = solve_fbne(rg, c, SolveOptions(n_starts=4))
 assert sols
 for sol in sols:
-    ok, counter = verify_nash_local(rg, c, sol)
+    ok, counter = verify_nash_reference(rg, c, sol.f_star.matrix, sol.p)
     assert ok, counter
     for k in (-8, -4, 0, 4, 8):
         scaled = CostParameters(q=[10.0 ** k * q for q in c.q],
@@ -1067,8 +1024,8 @@ def test_root_evaluates_once_per_newton_step(lane, monkeypatch):
 
 def test_only_newton_steps_build_the_newton_blocks(lane, monkeypatch):
     # the Jacobian's constant blocks and index maps are the Newton step's
-    # alone: the certificate, the candidate solution and the spot check
-    # never build them, and a solve builds them once
+    # alone: the certificate never builds them, and a solve builds them
+    # once
     rg, c = lane["rg"], lane["costs_gt"]
     (sol,) = solve_fbne(rg, c, FAST)
     built = []
@@ -1080,8 +1037,6 @@ def test_only_newton_steps_build_the_newton_blocks(lane, monkeypatch):
 
     monkeypatch.setattr(forward, "_NewtonBlocks", Spy)
     assert certify_nash(rg, c, sol.f_star)[0]
-    solution_at(rg, c, sol.f_star)
-    assert verify_nash_local(rg, c, sol, n_trials=20)[0]
     assert built == []
     assert len(solve_fbne(rg, c, FAST)) == 1
     assert built == [_Evaluator]

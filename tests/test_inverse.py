@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from dgame import (
     ReducedFeedback,
     SolveOptions,
     ThetaLayout,
+    certify_nash,
     constraint_matrices,
     dimension_report,
     identify,
+    m_matrix,
     match_behaviors,
     pd_margin,
     rationalized_behaviors,
@@ -27,22 +30,22 @@ from dgame import (
     residual,
     sample_solution_set,
     scale_theta,
-    solution_at,
     solve_fbne,
-    transform_decomposition,
-    verify_nash_local,
 )
 from dgame.cli import load_problem
-from dgame.inverse import _margin_map, _maximize_margin, kernel_of
+from dgame.inverse import _maximize_margin, _own_weight_map, kernel_of
 from conftest import (
     THETA_MIS,
     friendly_costs,
     lane_costs_gt,
     lane_game,
     lane_profile_gt,
+    lyapunov_values_oracle,
     planted_draw,
     random_game,
     stabilizing_reduced_gain,
+    transform_decomposition,
+    verify_nash_reference,
     well_conditioned,
 )
 
@@ -335,6 +338,12 @@ def _maximize_margin_oracle(mats, seed, dim):
     return z, val
 
 
+def _margin_map(rg, layout, i, basis):
+    """The stack of symmetric A_k with own_weight(sum z_k b_k) = sum z_k A_k,
+    b_k the columns of ``basis``."""
+    return np.moveaxis(_own_weight_map(rg, layout, i) @ basis, -1, 0)
+
+
 def _dual_solve(mats, floor=2e-8):
     """The dual solve's primal point (checked to be a unit vector), its
     margin, the dual value |g(W)| of its W (checked to lie in the
@@ -531,8 +540,9 @@ def test_scale_theta_homogeneity(lane_setup):
             scaled = scale_theta(pc.theta, kappa)
             assert residual(ms[i], scaled) <= kappa * 1e-7 + 1e-12
             assert pd_margin(rg, layout, i, scaled) == pytest.approx(kappa * base_margin, rel=1e-9)
-    with pytest.raises(ValueError):
-        scale_theta(cert.players[0].theta, 0.0)
+    for kappa in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            scale_theta(cert.players[0].theta, kappa)
 
 
 def test_sampling_solution_set_feasible_points(lane_setup):
@@ -564,8 +574,7 @@ def test_match_behaviors_compares_reduced_gains(scale):
     g = lane_game()
     rg = reduce_game(DescriptorGame(g.e, g.a, tuple(b * scale for b in g.b)))
     f_obs = reduce_feedback(rg, FeedbackProfile(tuple(f / scale for f in lane_profile_gt().f)))
-    sols = [solution_at(rg, lane_costs_gt(),
-                        ReducedFeedback(f_obs.matrix * (1.0 + d), rg.input_dims))
+    sols = [SimpleNamespace(f_star=ReducedFeedback(f_obs.matrix * (1.0 + d), rg.input_dims))
             for d in (0.0, 1e-10, 1e-3)]
     assert match_behaviors(f_obs, sols) == (True, True, False)
 
@@ -584,8 +593,8 @@ def test_rectangularity_mix_and_match(lane_setup):
         costs = layout.costs_from_thetas(thetas)
         # the observed loop satisfies both equation families at these costs
         # (value matrices from the Lyapunov solves of the observed loop)
-        res = solution_at(rg, costs, f_obs).residuals
-        assert res.max_norm <= 1e-7 * res.scale
+        ok, errors = certify_nash(rg, costs, f_obs)
+        assert ok, errors
 
 
 def test_kernel_membership_gauge_invariant():
@@ -695,5 +704,7 @@ def test_planted_n32_identified_costs_are_stationary_and_nash(tmp_path):
         terms = _stationarity_terms(rg, f_red.matrix, cert.layout, pc.theta, i)
         assert np.linalg.norm(sum(terms)) <= 1e-10 * sum(np.linalg.norm(t) for t in terms)
     costs = cert.costs()
-    ok, _ = verify_nash_local(rg, costs, solution_at(rg, costs, f_red))
+    ms = [m_matrix(rg, costs, i) for i in range(rg.n_players)]
+    p = lyapunov_values_oracle(rg, ms, f_red.matrix)
+    ok, _ = verify_nash_reference(rg, costs, f_red.matrix, p)
     assert ok

@@ -1,61 +1,21 @@
-"""Vectorization calculus, Lyapunov solves, kernels and eigen queries."""
+"""Half-vectorization, Lyapunov and Riccati solves, kernels and eigen queries."""
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
-import hypothesis.strategies as st
 
 from dgame import linalg, reduce_game
 from dgame.linalg import (
-    duplication_matrix,
-    eigvals,
-    is_pd,
     is_stable,
     kernel_basis,
-    kron,
-    lyapunov_operator,
     min_eig_sym,
     solve_lyapunov,
     solve_lyapunov_stack,
     solve_riccati_stack,
     sorted_spectrum,
     unvech,
-    vec,
     vech,
 )
 from conftest import lane_game, random_game
-
-
-def test_kron_identity_factor():
-    assert np.array_equal(kron(np.eye(2), [[3.0]]), np.diag([3.0, 3.0]))
-
-
-def test_kron_rank_one():
-    out = kron([[1.0], [2.0]], [[1.0, 1.0]])
-    assert np.array_equal(out, [[1.0, 1.0], [2.0, 2.0]])
-
-
-def test_vec_definition():
-    assert np.array_equal(vec([[1.0, 3.0], [2.0, 4.0]]), [1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(vec(np.zeros((2, 2))), np.zeros(4))
-
-
-def test_vec_of_triple_product_matches_kron_form():
-    # vec(X Y Z) = (Z' kron X) vec(Y), checked against the plain product
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        x, y, z = (rng.standard_normal((3, 3)) for _ in range(3))
-        direct = vec(x @ y @ z)
-        via_kron = kron(z.T, x) @ vec(y)
-        np.testing.assert_allclose(via_kron, direct, rtol=1e-12, atol=1e-12)
-
-
-def test_vec_of_rectangular_triple_product():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((2, 4))
-    y = rng.standard_normal((4, 3))
-    z = rng.standard_normal((3, 5))
-    np.testing.assert_allclose(kron(z.T, x) @ vec(y), vec(x @ y @ z), rtol=1e-12, atol=1e-12)
 
 
 def test_vech_definition_and_identity():
@@ -89,31 +49,6 @@ def test_triu_indices_are_built_once_per_order_and_read_only():
         assert linalg.triu_indices(n) is iu
         assert all(np.array_equal(a, b) for a, b in zip(iu, np.triu_indices(n)))
         assert not any(a.flags.writeable for a in iu)
-
-
-def test_duplication_small_cases():
-    assert np.array_equal(duplication_matrix(1), [[1.0]])
-    d2 = duplication_matrix(2)
-    assert d2.shape == (4, 3)
-    np.testing.assert_array_equal(d2 @ np.array([1.0, 2.0, 3.0]), [1.0, 2.0, 2.0, 3.0])
-
-
-def test_duplication_unit_entries_one_per_row():
-    # index-map enumeration: every vec position maps to exactly one vech slot
-    d3 = duplication_matrix(3)
-    assert d3.shape == (9, 6)
-    assert np.all(np.isin(d3, (0.0, 1.0)))
-    assert d3.sum() == 9
-    np.testing.assert_array_equal(d3.sum(axis=1), np.ones(9))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
-def test_duplication_reproduces_vec_of_symmetric(n, seed):
-    rng = np.random.default_rng(seed)
-    s = rng.standard_normal((n, n))
-    s = s + s.T
-    np.testing.assert_allclose(duplication_matrix(n) @ vech(s), vec(s), rtol=0, atol=1e-12)
 
 
 def test_lyapunov_diagonal_balance():
@@ -159,6 +94,12 @@ def test_kernel_basis_simple():
     np.testing.assert_allclose(np.abs(z[:, 0]), [0.0, 1.0], atol=1e-14)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+def test_kernel_basis_rejects_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(ValueError):
+        kernel_basis(np.ones((1, 3)), tol=tol)
+
+
 def test_kernel_basis_zero_matrix_full():
     z = kernel_basis(np.zeros((2, 3)))
     np.testing.assert_array_equal(z, np.eye(3))
@@ -182,8 +123,9 @@ def test_kernel_basis_rank_nullity_and_orthonormality():
 
 
 def test_eigvals_and_stability():
-    np.testing.assert_allclose(sorted_spectrum(eigvals(np.diag([-1.0, -2.0]))), [-2.0, -1.0])
-    w = sorted_spectrum(eigvals(np.array([[0.0, 1.0], [-1.0, 0.0]])))
+    np.testing.assert_allclose(sorted_spectrum(np.linalg.eigvals(np.diag([-1.0, -2.0]))),
+                               [-2.0, -1.0])
+    w = sorted_spectrum(np.linalg.eigvals(np.array([[0.0, 1.0], [-1.0, 0.0]])))
     np.testing.assert_allclose(w, [-1j, 1j], atol=1e-12)
     assert is_stable(np.diag([-1.0, -2.0])) is True
     assert is_stable(np.array([[0.0, 1.0], [-1.0, 0.0]])) is False
@@ -202,8 +144,6 @@ def test_is_stable_per_item_of_a_stack():
 def test_min_eig_sym_and_pd():
     assert min_eig_sym(np.eye(3)) == pytest.approx(1.0)
     assert min_eig_sym(np.diag([2.0, -0.5])) == pytest.approx(-0.5)
-    assert is_pd(np.eye(2))
-    assert not is_pd(np.diag([1.0, 0.0]))
 
 
 def test_min_eig_gram_positivity():
@@ -244,10 +184,16 @@ def _psd_stack(rng, shape, n):
     return g @ g.swapaxes(-1, -2)
 
 
+def _lyapunov_operator(a):
+    """The Lyapunov operator (I kron A') + (A' kron I) on column-major vec."""
+    eye = np.eye(a.shape[0])
+    return np.kron(eye, a.T) + np.kron(a.T, eye)
+
+
 def _kronecker_oracle(a, q):
     """P of one item from the explicit n^2 x n^2 Kronecker system."""
     n = a.shape[0]
-    x = np.linalg.solve(lyapunov_operator(a), -vec(q))
+    x = np.linalg.solve(_lyapunov_operator(a), -q.reshape(-1, order="F"))
     return x.reshape(n, n, order="F")
 
 
@@ -339,7 +285,7 @@ def _regulator_problems(rng, b, count):
 def _riccati_condition(a, s, q, p):
     """Relative condition estimate of the Riccati equation at its solution
     p: (|Q| + 2|A||P| + |S||P|^2) / (sep(A_c', -A_c) |P|), A_c = A - S P."""
-    sep = np.linalg.svd(lyapunov_operator(a - s @ p), compute_uv=False)[-1]
+    sep = np.linalg.svd(_lyapunov_operator(a - s @ p), compute_uv=False)[-1]
     norm = lambda x: np.linalg.norm(x, 2)
     return (norm(q) + 2 * norm(a) * norm(p) + norm(s) * norm(p) ** 2) / (sep * norm(p))
 

@@ -3,18 +3,19 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from dgame import DescriptorGame, ReducedFeedback, reduce_feedback, reduce_game
+from dgame.feedback import preimage_matrix
 from dgame.pencil import (
     ImpulsiveModesError,
     IrregularPencilError,
     Pencil,
-    consistent_initial,
     finite_spectrum,
     index_of,
     is_regular,
-    transform_decomposition,
     weierstrass,
 )
-from conftest import F_GT, KS, LANE_A, LANE_B, LANE_E, planted_index1_pencil, well_conditioned
+from conftest import (F_GT, KS, LANE_A, LANE_B, LANE_E, lane_game, lane_profile_gt,
+                      planted_index1_pencil, transform_decomposition, well_conditioned)
 
 
 def test_regularity_basics():
@@ -184,26 +185,22 @@ def test_finite_spectrum_invariant_under_equivalence():
 
 
 def test_consistent_initial_trivial_cases():
+    # the consistent initial state S x1_0, S = X1 - X2 B2 F (preimage_matrix)
     rng = np.random.default_rng(4)
     p, _ = planted_index1_pencil(rng, 4, 2)
-    w = weierstrass(p)
-    b2 = rng.standard_normal((2, 3))
-    f0 = np.zeros((3, 2))
+    rg = reduce_game(DescriptorGame(p.e, p.a, (rng.standard_normal((4, 3)),)))
     x1_0 = rng.standard_normal(2)
-    np.testing.assert_allclose(consistent_initial(w, b2, f0, x1_0), w.x1 @ x1_0, atol=1e-12)
-    fr = rng.standard_normal((3, 2))
-    np.testing.assert_allclose(consistent_initial(w, b2, fr, np.zeros(2)), np.zeros(4), atol=1e-14)
+    s0 = preimage_matrix(rg, ReducedFeedback(np.zeros((3, 2)), (3,)))
+    np.testing.assert_allclose(s0 @ x1_0, rg.w.x1 @ x1_0, atol=1e-12)
+    s = preimage_matrix(rg, ReducedFeedback(rng.standard_normal((3, 2)), (3,)))
+    np.testing.assert_allclose(s @ np.zeros(2), np.zeros(4), atol=1e-14)
 
 
 def test_consistent_initial_satisfies_lane_algebraic_constraint():
-    from dgame import reduce_feedback
-    from conftest import lane_game, lane_profile_gt
-    g = lane_game()
-    from dgame import reduce_game
-    rg = reduce_game(g)
+    rg = reduce_game(lane_game())
     f_red = reduce_feedback(rg, lane_profile_gt())
     x1_0 = np.array([1.0, -0.5])
-    x0 = consistent_initial(rg.w, rg.b2_stacked, f_red.matrix, x1_0)
+    x0 = preimage_matrix(rg, f_red) @ x1_0
     u0 = F_GT @ x0
     # quasi-static steering constraint: 0 = -Ks*delta + u_h + u_a
     resid = -KS * x0[2] + u0.sum()
