@@ -29,8 +29,8 @@ for k, sol in enumerate(sols):
     print(f"\nsolution {k}:")
     print("  reduced gains:\n", np.round(sol.f_star.matrix, 6))
     print("  closed-loop spectrum:", np.round(sol.spectrum, 4))
-    print("  residual:", f"{sol.residuals.max_norm:.2e}",
-          f"(scale {sol.residuals.scale:.1f})")
+    print("  residual:", f"{sol.residual_max:.2e}",
+          f"(scale {sol.residual_scale:.1f})")
 
 sol = sols[0]
 ok = dg.certify_nash(rg, costs, sol.f_star)[0]

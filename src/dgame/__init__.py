@@ -51,7 +51,6 @@ from .feedback import (
     write_trajectory_csv,
 )
 from .forward import (
-    CareResiduals,
     EquilibriumSolution,
     IndefiniteInputWeightError,
     SolveOptions,

@@ -434,8 +434,8 @@ def cmd_forward(args, problem: Problem, rg) -> int:
                 "f_star": _mat(s.f_star.matrix),
                 "p": [_mat(p) for p in s.p],
                 "spectrum": _spec_pairs(s.spectrum),
-                "residual_max": s.residuals.max_norm,
-                "residual_scale": s.residuals.scale,
+                "residual_max": s.residual_max,
+                "residual_scale": s.residual_scale,
                 "iterations": int(s.iterations),
                 "start": s.start,
             }

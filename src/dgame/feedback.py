@@ -109,14 +109,6 @@ class ReducedFeedback:
         object.__setattr__(self, "matrix", mtx)
         object.__setattr__(self, "input_dims", tuple(int(d) for d in self.input_dims))
 
-    def player(self, i: int) -> np.ndarray:
-        o = int(np.sum(self.input_dims[:i]))
-        return self.matrix[o:o + self.input_dims[i]]
-
-    @property
-    def r(self) -> int:
-        return self.matrix.shape[1]
-
 
 @dataclass(frozen=True)
 class Admissibility:

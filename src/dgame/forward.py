@@ -10,15 +10,14 @@ where G collects the effective input weights and cross couplings, V the
 state/input couplings and Bd the block-diagonal input map.  A_cl comes
 from :meth:`dgame.game.ReducedGame.closed_loop`; one evaluator per game
 and cost set is the only place that forms the closed-loop costs C_i, the
-value matrices (P_i solving the Riccati equation at a given F) and both
-residual families, for one gain or a stack of them.
+value matrices P(F) of a stack of gains (:meth:`_Evaluator.values`, zero
+where a loop is unstable or a solve fails) and both residual families.
 The starts are regulator gains (the joint regulator, each player's own
 regulator, and regulators with seeded random weights), all from one
 stacked Riccati solve (:func:`dgame.linalg.solve_riccati_stack`), and
 seeded random gains whose loops are mostly unstable.  Each start is
-packed as its gain with its Lyapunov value matrices (zero when its loop
-is unstable or a solve fails), and one damped Newton solve runs over
-all of them (:func:`root`).  Its steps use the exact Jacobian of the
+packed as its gain with its value matrices P(F), and one damped Newton
+solve runs over all of them (:func:`root`).  Its steps use the exact Jacobian of the
 packed residual, eliminated through the packed Lyapunov operator of
 A_cl that every player's block shares (:func:`_newton_steps`); its
 Armijo search tries every step length in one stacked evaluation.  Both
@@ -28,10 +27,11 @@ residual family against its normwise backward-error denominator
 backward errors are at most the tolerance, and the merit scales down a
 family whose rounding floor lies above the tolerance in data units.  A
 start whose point meets that test takes one more step and retires.  The
-end points are checked as one stack too.
+end points are checked as one stack too; a solution keeps its largest
+residual entry and the data scale.
 Whether a given feedback is an equilibrium is decided without random
 numbers by :func:`certify_nash`, the same acceptance test at the gain's
-own Lyapunov value matrices: with a stable loop and definite own-input
+own value matrices P(F): with a stable loop and definite own-input
 weights, value matrices that meet stationarity are each player's
 stabilizing best-response Riccati solution.
 Coupled Riccati systems can have several stabilizing solutions, so
@@ -50,11 +50,11 @@ import numpy as np
 
 from .feedback import ReducedFeedback
 from .game import CostParameters, ReducedGame, m_matrix
-from .linalg import (is_stable, solve_lyapunov_stack, solve_riccati_stack, sorted_spectrum,
-                     symmetrize, triu_indices)
+from .linalg import (is_stable, solve_each, solve_lyapunov_stack, solve_riccati_stack,
+                     sorted_spectrum, symmetrize, triu_indices)
 
-__all__ = ["SolveOptions", "CareResiduals", "EquilibriumSolution", "IndefiniteInputWeightError",
-           "same_behavior", "solve_fbne", "equilibrium_cost", "certify_nash"]
+__all__ = ["SolveOptions", "EquilibriumSolution", "IndefiniteInputWeightError", "same_behavior",
+           "solve_fbne", "equilibrium_cost", "certify_nash"]
 
 
 #: relative max-entry distance under which two feedbacks are one solution
@@ -103,31 +103,20 @@ class SolveOptions:
 
 
 @dataclass(frozen=True)
-class CareResiduals:
-    """Exact residual matrices of the coupled system at a candidate point."""
-
-    care: tuple[np.ndarray, ...]
-    stationarity: np.ndarray
-    care_norms: tuple[float, ...]
-    stationarity_norm: float
-    scale: float
-
-    @property
-    def max_norm(self) -> float:
-        return max(self.stationarity_norm, max(self.care_norms, default=0.0))
-
-
-@dataclass(frozen=True)
 class EquilibriumSolution:
-    """One stabilizing solution: reduced feedback, value matrices, diagnostics
-    (``iterations`` is the number of Newton steps its start took, ``start``
-    the start's name)."""
+    """One stabilizing solution: reduced feedback, value matrices, closed
+    loop and its sorted spectrum, and diagnostics: ``residual_max`` is the
+    largest entry of both residual families at (F, P), ``residual_scale``
+    the data scale of the game and costs (1 + max|J|, |B1|, |M_i|),
+    ``iterations`` the number of Newton steps its start took and
+    ``start`` the start's name."""
 
     f_star: ReducedFeedback
     p: tuple[np.ndarray, ...]
     a_cl: np.ndarray
     spectrum: np.ndarray
-    residuals: CareResiduals
+    residual_max: float
+    residual_scale: float
     iterations: int
     start: str = ""
 
@@ -211,16 +200,21 @@ class _Evaluator:
         x = self.lift(f)[..., None, :, :]
         return x.swapaxes(-1, -2) @ self.ms @ x
 
-    def values(self, a_cl, costs):
-        """Value matrices P_i with A_cl' P_i + P_i A_cl + C_i = 0 for the
-        costs of any players, in one stacked Lyapunov solve that shares
-        each loop among its players; returns ``(p, errors)``, ``p``
-        shaped like ``costs`` and one error (or ``None``) per item in C
-        order."""
-        r = self.r
-        p, errors = solve_lyapunov_stack(a_cl.reshape(-1, r, r),
-                                         costs.reshape(-1, costs.shape[-3], r, r))
-        return p.reshape(costs.shape), errors
+    def values(self, f):
+        """The value matrices P(F) of a stack of gains (S, m, r): every
+        player's P_i with A_cl' P_i + P_i A_cl + C_i = 0, in one stacked
+        Lyapunov solve that shares each stable loop among its players.
+        Returns ``(p, ok)``, ``p`` of shape (S, N, r, r) and ``ok`` (S,);
+        an item's P is zero and its ``ok`` False where its loop is
+        unstable or some player's solve fails."""
+        a_cl = self.closed_loop(f)
+        stable = np.flatnonzero(is_stable(a_cl))
+        p, ok = np.zeros((len(f), self.n_players, self.r, self.r)), np.zeros(len(f), dtype=bool)
+        p[stable], errors = solve_lyapunov_stack(a_cl[stable], self.costs(f[stable]))
+        ok[stable] = np.array([err is None for err in errors], dtype=bool).reshape(
+            stable.size, self.n_players).all(axis=1)
+        p[~ok] = 0.0
+        return p, ok
 
     def residual_matrices(self, f, p, a_cl, costs):
         """``(stat, care)``: the stationarity residual G F + V' + Bd' P and
@@ -229,17 +223,6 @@ class _Evaluator:
         bd_t_p = np.concatenate([b_t @ p[..., k, :, :] for k, b_t in enumerate(self.b1_t)],
                                 axis=-2)
         return self.gbar @ f + self.vbar_t + bd_t_p, care
-
-    def care_residuals(self, stat, care) -> CareResiduals:
-        """The residual matrices ``(stat, care)`` of one point, with their
-        max-norms and the data scale."""
-        return CareResiduals(
-            care=tuple(care),
-            stationarity=stat,
-            care_norms=tuple(float(v) for v in np.abs(care).max(axis=(1, 2), initial=0.0)),
-            stationarity_norm=float(np.abs(stat).max(initial=0.0)),
-            scale=self.scale,
-        )
 
     def denominators(self, f, p, a_cl, costs):
         """``(stat, care)``: the normwise backward-error denominators of
@@ -382,17 +365,6 @@ class _NewtonBlocks:
                                      mr).reshape(nn, n_players, mr) for u, v in ((c, d), (d, c)))
 
 
-def _solve_each(a, b):
-    """``np.linalg.solve`` over a stack, NaN for an item whose matrix is
-    singular."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return np.full(b.shape, np.nan)
-        return np.concatenate([_solve_each(a[k:k + 1], b[k:k + 1]) for k in range(len(a))])
-
-
 def _newton_steps(ev: _Evaluator, z, res):
     """The Newton step -J(z)^-1 res(z) of every row of the stack z, NaN when
     L or the Schur complement is singular (blocks as in
@@ -411,13 +383,13 @@ def _newton_steps(ev: _Evaluator, z, res):
         d_f, d_p = ev.jacobian(f, p, ev.closed_loop(f))
         res_p = res[sl, mr:].reshape(-1, n_players, nn).swapaxes(-1, -2)
         # y[..., k, :] = L^-1 [D_k | -res_k], one column block per player
-        y = _solve_each(d_p, np.concatenate([d_f, -res_p[..., None]], axis=-1).reshape(
+        y = solve_each(d_p, np.concatenate([d_f, -res_p[..., None]], axis=-1).reshape(
             len(d_p), nn, -1)).reshape(d_f.shape[:-1] + (mr + 1,))
         # [S | b] = [K | -res_F] - sum_k B_k y_k
         schur = -(ev.newton.stat_p @ y.reshape(len(d_p), -1, mr + 1))
         schur[..., :mr] += ev.newton.stat_f
         schur[..., mr] -= res[sl, :mr]
-        d_f = _solve_each(schur[..., :mr], schur[..., mr:])
+        d_f = solve_each(schur[..., :mr], schur[..., mr:])
         step[sl, :mr] = d_f[..., 0]
         d_p = y[..., mr] - (y[..., :mr].reshape(len(d_p), -1, mr) @ d_f).reshape(res_p.shape)
         step[sl, mr:] = d_p.swapaxes(-1, -2).reshape(len(d_p), -1)
@@ -455,9 +427,8 @@ def root(ev: _Evaluator, z) -> tuple[np.ndarray, np.ndarray]:
     z = np.array(z, dtype=float)
     res = ev.vector(z)
     norm = np.linalg.norm(res, axis=-1)
-    # each start's row weights, which its norm is measured with, and
-    # whether any active start's differ from 1
-    weights, weighted = np.ones_like(z), False
+    # whether the active starts' norms were last measured with weights
+    weighted = False
     active = np.arange(len(z))
     steps = np.zeros(len(z), dtype=int)
     lengths = 2.0 ** -np.arange(1 + round(-np.log2(_BACKTRACK_FLOOR)))
@@ -473,11 +444,8 @@ def root(ev: _Evaluator, z) -> tuple[np.ndarray, np.ndarray]:
         za = z[active]
         w, bound = ev.merit_weights(za)
         if w is not None or weighted:
-            # a start whose weights moved has its norm at za measured again
-            new = 1.0 if w is None else w
-            again = active[(weights[active] != new).any(axis=-1)]
-            weights[active] = new
-            norm[again] = np.linalg.norm(res[again] * weights[again], axis=-1)
+            # every active norm is measured again with the current weights
+            norm[active] = np.linalg.norm(res[active] if w is None else res[active] * w, axis=-1)
             weighted = w is not None
         # the starts acceptable at za, among those whose merit is in reach
         accepted = np.flatnonzero(norm[active] <= reach * bound)
@@ -574,20 +542,12 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
             )
     starts = _starting_points(rg, opts)
     f0 = np.array([f for _, f in starts]).reshape(-1, rg.m, rg.r)
-    a_cl = ev.closed_loop(f0)
-    p0 = np.zeros((len(f0), rg.n_players, rg.r, rg.r))
-    stable = np.flatnonzero(is_stable(a_cl))
-    p, errors = ev.values(a_cl[stable], ev.costs(f0[stable]))
-    solved = np.array([err is None for err in errors], dtype=bool).reshape(
-        stable.size, rg.n_players).all(axis=1)
-    p0[stable[solved]] = p[solved]
-    z, steps = root(ev, ev.pack(f0, p0))
+    z, steps = root(ev, ev.pack(f0, ev.values(f0)[0]))
     f, p = ev.unpack(z)
     a_cl, costs = ev.closed_loop(f), ev.costs(f)
-    stat, care = ev.residual_matrices(f, p, a_cl, costs)
-    within = ev.accepts(np.abs(stat).max(axis=(-2, -1), initial=0.0),
-                        np.abs(care).max(axis=(-2, -1), initial=0.0),
-                        *ev.denominators(f, p, a_cl, costs))
+    stat, care = (np.abs(x).max(axis=(-2, -1), initial=0.0)
+                  for x in ev.residual_matrices(f, p, a_cl, costs))
+    within = ev.accepts(stat, care, *ev.denominators(f, p, a_cl, costs))
     solutions: list[EquilibriumSolution] = []
     for k in np.flatnonzero(is_stable(a_cl) & within):
         if any(same_behavior(f[k], sol.f_star.matrix) for sol in solutions):
@@ -597,7 +557,8 @@ def solve_fbne(rg: ReducedGame, c: CostParameters,
             p=tuple(p[k]),
             a_cl=a_cl[k],
             spectrum=sorted_spectrum(np.linalg.eigvals(a_cl[k])),
-            residuals=ev.care_residuals(stat[k], care[k]),
+            residual_max=float(max(stat[k], care[k].max())),
+            residual_scale=ev.scale,
             iterations=int(steps[k]),
             start=starts[k][0],
         ))
@@ -632,13 +593,10 @@ def certify_nash(rg: ReducedGame, c: CostParameters, f_red: ReducedFeedback,
     """
     ev = _Evaluator(rg, c, tol)
     f = f_red.matrix
+    (p,), (solved,) = ev.values(f[None])
+    if not solved:
+        return False, np.full(rg.n_players, np.inf)
     a_cl, costs = ev.closed_loop(f), ev.costs(f)
-    unsolved = False, np.full(rg.n_players, np.inf)
-    if not is_stable(a_cl):
-        return unsolved
-    p, failed = ev.values(a_cl, costs)
-    if any(err is not None for err in failed):
-        return unsolved
     definite = np.array(ev.own_weights_definite())
     stat, care = ev.residual_matrices(f, p, a_cl, costs)
     s_stat, s_care = ev.denominators(f, p, a_cl, costs)

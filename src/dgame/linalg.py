@@ -190,18 +190,16 @@ def solve_lyapunov(a_cl: np.ndarray, q: np.ndarray) -> np.ndarray:
     return p[0]
 
 
-def _inv_or_nan(z):
-    """Inverses of a stack, NaN for an item that is singular."""
+def solve_each(a, b):
+    """``np.linalg.solve`` over a stack ``a`` (S, n, n), ``b`` (S, n, k),
+    NaN for an item whose matrix is singular; every other item has the
+    bits of its own solve."""
     try:
-        return np.linalg.inv(z)
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        out = np.empty_like(z)
-        for k, z_k in enumerate(z):
-            try:
-                out[k] = np.linalg.inv(z_k)
-            except np.linalg.LinAlgError:
-                out[k] = np.nan
-        return out
+        if len(a) == 1:
+            return np.full(b.shape, np.nan)
+        return np.concatenate([solve_each(a[k:k + 1], b[k:k + 1]) for k in range(len(a))])
 
 
 def solve_riccati_stack(a, s, q):
@@ -237,7 +235,7 @@ def solve_riccati_stack(a, s, q):
         regular = (sign != 0) & np.isfinite(logdet)
         active, za = active[regular], z[active[regular]]
         c = np.exp(-logdet[regular] / (2 * n))[:, None, None]
-        new = 0.5 * (c * za + _inv_or_nan(za) / c)
+        new = 0.5 * (c * za + solve_each(za, np.broadcast_to(np.eye(2 * n), za.shape)) / c)
         finite = np.isfinite(new).all(axis=(1, 2))
         size = np.abs(new).sum(axis=1).max(axis=1)
         update = np.abs(new - za).sum(axis=1).max(axis=1)

@@ -177,21 +177,17 @@ def index_of(p: Pencil) -> int:
     """Nilpotency index of the infinite-eigenvalue block.
 
     Returns 0 when E is invertible (pure ODE), 1 when the pencil is
-    impulse-free with rank(E) < n.  For higher-index pencils the actual
-    index is recovered from the rank chain of (lam0*E - A)^{-1} E at a
-    regular point lam0.
+    impulse-free with rank(E) < n, both read from :func:`weierstrass`.
+    For higher-index pencils the actual index is recovered from the rank
+    chain of (lam0*E - A)^{-1} E at a regular point lam0.
     """
-    if not is_regular(p):
-        raise IrregularPencilError("pencil is not regular")
-    _, _, _, r, at = _split_by_rank(p)
-    n = p.n
-    if r == n:
-        return 0
-    if _a22_invertible(at, r):
-        return 1
+    try:
+        return weierstrass(p).index
+    except ImpulsiveModesError:
+        pass
     # index >= 2: rank chain of E_hat = (lam0 E - A)^{-1} E, on the
     # normalized pencil (a scalar multiple of the same E_hat)
-    e, a = _normalized(p)
+    (e, a), n = _normalized(p), p.n
     lam0 = next((k for k in range(1, 4 * n + 2) if not _singular_at(e, a, k)), None)
     if lam0 is None:
         raise IrregularPencilError("could not locate a regular point of the pencil")

@@ -15,9 +15,6 @@ import pytest
 
 from dgame import (
     Constraints,
-    CostParameters,
-    DescriptorGame,
-    FeedbackProfile,
     Pencil,
     ReducedFeedback,
     SolveOptions,
@@ -53,7 +50,6 @@ from conftest import (
     lane_game,
     lane_profile_gt,
     random_game,
-    stabilizing_reduced_gain,
     transform_decomposition,
     verify_nash_reference,
     well_conditioned,
@@ -117,7 +113,7 @@ OPTS_64 = SolveOptions(n_starts=64)
 
 def _assert_solution_quality(sols):
     for s in sols:
-        assert s.residuals.max_norm <= 1e-8 * s.residuals.scale
+        assert s.residual_max <= 1e-8 * s.residual_scale
         assert np.max(s.spectrum.real) < 0
 
 

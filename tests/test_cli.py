@@ -1,4 +1,5 @@
 """End-to-end command-line workflows over JSON problem files."""
+import ast
 import contextlib
 import copy
 import importlib
@@ -1032,6 +1033,30 @@ def test_every_exported_name_resolves():
                          for info in pkgutil.iter_modules(dgame.__path__)]
     for module in modules:
         assert [n for n in module.__all__ if not hasattr(module, n)] == [], module.__name__
+
+
+def _unused_imports(path):
+    """``(line, name)`` of every name ``path`` imports and never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # `import a.b` binds `a`
+            bound += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names if a.name != "*"]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__.py imports are the package's re-exports
+    root = Path(__file__).resolve().parents[1]
+    found = {str(path.relative_to(root)): unused
+             for top in ("src", "tests", "tools", "demos")
+             for path in sorted((root / top).rglob("*.py"))
+             if path.name != "__init__.py" and (unused := _unused_imports(path))}
+    assert found == {}
 
 
 # (path of a matrix in the lane problem dict, its shape)

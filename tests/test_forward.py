@@ -35,7 +35,7 @@ from dgame.forward import (
     same_behavior,
 )
 from dgame.game import m_matrix
-from dgame.linalg import is_stable, sorted_spectrum, symmetrize
+from dgame.linalg import is_stable, solve_lyapunov_stack, sorted_spectrum, symmetrize
 from conftest import (
     friendly_costs,
     lane_costs_gt,
@@ -60,11 +60,29 @@ def test_care_residual_zero_case():
     zeros = CostParameters(q=(np.zeros((3, 3)),), r=((np.zeros((1, 1)),),))
     ev = _Evaluator(rg, zeros)
     f = np.zeros((1, 2))
-    a_cl, costs = ev.closed_loop(f), ev.costs(f)
-    p, errors = ev.values(a_cl, costs)
-    assert errors == [None] and not p.any()
-    stat, care = ev.residual_matrices(f, p, a_cl, costs)
+    (p,), ok = ev.values(f[None])
+    assert ok.all() and not p.any()
+    stat, care = ev.residual_matrices(f, p, ev.closed_loop(f), ev.costs(f))
     assert not stat.any() and not care.any()
+
+
+def test_values_are_zero_and_not_ok_where_the_loop_is_unstable_or_a_solve_fails():
+    # J = 0 and B1 = [I, I], so the loop is player 0's gain: a stable
+    # loop, an unstable one, and a stable one with an eigenvalue at
+    # -1e-310, where both players' Lyapunov solves fail
+    rg = reduce_game(DescriptorGame(np.eye(2), np.zeros((2, 2)), (np.eye(2), np.eye(2))))
+    c = CostParameters(q=(np.eye(2), np.diag([1.0, 2.0])),
+                       r=((np.eye(2), np.eye(2)), (np.eye(2), 2.0 * np.eye(2))))
+    ev = _Evaluator(rg, c)
+    loops = np.array([[[-1.0, 0.5], [0.3, -2.0]], np.eye(2), np.diag([-1e-310, -1.0])])
+    f = np.concatenate([loops, np.zeros((3, 2, 2))], axis=1)
+    assert np.array_equal(ev.closed_loop(f), loops)
+    assert is_stable(loops).tolist() == [True, False, True]
+    p, ok = ev.values(f)
+    assert ok.tolist() == [True, False, False]
+    assert not p[1:].any()
+    one, errors = solve_lyapunov_stack(loops[:1], ev.costs(f[:1]))
+    assert errors == [None, None] and p[:1].tobytes() == one.tobytes()
 
 
 def test_care_residual_matches_expanded_assembly():
@@ -111,7 +129,7 @@ def test_lane_ground_truth_unique_solution(lane):
     sols = solve_fbne(lane["rg"], lane["costs_gt"], FAST)
     assert len(sols) == 1
     sol = sols[0]
-    assert sol.residuals.max_norm <= 1e-8 * sol.residuals.scale
+    assert sol.residual_max <= 1e-8 * sol.residual_scale
     # cross-checked against independent per-player regulator best responses;
     # agrees with the published reduced gain to print precision (~0.2%)
     published = np.array([[-1.9995, -0.3547], [-9.5252, -2.1631]])
@@ -686,7 +704,7 @@ def test_solve_fbne_accepts_by_backward_error(monkeypatch):
         return solve_fbne(rg, c, opts)
 
     (sol,) = solve_at(f)
-    assert sol.residuals.max_norm > 1e3 * opts.tol * ev.scale
+    assert sol.residual_max > 1e3 * opts.tol * ev.scale
     assert max(_backward_errors(ev, f, p[None])) < 1e-13
     moved = f * (1.0 + 2e-6)
     assert 5e-7 < _backward_errors(ev, moved, p[None])[0] < 2e-6

@@ -8,6 +8,7 @@ from dgame.linalg import (
     is_stable,
     kernel_basis,
     min_eig_sym,
+    solve_each,
     solve_lyapunov,
     solve_lyapunov_stack,
     solve_riccati_stack,
@@ -338,3 +339,15 @@ def test_riccati_stack_masks_non_finite_items():
     p, ok = solve_riccati_stack(-np.eye(2), s, q)
     assert ok.tolist() == [True, False, False]
     assert np.abs(p[0] - (np.sqrt(2.0) - 1.0) * np.eye(2)).max() <= 1e-14
+
+
+def test_solve_each_masks_a_singular_item_alone():
+    # the stacked solve fails on item 1; every other item keeps the bits
+    # of its own solve
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((4, 5, 5)), rng.standard_normal((4, 5, 2))
+    a[1, :, 3] = 0.0
+    x = solve_each(a, b)
+    assert np.isnan(x[1]).all()
+    for k in (0, 2, 3):
+        assert x[k].tobytes() == np.linalg.solve(a[k], b[k]).tobytes()
